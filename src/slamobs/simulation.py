@@ -11,18 +11,27 @@ in the North / East / Up navigation frame.  Feature covariance blocks are
 carried from the start at a large prior so the state dimension never
 changes; a feature is "initialized" the first time it is detected, which
 stamps its prior block and zeroes its cross-covariances.
+
+There is one filter loop, ``_filter_frames``, built on one Joseph-form update
+(``_joseph``) and one propagation (``_propagated``); the transition matrix
+is computed once per trajectory segment.  ``simulate`` records standard
+deviations from it frame by frame; ``state_comparison_run`` runs the same
+loop plus one sampled error state and its estimate.  The public ``update``,
+``propagate`` and ``initialize_feature`` validate their inputs and wrap the
+same array-level steps.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from . import model
-from .model import AXES, DetectionSchedule, VEHICLE_DIM, feature_obs_row
+from . import analysis, model
+from .model import DetectionSchedule, VEHICLE_DIM, feature_obs_row
 from .pwcs import _as_finite_array, state_transition
 
 GRAVITY = 9.81
@@ -239,6 +248,47 @@ def process_noise_intensity(sensor: SensorConfig, n: int) -> np.ndarray:
     return q
 
 
+def _propagated(P, phi, q_dt, note=None):
+    """Array-level prediction: phi P phi^T + q_dt, re-symmetrized.
+
+    ``note`` (if given) sees the raw product before re-symmetrization.
+    """
+    P_raw = phi @ P @ phi.T + q_dt
+    if note is not None:
+        note(P_raw)
+    return 0.5 * (P_raw + P_raw.T)
+
+
+def _joseph(P, H, R, note=None):
+    """Array-level Joseph-form update; returns (gain, re-symmetrized P).
+
+    ``note`` (if given) sees the raw posterior before re-symmetrization.
+    """
+    S = H @ P @ H.T + R
+    try:
+        chol = scipy.linalg.cho_factor(S)
+    except scipy.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"innovation covariance is singular or indefinite: {exc}"
+        ) from exc
+    K = scipy.linalg.cho_solve(chol, H @ P).T
+    ikh = np.eye(P.shape[0]) - K @ H
+    P_raw = ikh @ P @ ikh.T + K @ R @ K.T
+    if note is not None:
+        note(P_raw)
+    return K, 0.5 * (P_raw + P_raw.T)
+
+
+def _stamped(P, c: int, u_m_value: float):
+    """Copy of P with feature c's block set to u_m_value * I3, uncorrelated."""
+    P = P.copy()
+    block = slice(VEHICLE_DIM + 3 * c, VEHICLE_DIM + 3 * c + 3)
+    P[block, :] = 0.0
+    P[:, block] = 0.0
+    P[block, block] = u_m_value * np.eye(3)
+    return P
+
+
 def propagate(cov: AugmentedCovariance, F, q_intensity, dt: float) -> AugmentedCovariance:
     """One covariance prediction step of length dt.
 
@@ -252,9 +302,7 @@ def propagate(cov: AugmentedCovariance, F, q_intensity, dt: float) -> AugmentedC
     q = _as_finite_array(q_intensity, "q_intensity")
     if q.shape != (cov.n, cov.n):
         raise ValueError(f"q_intensity must have shape {(cov.n, cov.n)}, got {q.shape}")
-    phi = state_transition(F, dt, "exact")
-    P = phi @ cov.P @ phi.T + q * dt
-    P = 0.5 * (P + P.T)
+    P = _propagated(cov.P, state_transition(F, dt, "exact"), q * dt)
     return AugmentedCovariance(P=P, feature_initialized=list(cov.feature_initialized))
 
 
@@ -271,19 +319,8 @@ def update(cov: AugmentedCovariance, H, R) -> AugmentedCovariance:
     R = _as_finite_array(R, "R")
     if R.shape != (m, m):
         raise ValueError(f"R must have shape {(m, m)}, got {R.shape}")
-    P = cov.P
-    S = H @ P @ H.T + R
-    try:
-        chol = scipy.linalg.cho_factor(S)
-    except scipy.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"innovation covariance is singular or indefinite: {exc}"
-        ) from exc
-    K = scipy.linalg.cho_solve(chol, H @ P).T
-    ikh = np.eye(cov.n) - K @ H
-    P_new = ikh @ P @ ikh.T + K @ R @ K.T
-    P_new = 0.5 * (P_new + P_new.T)
-    return AugmentedCovariance(P=P_new, feature_initialized=list(cov.feature_initialized))
+    _, P = _joseph(cov.P, H, R)
+    return AugmentedCovariance(P=P, feature_initialized=list(cov.feature_initialized))
 
 
 def initialize_feature(
@@ -301,14 +338,9 @@ def initialize_feature(
         raise ValueError(f"feature {c} is already initialized")
     if u_m_value < 0:
         raise ValueError("u_m_value must be non-negative")
-    P = cov.P.copy()
-    block = slice(VEHICLE_DIM + 3 * c, VEHICLE_DIM + 3 * c + 3)
-    P[block, :] = 0.0
-    P[:, block] = 0.0
-    P[block, block] = u_m_value * np.eye(3)
     flags = list(cov.feature_initialized)
     flags[c] = True
-    return AugmentedCovariance(P=P, feature_initialized=flags)
+    return AugmentedCovariance(P=_stamped(cov.P, c, u_m_value), feature_initialized=flags)
 
 
 def measurement_noise_cartesian(rel_pos, sensor: SensorConfig) -> np.ndarray:
@@ -412,6 +444,25 @@ class SimulationDiagnostics:
     max_update_variance_growth: float = -np.inf
     n_updates: int = 0
 
+    def note_raw(self, P_raw) -> None:
+        """Record the asymmetry of a raw propagate/update output."""
+        scale = float(np.max(np.abs(P_raw))) or 1.0
+        asym = float(np.max(np.abs(P_raw - P_raw.T))) / scale
+        self.max_relative_asymmetry = max(self.max_relative_asymmetry, asym)
+
+    def note_frame(self, frame, rng) -> None:
+        """Record one filter frame; an update draws 20 random functionals."""
+        if frame.P_prior is not None:
+            w = rng.standard_normal((20, frame.P.shape[0]))
+            before = np.einsum("ij,jk,ik->i", w, frame.P_prior, w)
+            after = np.einsum("ij,jk,ik->i", w, frame.P, w)
+            growth = float(np.max((after - before) / np.maximum(before, 1e-300)))
+            self.max_update_variance_growth = max(self.max_update_variance_growth, growth)
+            self.n_updates += 1
+        eigs = np.linalg.eigvalsh(frame.P)
+        ratio = float(eigs[0] / max(eigs[-1], 1e-300))
+        self.min_eigenvalue_ratio = min(self.min_eigenvalue_ratio, ratio)
+
 
 @dataclass(eq=False)
 class CovarianceTrace:
@@ -474,28 +525,6 @@ def fov_schedule(
     return DetectionSchedule(detected=detected, feature_ids=ids)
 
 
-def derived_functionals(feature_ids, n: int = None):
-    """(label, weight) pairs for the standard difference functionals."""
-    ids = list(feature_ids)
-    if n is None:
-        n = VEHICLE_DIM + 3 * len(ids)
-    e = np.eye(n)
-    out = []
-    for c, fid in enumerate(ids):
-        for a, axis in enumerate(AXES):
-            out.append((f"dp-dm_{fid}_{axis}", e[a] - e[VEHICLE_DIM + 3 * c + a]))
-    for c in range(len(ids)):
-        for d in range(c + 1, len(ids)):
-            for a, axis in enumerate(AXES):
-                out.append(
-                    (
-                        f"dm_{ids[c]}-dm_{ids[d]}_{axis}",
-                        e[VEHICLE_DIM + 3 * c + a] - e[VEHICLE_DIM + 3 * d + a],
-                    )
-                )
-    return out
-
-
 def _visible_features(scenario: SimScenario, trajectory, sensor, t, vehicle_pos):
     ids = scenario.feature_ids
     if scenario.schedule is not None:
@@ -522,6 +551,104 @@ def _stacked_measurement(scenario, sensor, vehicle_pos, visible, n):
     return H, R
 
 
+class _Frame(NamedTuple):
+    """One vision frame of the filter loop.
+
+    ``P`` is the covariance after the frame's update; ``P_prior`` the one
+    entering it (None when no feature is visible).  ``x`` and ``x_hat`` are
+    the sampled error state and its estimate, None when no state is sampled.
+    """
+
+    t: float
+    position: np.ndarray
+    P: np.ndarray
+    P_prior: np.ndarray | None
+    x: np.ndarray | None
+    x_hat: np.ndarray | None
+
+
+def _frame_count(scenario: SimScenario, trajectory, sensor, duration) -> int:
+    """Vision frames recorded by a run truncated to ``duration`` (0 if empty)."""
+    if scenario.schedule is not None and scenario.schedule.n_segments != len(
+        trajectory.segments
+    ):
+        raise ValueError(
+            f"schedule covers {scenario.schedule.n_segments} segments but the "
+            f"trajectory has {len(trajectory.segments)}"
+        )
+    total = trajectory.total_duration if duration is None else float(duration)
+    if total < 0:
+        raise ValueError("duration must be non-negative")
+    total = min(total, trajectory.total_duration)
+    return int(round(total * sensor.frame_rate_hz)) + 1 if total > 0 else 0
+
+
+def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, note=None):
+    """The covariance filter loop: yield a _Frame for each of ``count`` frames.
+
+    Propagates at the IMU rate with one transition matrix per trajectory
+    segment, built once, and applies one stacked Joseph update per vision
+    frame covering every currently-detected feature, stamping each feature's
+    prior block at its first detection.  With ``rng`` the loop also carries
+    one sampled error state x (initial errors, then process noise at every
+    IMU step), measures it with noise drawn from R at every update, and
+    tracks the filter's estimate x_hat.  ``note`` sees every raw covariance
+    before re-symmetrization.
+    """
+    L = len(scenario.feature_ids)
+    n = VEHICLE_DIM + 3 * L
+    frame_dt = 1.0 / sensor.frame_rate_hz
+    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
+    imu_dt = frame_dt / steps_per_frame
+    q = process_noise_intensity(sensor, n)
+    q_dt = q * imu_dt
+    phis = []
+    for _, force in trajectory.segments:
+        F = np.zeros((n, n))
+        F[0:VEHICLE_DIM, 0:VEHICLE_DIM] = model.ins_error_f(force)
+        phis.append(state_transition(F, imu_dt, "exact"))
+    P = AugmentedCovariance.initial(scenario.vehicle_variances, L, scenario.feature_prior).P
+    initialized = [False] * L
+
+    x = x_hat = None
+    if rng is not None:
+        # one true error-state sample; feature errors drawn from the same prior
+        x = np.zeros(n)
+        x[:VEHICLE_DIM] = rng.standard_normal(VEHICLE_DIM) * np.sqrt(scenario.vehicle_variances)
+        x[VEHICLE_DIM:] = rng.standard_normal(3 * L) * np.sqrt(scenario.feature_prior)
+        x_hat = np.zeros(n)
+        noise_std = np.sqrt(np.diag(q))
+        sqrt_dt = np.sqrt(imu_dt)
+
+    t = 0.0
+    for frame in range(count):
+        if frame:
+            for _ in range(steps_per_frame):
+                phi = phis[trajectory.segment_index(t)]
+                if x is not None:
+                    x = phi @ x + rng.standard_normal(n) * noise_std * sqrt_dt
+                    x_hat = phi @ x_hat
+                P = _propagated(P, phi, q_dt, note)
+                t += imu_dt
+            t = frame * frame_dt  # keep frame times exact multiples
+        pos, _, _ = trajectory.state_at(t)
+        visible = _visible_features(scenario, trajectory, sensor, t, pos)
+        for c in visible:
+            if not initialized[c]:
+                P = _stamped(P, c, scenario.feature_prior)
+                initialized[c] = True
+        P_prior = None
+        if visible:
+            H, R = _stacked_measurement(scenario, sensor, pos, visible, n)
+            if x is not None:
+                z = H @ x + np.linalg.cholesky(R) @ rng.standard_normal(H.shape[0])
+            P_prior = P
+            K, P = _joseph(P, H, R, note)
+            if x is not None:
+                x_hat = x_hat + K @ (z - H @ x_hat)
+        yield _Frame(t, pos, P, P_prior, x, x_hat)
+
+
 def simulate(
     scenario: SimScenario,
     trajectory: TrajectoryConfig,
@@ -539,122 +666,36 @@ def simulate(
     deterministic; the seed only drives the random functionals sampled for
     the optional diagnostics.
     """
-    if scenario.schedule is not None and scenario.schedule.n_segments != len(
-        trajectory.segments
-    ):
-        raise ValueError(
-            f"schedule covers {scenario.schedule.n_segments} segments but the "
-            f"trajectory has {len(trajectory.segments)}"
-        )
-    total = trajectory.total_duration if duration is None else float(duration)
-    if total < 0:
-        raise ValueError("duration must be non-negative")
-    total = min(total, trajectory.total_duration)
-
+    count = _frame_count(scenario, trajectory, sensor, duration)
     ids = scenario.feature_ids
-    L = len(ids)
-    n = VEHICLE_DIM + 3 * L
-    labels = model.state_labels(ids)
-    derived = derived_functionals(ids, n)
+    n = VEHICLE_DIM + 3 * len(ids)
+    # the candidates after the n single-state ones are the unit differences
+    differences = analysis.standard_candidates(ids)[n:]
+    weights = np.array([d.weights for d in differences])
+    plus, minus = weights.argmax(axis=1), weights.argmin(axis=1)
 
-    frame_dt = 1.0 / sensor.frame_rate_hz
-    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
-    imu_dt = frame_dt / steps_per_frame
-    n_frames = int(round(total * sensor.frame_rate_hz))
-
-    trace_times = []
-    std_rows = []
-    derived_rows = []
     diag = SimulationDiagnostics() if collect_diagnostics else None
     rng = np.random.default_rng(seed)
-
-    if total <= 0:
-        empty = np.zeros((0,))
-        return CovarianceTrace(
-            times=empty,
-            std={lab: empty.copy() for lab in labels},
-            derived_std={lab: empty.copy() for lab, _ in derived},
-            feature_ids=ids,
-            diagnostics=diag,
-        )
-
-    cov = AugmentedCovariance.initial(
-        vehicle_variances=scenario.vehicle_variances,
-        n_features=L,
-        feature_prior=scenario.feature_prior,
+    times = np.empty(count)
+    std = np.empty((n, count))
+    derived = np.empty((len(differences), count))
+    frames = _filter_frames(
+        scenario, trajectory, sensor, count, note=None if diag is None else diag.note_raw
     )
-    q = process_noise_intensity(sensor, n)
-
-    def note_asymmetry(P_raw):
-        if diag is None:
-            return
-        scale = float(np.max(np.abs(P_raw))) or 1.0
-        asym = float(np.max(np.abs(P_raw - P_raw.T))) / scale
-        diag.max_relative_asymmetry = max(diag.max_relative_asymmetry, asym)
-
-    t = 0.0
-    for frame in range(n_frames + 1):
-        pos, _, _ = trajectory.state_at(t)
-        visible = _visible_features(scenario, trajectory, sensor, t, pos)
-        for c in visible:
-            if not cov.feature_initialized[c]:
-                cov = initialize_feature(cov, c, scenario.feature_prior)
-        if visible:
-            H, R = _stacked_measurement(scenario, sensor, pos, visible, n)
-            if diag is not None:
-                w_samples = rng.standard_normal((20, n))
-                before = np.einsum("ij,jk,ik->i", w_samples, cov.P, w_samples)
-            P_prior = cov.P
-            S = H @ P_prior @ H.T + R
-            chol = scipy.linalg.cho_factor(S)
-            K = scipy.linalg.cho_solve(chol, H @ P_prior).T
-            ikh = np.eye(n) - K @ H
-            P_raw = ikh @ P_prior @ ikh.T + K @ R @ K.T
-            note_asymmetry(P_raw)
-            cov = AugmentedCovariance(
-                P=0.5 * (P_raw + P_raw.T),
-                feature_initialized=list(cov.feature_initialized),
-            )
-            if diag is not None:
-                after = np.einsum("ij,jk,ik->i", w_samples, cov.P, w_samples)
-                growth = float(np.max((after - before) / np.maximum(before, 1e-300)))
-                diag.max_update_variance_growth = max(
-                    diag.max_update_variance_growth, growth
-                )
-                diag.n_updates += 1
+    for k, frame in enumerate(frames):
         if diag is not None:
-            eigs = np.linalg.eigvalsh(cov.P)
-            ratio = float(eigs[0] / max(eigs[-1], 1e-300))
-            diag.min_eigenvalue_ratio = min(diag.min_eigenvalue_ratio, ratio)
-        trace_times.append(t)
-        std_rows.append(cov.stds())
-        derived_rows.append([cov.functional_std(w) for _, w in derived])
-        if frame == n_frames:
-            break
-        for _ in range(steps_per_frame):
-            seg = trajectory.segment_index(t)
-            F = np.zeros((n, n))
-            F[0:VEHICLE_DIM, 0:VEHICLE_DIM] = model.ins_error_f(
-                trajectory.segments[seg][1]
-            )
-            phi = state_transition(F, imu_dt, "exact")
-            P_raw = phi @ cov.P @ phi.T + q * imu_dt
-            note_asymmetry(P_raw)
-            cov = AugmentedCovariance(
-                P=0.5 * (P_raw + P_raw.T),
-                feature_initialized=list(cov.feature_initialized),
-            )
-            t += imu_dt
-        t = (frame + 1) * frame_dt  # keep frame times exact multiples
+            diag.note_frame(frame, rng)
+        P = frame.P
+        times[k] = frame.t
+        std[:, k] = np.sqrt(np.clip(np.diag(P), 0.0, None))
+        # (e_a - e_b) P (e_a - e_b), summed in the order w @ P @ w sums it
+        variances = (P[plus, plus] - P[minus, plus]) - (P[plus, minus] - P[minus, minus])
+        derived[:, k] = np.sqrt(np.clip(variances, 0.0, None))
 
-    std_arr = np.asarray(std_rows)
-    derived_arr = np.asarray(derived_rows)
     return CovarianceTrace(
-        times=np.asarray(trace_times),
-        std={lab: std_arr[:, k].copy() for k, lab in enumerate(labels)},
-        derived_std={
-            lab: derived_arr[:, k].copy() for k, (lab, _) in enumerate(derived)
-        },
+        times=times,
+        std=dict(zip(model.state_labels(ids), std)),
+        derived_std={d.label: series for d, series in zip(differences, derived)},
         feature_ids=ids,
         diagnostics=diag,
     )
@@ -681,92 +722,16 @@ def state_comparison_run(
 
     Samples one realization of the error-state process (initial errors plus
     process noise) to play the role of the uncorrected inertial drift, feeds
-    the corresponding noisy relative-position measurements to a Kalman
-    filter, and reports true, inertial-only and corrected positions; fully
-    deterministic for a given seed.
+    the corresponding noisy relative-position measurements to the same
+    Kalman filter loop ``simulate`` runs, and reports true, inertial-only and
+    corrected positions; fully deterministic for a given seed.
     """
-    rng = np.random.default_rng(seed)
-    total = trajectory.total_duration if duration is None else float(duration)
-    total = min(max(total, 0.0), trajectory.total_duration)
-
-    ids = scenario.feature_ids
-    L = len(ids)
-    n = VEHICLE_DIM + 3 * L
-
-    frame_dt = 1.0 / sensor.frame_rate_hz
-    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
-    imu_dt = frame_dt / steps_per_frame
-    n_frames = int(round(total * sensor.frame_rate_hz))
-    if total <= 0:
-        empty = np.zeros((0,))
-        empty3 = np.zeros((0, 3))
-        return StateRun(empty, empty3, empty3.copy(), empty3.copy())
-
-    cov = AugmentedCovariance.initial(
-        vehicle_variances=scenario.vehicle_variances,
-        n_features=L,
-        feature_prior=scenario.feature_prior,
-    )
-    q = process_noise_intensity(sensor, n)
-
-    # one true error-state sample; feature errors drawn from the same prior
-    x = np.zeros(n)
-    x[:VEHICLE_DIM] = rng.standard_normal(VEHICLE_DIM) * np.sqrt(
-        np.asarray(scenario.vehicle_variances)
-    )
-    x[VEHICLE_DIM:] = rng.standard_normal(3 * L) * np.sqrt(scenario.feature_prior)
-    x_hat = np.zeros(n)
-
-    times, true_pos, ins_pos, est_pos = [], [], [], []
-    noise_std = np.sqrt(np.diag(q))
-
-    t = 0.0
-    for frame in range(n_frames + 1):
-        pos, _, _ = trajectory.state_at(t)
-        visible = _visible_features(scenario, trajectory, sensor, t, pos)
-        for c in visible:
-            if not cov.feature_initialized[c]:
-                cov = initialize_feature(cov, c, scenario.feature_prior)
-        if visible:
-            H, R = _stacked_measurement(scenario, sensor, pos, visible, n)
-            z = H @ x + np.linalg.cholesky(R) @ rng.standard_normal(H.shape[0])
-            S = H @ cov.P @ H.T + R
-            chol = scipy.linalg.cho_factor(S)
-            K = scipy.linalg.cho_solve(chol, H @ cov.P).T
-            x_hat = x_hat + K @ (z - H @ x_hat)
-            ikh = np.eye(n) - K @ H
-            P_new = ikh @ cov.P @ ikh.T + K @ R @ K.T
-            cov = AugmentedCovariance(
-                P=0.5 * (P_new + P_new.T),
-                feature_initialized=list(cov.feature_initialized),
-            )
-        times.append(t)
-        true_pos.append(pos)
-        ins_pos.append(pos + x[0:3])
-        est_pos.append(pos + x[0:3] - x_hat[0:3])
-        if frame == n_frames:
-            break
-        for _ in range(steps_per_frame):
-            seg = trajectory.segment_index(t)
-            F = np.zeros((n, n))
-            F[0:VEHICLE_DIM, 0:VEHICLE_DIM] = model.ins_error_f(
-                trajectory.segments[seg][1]
-            )
-            phi = state_transition(F, imu_dt, "exact")
-            w = rng.standard_normal(n) * noise_std * np.sqrt(imu_dt)
-            x = phi @ x + w
-            x_hat = phi @ x_hat
-            P_new = phi @ cov.P @ phi.T + q * imu_dt
-            cov = AugmentedCovariance(
-                P=0.5 * (P_new + P_new.T),
-                feature_initialized=list(cov.feature_initialized),
-            )
-            t += imu_dt
-        t = (frame + 1) * frame_dt
-
-    return StateRun(
-        times=np.asarray(times),
-        true_positions=np.asarray(true_pos),
-        ins_positions=np.asarray(ins_pos),
-        estimated_positions=np.asarray(est_pos),
-    )
+    count = _frame_count(scenario, trajectory, sensor, duration)
+    run = StateRun(np.empty(count), np.empty((count, 3)), np.empty((count, 3)), np.empty((count, 3)))
+    frames = _filter_frames(scenario, trajectory, sensor, count, rng=np.random.default_rng(seed))
+    for k, frame in enumerate(frames):
+        run.times[k] = frame.t
+        run.true_positions[k] = frame.position
+        run.ins_positions[k] = frame.position + frame.x[0:3]
+        run.estimated_positions[k] = frame.position + frame.x[0:3] - frame.x_hat[0:3]
+    return run

@@ -321,13 +321,19 @@ class TestSimulate:
         assert trace.value_at("dm_f1_N", 4.0) < 1e3
         assert trace.value_at("dm_f2_N", 4.0) == pytest.approx(np.sqrt(1e9), rel=1e-6)
 
-    def test_schedule_segment_count_mismatch(self):
+    @pytest.mark.parametrize(
+        "run", [simulate, state_comparison_run], ids=["simulate", "state_run"]
+    )
+    def test_schedule_segment_count_mismatch(self, run):
         scenario = flight_scenario()
-        short = TrajectoryConfig(
-            p0=[0, 0, 100.0], v0=[0.1, 0, 0], segments=[(50.0, [0, 0, G])]
-        )
-        with pytest.raises(ValueError, match="segments"):
-            simulate(scenario, short, SensorConfig())
+        for n_segments in (1, 3):
+            trajectory = TrajectoryConfig(
+                p0=[0, 0, 100.0], v0=[0.1, 0, 0], segments=[(50.0, [0, 0, G])] * n_segments
+            )
+            with pytest.raises(ValueError, match="segments"):
+                run(scenario, trajectory, SensorConfig())
+        with pytest.raises(ValueError, match="duration"):
+            run(scenario, flight_trajectory(), SensorConfig(), duration=-1.0)
 
 
 class TestCrossModuleConsistency:
