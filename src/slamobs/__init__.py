@@ -24,7 +24,6 @@ from .analysis import (
 from .model import (
     AugmentedSystem,
     DetectionSchedule,
-    InsErrorState,
     Scenario,
     SegmentSpec,
     augment,
@@ -53,7 +52,6 @@ from .simulation import (
     SimScenario,
     TrajectoryConfig,
     fov_schedule,
-    generate_trajectory,
     initialize_feature,
     measurement_noise_cartesian,
     process_noise_intensity,

@@ -27,32 +27,6 @@ AXES = ("N", "E", "U")
 VEHICLE_DIM = 9
 
 
-@dataclass(eq=False)
-class InsErrorState:
-    """Vehicle error state: position (m), velocity (m/s), attitude (rad).
-
-    The flat ordering is fixed: dp occupies indices 0..2, dv 3..5 and psi
-    6..8 of the vehicle block everywhere in this package.
-    """
-
-    dp: np.ndarray
-    dv: np.ndarray
-    psi: np.ndarray
-
-    def __post_init__(self):
-        self.dp = _as_finite_array(self.dp, "dp", (3,))
-        self.dv = _as_finite_array(self.dv, "dv", (3,))
-        self.psi = _as_finite_array(self.psi, "psi", (3,))
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.dp, self.dv, self.psi])
-
-    @classmethod
-    def from_vector(cls, x) -> "InsErrorState":
-        x = _as_finite_array(x, "x", (VEHICLE_DIM,))
-        return cls(dp=x[0:3], dv=x[3:6], psi=x[6:9])
-
-
 def ins_error_f(specific_force) -> np.ndarray:
     """9x9 inertial error dynamics for a given specific force (m/s^2, nav frame).
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -127,6 +126,8 @@ def state_transition(F, delta: float, mode: str = "exact") -> np.ndarray:
         raise ValueError(f"mode must be 'exact' or 'first_order', got {mode!r}")
     p = _nilpotency_index(F)
     if p is None:
+        import scipy.linalg
+
         return scipy.linalg.expm(F * delta)
     out = np.eye(n)
     term = np.eye(n)
@@ -136,14 +137,17 @@ def state_transition(F, delta: float, mode: str = "exact") -> np.ndarray:
     return out
 
 
-def lom(stripe: PwcsStripe, max_power: int = 2) -> np.ndarray:
+def lom(stripe: PwcsStripe, max_power: int = None) -> np.ndarray:
     """Local observability matrix of one segment.
 
     Stacks H, H F, H F**2, ..., H F**max_power, giving a matrix with
-    (max_power + 1) * m rows and n columns.  The default of 2 covers the
-    inertial SLAM dynamics used in this package, whose augmented F satisfies
-    F**3 == 0 so that higher powers contribute only zero rows.
+    (max_power + 1) * m rows and n columns.  The default n - 1 is exact for
+    any F (Cayley-Hamilton).  The inertial SLAM dynamics of this package
+    satisfy F**3 == 0, so ``slamobs.analysis`` passes 2 and drops only zero
+    rows.
     """
+    if max_power is None:
+        max_power = max(stripe.n - 1, 1)
     if int(max_power) != max_power or max_power < 1:
         raise ValueError("max_power must be an integer >= 1")
     blocks = [stripe.H]
@@ -154,7 +158,7 @@ def lom(stripe: PwcsStripe, max_power: int = 2) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def tom(stripes, max_power: int = 2, mode: str = "exact") -> np.ndarray:
+def tom(stripes, max_power: int = None, mode: str = "exact") -> np.ndarray:
     """Total observability matrix of a sequence of segments.
 
     Stacks the per-segment local observability matrices, each right-multiplied
@@ -190,17 +194,8 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
 
     Returns 0 for empty and all-zero matrices.
     """
-    M = _as_finite_array(M, "M")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    if M.ndim != 2:
-        raise ValueError("M must be a matrix")
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    kernel = null_space(M, rel_tol)
+    return np.shape(M)[1] - kernel.dim
 
 
 def null_space(M, rel_tol: float = DEFAULT_RANK_TOL) -> NullSpaceBasis:

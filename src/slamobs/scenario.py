@@ -16,19 +16,13 @@ field's path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
 
 from .analysis import AnalysisOptions, CandidateFunctional
-from .model import (
-    VEHICLE_DIM,
-    DetectionSchedule,
-    Scenario,
-    SegmentSpec,
-    state_labels,
-)
+from .model import DetectionSchedule, Scenario, SegmentSpec
 from .simulation import (
     DEFAULT_VEHICLE_VARIANCES,
     FEATURE_PRIOR_DEFAULT,
@@ -48,17 +42,12 @@ class ScenarioError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-_SENSOR_KEYS = {
-    "imu_rate_hz": "imu_rate_hz",
-    "accel_noise": "accel_noise",
-    "gyro_noise_deg": "gyro_noise_deg",
-    "frame_rate_hz": "frame_rate_hz",
-    "fov_deg": "fov_deg",
-    "range_error_m": "range_error_m",
-    "bearing_noise_deg": "bearing_noise_deg",
-    "elevation_noise_deg": "elevation_noise_deg",
-    "boresight": "boresight",
-}
+_SENSOR_FIELDS = tuple(f.name for f in fields(SensorConfig))
+
+
+def _state_blocks(feature_ids) -> list:
+    """Names of the 3-state blocks of the augmented state, in state order."""
+    return ["dp", "dv", "psi"] + [f"dm_{fid}" for fid in feature_ids]
 
 
 @dataclass(eq=False)
@@ -75,10 +64,6 @@ class ScenarioDoc:
     vehicle_variances: np.ndarray
     feature_prior: float
     gravity: float
-    raw_segments: list
-    raw_schedule: object
-    raw_candidates: list
-    raw_initial: dict
 
     def sim_scenario(self) -> SimScenario:
         """Simulation-side view; requires feature positions."""
@@ -101,43 +86,62 @@ class ScenarioDoc:
             raise ScenarioError("features", "section required for simulation")
 
     def to_dict(self) -> dict:
-        """Canonical dictionary form; re-parsing it reproduces this document."""
+        """Canonical dictionary form; re-parsing it reproduces this document.
+
+        It is rebuilt from the parsed objects, so it also writes the relative
+        positions the parser derived from the trajectory and the initial
+        covariance (as variances), defaults included.
+        """
         doc: dict = {"name": self.name, "gravity": self.gravity}
         doc["options"] = {
             "expansion": self.options.expansion_mode,
             "rank_tol": self.options.rank_tol,
         }
         if self.feature_positions:
-            doc["features"] = {
-                fid: [float(v) for v in pos]
-                for fid, pos in self.feature_positions.items()
-            }
-        doc["schedule"] = self.raw_schedule
-        doc["segments"] = self.raw_segments
+            doc["features"] = {fid: _floats(pos) for fid, pos in self.feature_positions.items()}
+        schedule = self.scenario.schedule
+        if self.schedule_mode == "auto":
+            doc["schedule"] = "auto"
+        else:
+            detected = zip(schedule.feature_ids, schedule.detected)
+            doc["schedule"] = {"detected": {fid: [int(v) for v in row] for fid, row in detected}}
+        doc["segments"] = []
+        for seg in self.scenario.segments:
+            entry = {"duration": seg.duration, "specific_force": _floats(seg.specific_force)}
+            if seg.feature_rel_pos:
+                entry["rel"] = {fid: _floats(rel) for fid, rel in seg.feature_rel_pos.items()}
+            doc["segments"].append(entry)
         if self.trajectory is not None:
             doc["trajectory"] = {
-                "p0": [float(v) for v in self.trajectory.p0],
-                "v0": [float(v) for v in self.trajectory.v0],
+                "p0": _floats(self.trajectory.p0),
+                "v0": _floats(self.trajectory.v0),
             }
         if self.sensor is not None:
-            sensor = {
-                "imu_rate_hz": self.sensor.imu_rate_hz,
-                "accel_noise": self.sensor.accel_noise,
-                "gyro_noise_deg": self.sensor.gyro_noise_deg,
-                "frame_rate_hz": self.sensor.frame_rate_hz,
-                "fov_deg": self.sensor.fov_deg,
-                "range_error_m": self.sensor.range_error_m,
-                "bearing_noise_deg": self.sensor.bearing_noise_deg,
-                "elevation_noise_deg": self.sensor.elevation_noise_deg,
-            }
-            if tuple(self.sensor.boresight) != (0.0, 0.0, -1.0):
-                sensor["boresight"] = [float(v) for v in self.sensor.boresight]
-            doc["sensor"] = sensor
-        if self.raw_initial:
-            doc["initial_covariance"] = self.raw_initial
-        if self.raw_candidates:
-            doc["candidates"] = self.raw_candidates
+            doc["sensor"] = {name: getattr(self.sensor, name) for name in _SENSOR_FIELDS}
+            # YAML writes lists, not the tuple the config holds
+            doc["sensor"]["boresight"] = _floats(self.sensor.boresight)
+        doc["initial_covariance"] = {
+            "vehicle_diag": _floats(self.vehicle_variances),
+            "feature_prior": self.feature_prior,
+        }
+        if self.options.extra_candidates:
+            blocks = _state_blocks(schedule.feature_ids)
+            doc["candidates"] = [
+                {
+                    "label": cand.label,
+                    "weights": {
+                        block: _floats(cand.weights[3 * k : 3 * k + 3])
+                        for k, block in enumerate(blocks)
+                        if cand.weights[3 * k : 3 * k + 3].any()
+                    },
+                }
+                for cand in self.options.extra_candidates
+            ]
         return doc
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
 
 
 def _require(mapping, key, path, kind=None):
@@ -273,7 +277,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
             raise ScenarioError("sensor", "must be a mapping")
         kwargs = {}
         for key, value in sensor_raw.items():
-            if key not in _SENSOR_KEYS:
+            if key not in _SENSOR_FIELDS:
                 raise ScenarioError(f"sensor.{key}", "unknown sensor field")
             if key == "boresight":
                 kwargs[key] = tuple(_vec3(value, "sensor.boresight"))
@@ -383,17 +387,15 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     if not isinstance(candidates_raw, list):
         raise ScenarioError("candidates", "must be a list")
     extra = []
-    labels = state_labels(schedule.feature_ids)
-    block_offsets = {"dp": 0, "dv": 3, "psi": 6}
-    for c, fid in enumerate(schedule.feature_ids):
-        block_offsets[f"dm_{fid}"] = VEHICLE_DIM + 3 * c
+    blocks = _state_blocks(schedule.feature_ids)
+    block_offsets = {block: 3 * k for k, block in enumerate(blocks)}
     for k, cand in enumerate(candidates_raw):
         cand_path = f"candidates[{k}]"
         if not isinstance(cand, dict):
             raise ScenarioError(cand_path, "must be a mapping")
         label = _require(cand, "label", cand_path, str)
         weights_raw = _require(cand, "weights", cand_path, dict)
-        w = np.zeros(len(labels))
+        w = np.zeros(3 * len(blocks))
         for block, vec in weights_raw.items():
             if block not in block_offsets:
                 raise ScenarioError(
@@ -421,46 +423,4 @@ def _build_doc(raw: dict) -> ScenarioDoc:
         vehicle_variances=vehicle,
         feature_prior=feature_prior,
         gravity=gravity,
-        raw_segments=[
-            _canonical_segment(durations[i], forces[i], rel_maps[i])
-            for i in range(len(segments_raw))
-        ],
-        raw_schedule=(
-            "auto"
-            if schedule_mode == "auto"
-            else {
-                "detected": {
-                    fid: [int(v) for v in schedule.detected[c]]
-                    for c, fid in enumerate(schedule.feature_ids)
-                }
-            }
-        ),
-        raw_candidates=[
-            {
-                "label": cand["label"],
-                "weights": {
-                    blk: [float(x) for x in vec] for blk, vec in cand["weights"].items()
-                },
-            }
-            for cand in candidates_raw
-        ],
-        raw_initial=(
-            {
-                "vehicle_diag": [float(v) for v in vehicle_diag],
-                "interpretation": interpretation,
-                "feature_prior": float(feature_prior),
-            }
-            if initial_raw
-            else {}
-        ),
     )
-
-
-def _canonical_segment(duration, force, rel):
-    seg = {
-        "duration": float(duration),
-        "specific_force": [float(v) for v in force],
-    }
-    if rel:
-        seg["rel"] = {fid: [float(v) for v in vec] for fid, vec in rel.items()}
-    return seg

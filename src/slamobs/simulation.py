@@ -13,8 +13,10 @@ changes; a feature is "initialized" the first time it is detected, which
 stamps its prior block and zeroes its cross-covariances.
 
 There is one filter loop, ``_filter_frames``, built on one Joseph-form update
-(``_joseph``) and one propagation (``_propagated``); the transition matrix
-is computed once per trajectory segment.  ``simulate`` records standard
+(``_joseph``, which solves for the gain through a NumPy Cholesky factor of the
+innovation covariance) and one propagation (``_propagated``); the transition
+matrix is computed once per trajectory segment, in closed form because the
+inertial error dynamics are nilpotent.  ``simulate`` records standard
 deviations from it frame by frame; ``state_comparison_run`` runs the same
 loop plus one sampled error state and its estimate.  The public ``update``,
 ``propagate`` and ``initialize_feature`` validate their inputs and wrap the
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import analysis, model
 from .model import DetectionSchedule, VEHICLE_DIM, feature_obs_row
@@ -158,27 +159,6 @@ class SensorConfig:
         return float(np.deg2rad(self.elevation_noise_deg))
 
 
-def generate_trajectory(config: TrajectoryConfig, rate_hz: float = 100.0, duration: float = None):
-    """Sample the trajectory at a fixed rate.
-
-    Returns (times, positions, velocities, specific_forces) as arrays with
-    one row per sample, covering [0, duration] inclusive.
-    """
-    if not rate_hz > 0:
-        raise ValueError("rate_hz must be positive")
-    total = config.total_duration if duration is None else float(duration)
-    if total < 0:
-        raise ValueError("duration must be non-negative")
-    count = int(round(total * rate_hz))
-    times = np.arange(count + 1) / rate_hz
-    positions = np.empty((times.size, 3))
-    velocities = np.empty((times.size, 3))
-    forces = np.empty((times.size, 3))
-    for k, t in enumerate(times):
-        positions[k], velocities[k], forces[k] = config.state_at(t)
-    return times, positions, velocities, forces
-
-
 @dataclass(eq=False)
 class AugmentedCovariance:
     """Vehicle-plus-feature error covariance with feature bookkeeping."""
@@ -264,14 +244,13 @@ def _joseph(P, H, R, note=None):
 
     ``note`` (if given) sees the raw posterior before re-symmetrization.
     """
-    S = H @ P @ H.T + R
     try:
-        chol = scipy.linalg.cho_factor(S)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(H @ P @ H.T + R)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"innovation covariance is singular or indefinite: {exc}"
         ) from exc
-    K = scipy.linalg.cho_solve(chol, H @ P).T
+    K = np.linalg.solve(chol.T, np.linalg.solve(chol, H @ P)).T
     ikh = np.eye(P.shape[0]) - K @ H
     P_raw = ikh @ P @ ikh.T + K @ R @ K.T
     if note is not None:
@@ -577,7 +556,7 @@ def _frame_count(scenario: SimScenario, trajectory, sensor, duration) -> int:
             f"trajectory has {len(trajectory.segments)}"
         )
     total = trajectory.total_duration if duration is None else float(duration)
-    if total < 0:
+    if not total >= 0:
         raise ValueError("duration must be non-negative")
     total = min(total, trajectory.total_duration)
     return int(round(total * sensor.frame_rate_hz)) + 1 if total > 0 else 0

@@ -2,7 +2,10 @@
 
 import importlib.resources
 import json
-
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from slamobs.cli import main
 
@@ -123,6 +126,34 @@ class TestSimulateCommand:
         for name in EXPECTED_TRACE_FILES:
             lines = (tmp_path / name).read_text().splitlines()
             assert len(lines) == 1
+
+    def test_nan_duration_rejected(self, tmp_path, capsys):
+        argv = ["simulate", bundled_path("case2_flight.yaml"), "--duration", "nan"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "duration must be non-negative" in capsys.readouterr().err
+
+    def test_simulate_never_imports_scipy(self, tmp_path):
+        # the model's dynamics are nilpotent, so scipy's expm is never reached
+        argv = [
+            "simulate", bundled_path("case2_flight.yaml"),
+            "--duration", "1", "--out", str(tmp_path),
+        ]
+        code = (
+            "import sys, slamobs\n"
+            "from slamobs.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "position.csv").read_text().splitlines()) == 27
 
     def test_state_run_output(self, tmp_path):
         assert main(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import o_expm, o_rank
+from oracles import o_expm, o_rank, o_tom
 from slamobs.analysis import case_scenario
 from slamobs.model import augment_scenario, ins_error_f
 from slamobs.pwcs import (
@@ -33,6 +33,11 @@ def case2_segment1_stripe():
     H[:, 6:9] = skew(seg.feature_rel_pos["f1"])
     H[:, 9:12] = np.eye(3)
     return PwcsStripe(F=F, H=H, delta=seg.duration)
+
+
+def cyclic_stripe():
+    """Non-nilpotent 4-state shift (F**4 == I) seen through H = e1^T."""
+    return PwcsStripe(F=np.roll(np.eye(4), 1, axis=1), H=np.eye(4)[:1], delta=0.5)
 
 
 class TestSkew:
@@ -147,6 +152,14 @@ class TestLom:
         degraded = PwcsStripe(F=F, H=stripe.H, delta=stripe.delta)
         assert numerical_rank(lom(degraded)) == 6
 
+    def test_default_covers_non_nilpotent_dynamics(self):
+        # H F**3 adds the fourth direction, so stopping at F**2 loses rank
+        stripe = cyclic_stripe()
+        assert numerical_rank(lom(stripe, max_power=2)) == 3
+        matrix = lom(stripe)
+        assert matrix.shape == (4, 4)
+        assert numerical_rank(matrix) == 4
+
     def test_max_power_validation(self):
         with pytest.raises(ValueError):
             lom(case2_segment1_stripe(), max_power=0)
@@ -168,6 +181,14 @@ class TestTom:
         single = numerical_rank(lom(stripe))
         double = numerical_rank(tom([stripe, stripe]))
         assert double == single
+
+    def test_default_covers_non_nilpotent_dynamics(self):
+        # the shift is not nilpotent, so the transition is a general exponential
+        stripes = [cyclic_stripe(), cyclic_stripe()]
+        matrix = tom(stripes)
+        want = o_tom([(s.F.tolist(), s.H.tolist(), s.delta) for s in stripes], max_power=3)
+        np.testing.assert_allclose(matrix, want, atol=1e-12)
+        assert numerical_rank(matrix) == 4
 
     def test_empty_and_inconsistent_inputs(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from slamobs.simulation import (
     SimScenario,
     TrajectoryConfig,
     fov_schedule,
-    generate_trajectory,
     initialize_feature,
     measurement_noise_cartesian,
     process_noise_intensity,
@@ -51,22 +50,23 @@ def flight_trace():
 
 class TestTrajectory:
     def test_level_segment_is_constant_velocity(self):
-        times, pos, vel, force = generate_trajectory(flight_trajectory(), rate_hz=100.0)
-        k50 = int(np.argmin(np.abs(times - 50.0)))
-        np.testing.assert_allclose(pos[k50], [5.0, 0.0, 100.0], atol=1e-9)
-        np.testing.assert_allclose(vel[k50], [0.1, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(force[0], [0.0, 0.0, G])
+        config = flight_trajectory()
+        pos, vel, _ = config.state_at(50.0)
+        np.testing.assert_allclose(pos, [5.0, 0.0, 100.0], atol=1e-9)
+        np.testing.assert_allclose(vel, [0.1, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(config.state_at(0.0)[2], [0.0, 0.0, G])
 
     def test_acceleration_segment_velocity(self):
-        times, pos, vel, _ = generate_trajectory(flight_trajectory(), rate_hz=100.0)
-        np.testing.assert_allclose(vel[-1], [0.1, 5.0, 0.0], atol=1e-9)
-        assert times[-1] == pytest.approx(100.0)
+        config = flight_trajectory()
+        assert config.total_duration == pytest.approx(100.0)
+        _, vel, _ = config.state_at(100.0)
+        np.testing.assert_allclose(vel, [0.1, 5.0, 0.0], atol=1e-9)
 
     def test_hover(self):
         config = TrajectoryConfig(
             p0=[1.0, 2.0, 30.0], v0=[0.0, 0.0, 0.0], segments=[(10.0, [0.0, 0.0, G])]
         )
-        _, pos, _, _ = generate_trajectory(config, rate_hz=10.0)
+        pos = np.array([config.state_at(k / 10.0)[0] for k in range(101)])
         np.testing.assert_allclose(pos, np.tile([1.0, 2.0, 30.0], (101, 1)), atol=1e-12)
 
     def test_rejects_bad_segments(self):
@@ -332,8 +332,9 @@ class TestSimulate:
             )
             with pytest.raises(ValueError, match="segments"):
                 run(scenario, trajectory, SensorConfig())
-        with pytest.raises(ValueError, match="duration"):
-            run(scenario, flight_trajectory(), SensorConfig(), duration=-1.0)
+        for duration in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="duration"):
+                run(scenario, flight_trajectory(), SensorConfig(), duration=duration)
 
 
 class TestCrossModuleConsistency:
