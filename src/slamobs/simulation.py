@@ -21,6 +21,19 @@ deviations from it frame by frame; ``state_comparison_run`` runs the same
 loop plus one sampled error state and its estimate.  The public ``update``,
 ``propagate`` and ``initialize_feature`` validate their inputs and wrap the
 same array-level steps.
+
+The measurement geometry is computed per block of ``GEOMETRY_BLOCK_FRAMES``
+vision frames (``_block_geometry``), not per frame and feature: the vehicle
+positions at the block's frame times, the visibility mask (the schedule's
+columns, or one field-of-view gate over frames x features), and for every
+visible (frame, feature) pair its observation rows and its 3x3 noise block
+from one batched kernel (``_noise_blocks``).  Inside the loop an update frame
+only slices its rows and stacks H and R (``_stacked_measurement``).  The
+batched kernels take dot products and norms as stacked 1x3 by 3x1 matrix
+products, which sum exactly as ``np.dot`` does, so every number equals the
+per-vector computation bit for bit; ``measurement_noise_cartesian`` and
+``fov_schedule`` are the same kernels applied to one vector and to a whole
+flight.  Blocks bound the extra memory to one block whatever the run length.
 """
 
 from __future__ import annotations
@@ -32,7 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, model
-from .model import DetectionSchedule, VEHICLE_DIM, feature_obs_row
+from .model import DetectionSchedule, VEHICLE_DIM
+from .model import feature_obs_row  # noqa: F401  (perfbench/tracer.py counts calls through this name)
 from .pwcs import _as_finite_array, state_transition
 
 GRAVITY = 9.81
@@ -42,6 +56,9 @@ FEATURE_PRIOR_DEFAULT = 1.0e9
 DEFAULT_VEHICLE_VARIANCES = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0873, 0.0873, 0.0873)
 
 _R_FLOOR = 1e-12
+#: Vision frames whose measurement geometry (vehicle positions, visibility,
+#: observation rows, noise blocks) is computed in one batch: 10 s at 25 Hz.
+GEOMETRY_BLOCK_FRAMES = 250
 
 
 @dataclass(eq=False)
@@ -322,6 +339,62 @@ def initialize_feature(
     return AugmentedCovariance(P=_stamped(cov.P, c, u_m_value), feature_initialized=flags)
 
 
+def _row_dots(a, b) -> np.ndarray:
+    """Row-wise dot products of two (m, 3) arrays.
+
+    Taken as m (1x3)(3x1) matrix products, which sum each row exactly as
+    ``np.dot`` sums one 3-vector pair (``einsum`` or ``sum(axis=1)`` do not),
+    so batched ranges and cosines equal the per-vector ones bit for bit.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _cross(a, b) -> np.ndarray:
+    """Row-wise cross products of two (m, 3) arrays, formed as ``np.cross`` forms them."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+
+
+def _noise_blocks(rel, sensor: SensorConfig) -> np.ndarray:
+    """(m, 3, 3) Cartesian noise covariances for the (m, 3) relative vectors ``rel``.
+
+    The one implementation of the noise geometry that
+    ``measurement_noise_cartesian`` documents, applied row by row.  Raises on
+    a zero range or an all-zero noise model; a zero sigma warns once per
+    call, attributed to the caller's caller.
+    """
+    ranges = np.sqrt(_row_dots(rel, rel))
+    if not np.all(ranges > 0):
+        raise ValueError("range must be positive")
+    los = rel / ranges[:, None]
+    # tangent-plane helper: Up, or North for a line of sight near vertical
+    helper = np.zeros_like(los)
+    near_vertical = np.abs(los[:, 2]) > 0.9
+    helper[near_vertical, 0] = 1.0
+    helper[~near_vertical, 2] = 1.0
+    t1 = _cross(los, helper)
+    t1 /= np.sqrt(_row_dots(t1, t1))[:, None]
+    t2 = _cross(los, t1)
+    J = np.stack([los, ranges[:, None] * t1, ranges[:, None] * t2], axis=2)
+    sig = np.array(
+        [sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad]
+    )
+    R = (J * sig**2) @ J.transpose(0, 2, 1)
+    R = 0.5 * (R + R.transpose(0, 2, 1))
+    if np.any(sig == 0.0):
+        floor = _R_FLOOR * R.diagonal(axis1=1, axis2=2).max(axis=1)
+        if np.any(floor <= 0.0):
+            raise ValueError("all measurement noise terms are zero")
+        warnings.warn(
+            "degenerate measurement noise (a zero sigma); flooring covariance",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        R = R + floor[:, None, None] * np.eye(3)
+    return R
+
+
 def measurement_noise_cartesian(rel_pos, sensor: SensorConfig) -> np.ndarray:
     """3x3 Cartesian noise covariance of a range/bearing/elevation fix.
 
@@ -337,33 +410,25 @@ def measurement_noise_cartesian(rel_pos, sensor: SensorConfig) -> np.ndarray:
     if rel.ndim == 0:
         rel = np.array([float(rel), 0.0, 0.0])
     rel = _as_finite_array(rel, "rel_pos", (3,))
-    rng = float(np.linalg.norm(rel))
-    if not rng > 0:
-        raise ValueError("range must be positive")
-    los = rel / rng
-    helper = np.array([0.0, 0.0, 1.0])
-    if abs(los @ helper) > 0.9:
-        helper = np.array([1.0, 0.0, 0.0])
-    t1 = np.cross(los, helper)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(los, t1)
-    J = np.column_stack([los, rng * t1, rng * t2])
-    sig = np.array(
-        [sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad]
-    )
-    R = J @ np.diag(sig**2) @ J.T
-    R = 0.5 * (R + R.T)
-    if np.any(sig == 0.0):
-        floor = _R_FLOOR * float(np.max(np.diag(R)))
-        if floor <= 0.0:
-            raise ValueError("all measurement noise terms are zero")
-        warnings.warn(
-            "degenerate measurement noise (a zero sigma); flooring covariance",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        R = R + floor * np.eye(3)
-    return R
+    return _noise_blocks(rel[None, :], sensor)[0]
+
+
+def _in_cone(rel, sensor: SensorConfig) -> np.ndarray:
+    """Field-of-view gate of a (..., 3) array of feature-minus-vehicle vectors.
+
+    True where the vector is nonzero and at most ``fov_deg`` off the
+    boresight.
+    """
+    flat = rel.reshape(-1, 3)
+    ranges = np.sqrt(_row_dots(flat, flat))
+    along = _row_dots(flat, np.broadcast_to(sensor.boresight, flat.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = along / ranges >= np.cos(np.deg2rad(sensor.fov_deg))
+    return (inside & (ranges > 0)).reshape(rel.shape[:-1])
+
+
+def _vehicle_positions(trajectory, times) -> np.ndarray:
+    return np.array([trajectory.state_at(t)[0] for t in times.tolist()])
 
 
 @dataclass(eq=False)
@@ -475,14 +540,6 @@ class CovarianceTrace:
         return float(self.series(label)[k])
 
 
-def _in_fov(rel, sensor: SensorConfig) -> bool:
-    rng = float(np.linalg.norm(rel))
-    if rng <= 0:
-        return False
-    cos_angle = float(np.dot(rel, sensor.boresight)) / rng
-    return cos_angle >= np.cos(np.deg2rad(sensor.fov_deg))
-
-
 def fov_schedule(
     feature_positions: dict, trajectory: TrajectoryConfig, sensor: SensorConfig
 ) -> DetectionSchedule:
@@ -492,42 +549,73 @@ def fov_schedule(
     sensor cone at any vision frame of that segment.
     """
     ids = tuple(feature_positions)
-    detected = np.zeros((len(ids), len(trajectory.segments)), dtype=bool)
-    times = np.arange(int(round(trajectory.total_duration * sensor.frame_rate_hz)) + 1)
-    for k in times:
-        t = k / sensor.frame_rate_hz
-        pos, _, _ = trajectory.state_at(t)
-        seg = trajectory.segment_index(t)
-        for c, fid in enumerate(ids):
-            if _in_fov(feature_positions[fid] - pos, sensor):
-                detected[c, seg] = True
-    return DetectionSchedule(detected=detected, feature_ids=ids)
+    features = np.array([feature_positions[fid] for fid in ids], dtype=float)
+    seen = np.zeros((len(trajectory.segments), len(ids)), dtype=bool)
+    n_frames = int(round(trajectory.total_duration * sensor.frame_rate_hz)) + 1
+    for first in range(0, n_frames, GEOMETRY_BLOCK_FRAMES):
+        times = np.arange(first, min(first + GEOMETRY_BLOCK_FRAMES, n_frames))
+        times = times / sensor.frame_rate_hz
+        positions = _vehicle_positions(trajectory, times)
+        segments = [trajectory.segment_index(t) for t in times.tolist()]
+        np.logical_or.at(seen, segments, _in_cone(features - positions[:, None, :], sensor))
+    return DetectionSchedule(detected=seen.T.copy(), feature_ids=ids)
 
 
-def _visible_features(scenario: SimScenario, trajectory, sensor, t, vehicle_pos):
-    ids = scenario.feature_ids
-    if scenario.schedule is not None:
-        seg = trajectory.segment_index(t)
-        return [c for c in range(len(ids)) if scenario.schedule.detected[c, seg]]
-    return [
-        c
-        for c, fid in enumerate(ids)
-        if _in_fov(scenario.feature_positions[fid] - vehicle_pos, sensor)
-    ]
+class _BlockGeometry(NamedTuple):
+    """Measurement geometry of the vision frames first, first + 1, ...
+
+    ``positions[i]`` is the vehicle position at the block's i-th frame.  That
+    frame's visible features, in ascending order, are
+    ``features[bounds[i]:bounds[i + 1]]``; ``obs`` and ``noise`` hold their
+    3x9 vehicle observation rows and 3x3 noise blocks on the same rows.
+    """
+
+    positions: np.ndarray
+    bounds: list
+    features: list
+    obs: np.ndarray
+    noise: np.ndarray
 
 
-def _stacked_measurement(scenario, sensor, vehicle_pos, visible, n):
-    ids = scenario.feature_ids
-    m = 3 * len(visible)
-    H = np.zeros((m, n))
-    R = np.zeros((m, m))
-    for j, c in enumerate(visible):
-        rel = scenario.feature_positions[ids[c]] - vehicle_pos
-        rows = slice(3 * j, 3 * j + 3)
-        H[rows, 0:VEHICLE_DIM] = feature_obs_row(rel)
-        H[rows, VEHICLE_DIM + 3 * c : VEHICLE_DIM + 3 * c + 3] = np.eye(3)
-        R[rows, rows] = measurement_noise_cartesian(rel, sensor)
-    return H, R
+def _block_geometry(scenario: SimScenario, trajectory, sensor, first: int, stop: int):
+    """Geometry of frames first..stop-1, at times frame / frame_rate as the loop keeps them."""
+    times = np.arange(first, stop) * (1.0 / sensor.frame_rate_hz)
+    positions = _vehicle_positions(trajectory, times)
+    features = np.array([scenario.feature_positions[fid] for fid in scenario.feature_ids])
+    rel = features - positions[:, None, :]
+    if scenario.schedule is None:
+        visible = _in_cone(rel, sensor)
+    else:
+        segments = [trajectory.segment_index(t) for t in times.tolist()]
+        visible = scenario.schedule.detected[:, segments].T
+    frame_of, feature_of = np.nonzero(visible)
+    rel = rel[frame_of, feature_of]
+    # [-I, 0, skew(rel)] on (dp, dv, psi), as model.feature_obs_row builds it
+    obs = np.zeros((len(rel), 3, VEHICLE_DIM))
+    obs[:, :, 0:3] = -np.eye(3)
+    x, y, z = rel.T
+    obs[:, 0, 7], obs[:, 0, 8] = -z, y
+    obs[:, 1, 6], obs[:, 1, 8] = z, -x
+    obs[:, 2, 6], obs[:, 2, 7] = -y, x
+    return _BlockGeometry(
+        positions=positions,
+        bounds=np.searchsorted(frame_of, np.arange(stop - first + 1)).tolist(),
+        features=feature_of.tolist(),
+        obs=obs,
+        noise=_noise_blocks(rel, sensor) if len(rel) else np.empty((0, 3, 3)),
+    )
+
+
+def _stacked_measurement(features, obs, noise, n):
+    """Stacked H (3k x n) and block-diagonal R of one frame's k visible features."""
+    k = len(features)
+    H = np.zeros((k, 3, n))
+    H[:, :, 0:VEHICLE_DIM] = obs
+    band = VEHICLE_DIM + 3 * np.asarray(features)[:, None] + np.arange(3)
+    H[np.arange(k)[:, None], np.arange(3), band] = 1.0
+    R = np.zeros((k, 3, k, 3))
+    R[np.arange(k), :, np.arange(k), :] = noise
+    return H.reshape(3 * k, n), R.reshape(3 * k, 3 * k)
 
 
 class _Frame(NamedTuple):
@@ -568,7 +656,9 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
     Propagates at the IMU rate with one transition matrix per trajectory
     segment, built once, and applies one stacked Joseph update per vision
     frame covering every currently-detected feature, stamping each feature's
-    prior block at its first detection.  With ``rng`` the loop also carries
+    prior block at its first detection; the positions, visibility and
+    measurement rows come from one ``_block_geometry`` per
+    ``GEOMETRY_BLOCK_FRAMES`` frames.  With ``rng`` the loop also carries
     one sampled error state x (initial errors, then process noise at every
     IMU step), measures it with noise drawn from R at every update, and
     tracks the filter's estimate x_hat.  ``note`` sees every raw covariance
@@ -601,6 +691,10 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
 
     t = 0.0
     for frame in range(count):
+        i = frame % GEOMETRY_BLOCK_FRAMES
+        if not i:
+            stop = min(frame + GEOMETRY_BLOCK_FRAMES, count)
+            geometry = _block_geometry(scenario, trajectory, sensor, frame, stop)
         if frame:
             for _ in range(steps_per_frame):
                 phi = phis[trajectory.segment_index(t)]
@@ -610,15 +704,16 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
                 P = _propagated(P, phi, q_dt, note)
                 t += imu_dt
             t = frame * frame_dt  # keep frame times exact multiples
-        pos, _, _ = trajectory.state_at(t)
-        visible = _visible_features(scenario, trajectory, sensor, t, pos)
+        pos = geometry.positions[i]
+        rows = slice(geometry.bounds[i], geometry.bounds[i + 1])
+        visible = geometry.features[rows]
         for c in visible:
             if not initialized[c]:
                 P = _stamped(P, c, scenario.feature_prior)
                 initialized[c] = True
         P_prior = None
         if visible:
-            H, R = _stacked_measurement(scenario, sensor, pos, visible, n)
+            H, R = _stacked_measurement(visible, geometry.obs[rows], geometry.noise[rows], n)
             if x is not None:
                 z = H @ x + np.linalg.cholesky(R) @ rng.standard_normal(H.shape[0])
             P_prior = P

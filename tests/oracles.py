@@ -3,9 +3,13 @@
 Everything here is assembled with naive Python loops over nested lists,
 deliberately sharing no code with the package: element-by-element matrix
 construction, a converged power-series exponential, and plain stacking.
-Tests compare the package's vectorized results against these transcriptions
-entry for entry.
+The measurement-geometry references at the end are per-vector NumPy
+transcriptions of the scalar noise model and field-of-view gate.  Tests
+compare the package's vectorized results against these transcriptions entry
+for entry.
 """
+
+import warnings
 
 import numpy as np
 
@@ -134,3 +138,43 @@ def case_stripes(case_pattern, forces, rels_by_segment, delta=50.0, n_features=2
         H = o_aug_h(rels_by_segment[i], detected, n_features)
         stripes.append((F, H, delta))
     return stripes
+
+
+def o_noise_cartesian(rel, sigmas):
+    """Per-vector Cartesian noise covariance of a range/bearing/elevation fix.
+
+    The scalar transcription the batched noise kernel must reproduce bit for
+    bit: ``sigmas`` is (range, bearing, elevation) in metres and radians; a
+    zero sigma floors the result (with a warning), an all-zero model raises.
+    """
+    rel = np.asarray(rel, dtype=float)
+    rng = float(np.linalg.norm(rel))
+    if not rng > 0:
+        raise ValueError("range must be positive")
+    los = rel / rng
+    helper = np.array([0.0, 0.0, 1.0])
+    if abs(los @ helper) > 0.9:
+        helper = np.array([1.0, 0.0, 0.0])
+    t1 = np.cross(los, helper)
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(los, t1)
+    J = np.column_stack([los, rng * t1, rng * t2])
+    sig = np.array(sigmas, dtype=float)
+    R = J @ np.diag(sig**2) @ J.T
+    R = 0.5 * (R + R.T)
+    if np.any(sig == 0.0):
+        floor = 1e-12 * float(np.max(np.diag(R)))
+        if floor <= 0.0:
+            raise ValueError("all measurement noise terms are zero")
+        warnings.warn("degenerate measurement noise (oracle)", RuntimeWarning)
+        R = R + floor * np.eye(3)
+    return R
+
+
+def o_in_fov(rel, boresight, fov_deg):
+    """Per-vector field-of-view gate: nonzero and at most fov_deg off the boresight."""
+    rng = float(np.linalg.norm(rel))
+    if rng <= 0:
+        return False
+    cos_angle = float(np.dot(rel, boresight)) / rng
+    return cos_angle >= np.cos(np.deg2rad(fov_deg))

@@ -1,0 +1,124 @@
+"""Golden values of a field-of-view gated covariance run and state run.
+
+With ``schedule: auto`` the simulation decides visibility frame by frame
+through the sensor cone rather than from a per-segment schedule.  The
+fixture pins the parsed auto schedule, every standard-deviation series of
+``simulate`` and the three position series of ``state_comparison_run`` for
+the flight below (five features that enter and leave the cone at different
+frames, one not seen before the cut; seed 42, first 10 s), so a refactor of
+the visibility gate or of the measurement geometry cannot drift silently.  A
+change that alters these numbers on purpose re-records the fixture with
+
+    PYTHONPATH=src python tests/test_golden_fov.py --record
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from slamobs.scenario import parse_scenario
+from slamobs.simulation import simulate, state_comparison_run
+
+FIXTURE = Path(__file__).resolve().parent / "golden" / "fov_flight_seed42.json"
+SEED = 42
+DURATION = 10.0
+RTOL = 1e-9
+ATOL = 1e-12
+STATE_SERIES = ("true_positions", "ins_positions", "estimated_positions")
+
+# Level flight north at 5 m/s and 100 m (cone footprint radius 26.8 m), then
+# small horizontal accelerations.  In the first 10 s m1 and m2 start in view
+# and leave, m3 and m4 enter, and m5 stays outside (it enters after 10 s).
+SCENARIO = """
+name: fov-gated-flight
+gravity: 9.81
+features:
+  m1: [-15.0, 3.0, 0.0]
+  m2: [10.0, -8.0, 0.0]
+  m3: [35.0, 5.0, 0.0]
+  m4: [45.0, -10.0, 0.0]
+  m5: [80.0, 0.0, 0.0]
+schedule: auto
+segments:
+  - duration: 5.0
+    specific_force: [0.0, 0.0, 9.81]
+  - duration: 5.0
+    specific_force: [0.05, 0.08, 9.81]
+  - duration: 10.0
+    specific_force: [0.0, -0.05, 9.81]
+trajectory:
+  p0: [0.0, 0.0, 100.0]
+  v0: [5.0, 0.0, 0.0]
+sensor:
+  imu_rate_hz: 100.0
+  accel_noise: 0.01
+  gyro_noise_deg: 0.1
+  frame_rate_hz: 25.0
+  fov_deg: 15.0
+  range_error_m: 5.0
+  bearing_noise_deg: 0.1
+  elevation_noise_deg: 0.1
+initial_covariance:
+  vehicle_diag: [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0873, 0.0873, 0.0873]
+  interpretation: variance
+  feature_prior: 1.0e+9
+"""
+
+
+def current_values() -> dict:
+    doc = parse_scenario(SCENARIO)
+    sim = doc.sim_scenario()
+    trace = simulate(sim, doc.trajectory, doc.sensor, seed=SEED, duration=DURATION)
+    run = state_comparison_run(sim, doc.trajectory, doc.sensor, seed=SEED, duration=DURATION)
+    return {
+        "schedule": doc.scenario.schedule.detected.tolist(),
+        "times": trace.times.tolist(),
+        "std": {label: series.tolist() for label, series in trace.std.items()},
+        "derived_std": {label: series.tolist() for label, series in trace.derived_std.items()},
+        "state_run": {name: getattr(run, name).tolist() for name in STATE_SERIES},
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.fixture(scope="module")
+def current():
+    return current_values()
+
+
+def test_auto_schedule(current, golden):
+    assert current["schedule"] == golden["schedule"]
+
+
+def test_times(current, golden):
+    np.testing.assert_allclose(current["times"], golden["times"], rtol=RTOL, atol=ATOL)
+
+
+@pytest.mark.parametrize("group", ["std", "derived_std"])
+def test_std_series(current, golden, group):
+    assert list(current[group]) == list(golden[group])
+    for label, want in golden[group].items():
+        np.testing.assert_allclose(
+            current[group][label], want, rtol=RTOL, atol=ATOL, err_msg=label
+        )
+
+
+@pytest.mark.parametrize("name", STATE_SERIES)
+def test_state_run_series(current, golden, name):
+    np.testing.assert_allclose(
+        current["state_run"][name], golden["state_run"][name], rtol=RTOL, atol=ATOL
+    )
+
+
+if __name__ == "__main__":
+    if "--record" not in sys.argv:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_fov.py --record")
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(current_values()) + "\n")
+    print(f"wrote {FIXTURE}")

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from oracles import o_expm
+import warnings
+
+from oracles import o_expm, o_in_fov, o_noise_cartesian
+from slamobs import simulation
 from slamobs.model import DetectionSchedule, feature_obs_row, ins_error_f
 from slamobs.simulation import (
     AugmentedCovariance,
@@ -385,6 +388,153 @@ class TestStateComparisonRun:
         np.testing.assert_array_equal(a.estimated_positions, b.estimated_positions)
         c = state_comparison_run(seed=6, duration=10.0, **kwargs)
         assert not np.array_equal(a.estimated_positions, c.estimated_positions)
+
+
+def _scalar_block_geometry(scenario, trajectory, sensor, first, stop):
+    """Block geometry built frame by frame and feature by feature.
+
+    Per-vector references (``o_in_fov``, ``o_noise_cartesian``) and
+    ``feature_obs_row`` in place of the batched kernels, in the layout the
+    filter loop reads.
+    """
+    ids = scenario.feature_ids
+    sigmas = (sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad)
+    positions, bounds, features, obs, noise = [], [0], [], [], []
+    for frame in range(first, stop):
+        t = frame * (1.0 / sensor.frame_rate_hz)
+        pos = trajectory.state_at(t)[0]
+        positions.append(pos)
+        for c, fid in enumerate(ids):
+            rel = scenario.feature_positions[fid] - pos
+            if scenario.schedule is None:
+                visible = o_in_fov(rel, sensor.boresight, sensor.fov_deg)
+            else:
+                visible = scenario.schedule.detected[c, trajectory.segment_index(t)]
+            if visible:
+                features.append(c)
+                obs.append(feature_obs_row(rel))
+                noise.append(o_noise_cartesian(rel, sigmas))
+        bounds.append(len(features))
+    return simulation._BlockGeometry(
+        positions=np.array(positions),
+        bounds=bounds,
+        features=features,
+        obs=np.array(obs).reshape(-1, 3, 9),
+        noise=np.array(noise).reshape(-1, 3, 3),
+    )
+
+
+def _gated_flight():
+    """Four features crossing the cone of a 5 m/s flight at 100 m."""
+    trajectory = TrajectoryConfig(
+        p0=[0.0, 0.0, 100.0],
+        v0=[5.0, 0.0, 0.0],
+        segments=[(6.0, [0.0, 0.0, G]), (10.0, [0.05, 0.08, G])],
+    )
+    features = {
+        "m1": [-15.0, 3.0, 0.0],
+        "m2": [10.0, -8.0, 0.0],
+        "m3": [35.0, 5.0, 0.0],
+        "m4": [60.0, -10.0, 0.0],
+    }
+    return features, trajectory
+
+
+class TestBatchedGeometry:
+    """The batched geometry reproduces the per-vector code bit for bit."""
+
+    def test_noise_blocks_match_scalar_reference(self):
+        rng = np.random.default_rng(11)
+        rel = rng.standard_normal((400, 3)) * rng.choice([0.01, 1.0, 100.0, 1e4], (400, 1))
+        rel[:40, 2] = 50.0 * np.sign(rel[:40, 2])  # nearly vertical lines of sight
+        los_u = np.abs(rel[:, 2]) / np.linalg.norm(rel, axis=1)
+        assert (los_u > 0.9).sum() >= 40 and (los_u <= 0.9).sum() >= 100
+        sensor = SensorConfig(range_error_m=3.0, bearing_noise_deg=0.2, elevation_noise_deg=0.05)
+        sigmas = (3.0, sensor.bearing_noise_rad, sensor.elevation_noise_rad)
+        want = np.array([o_noise_cartesian(r, sigmas) for r in rel])
+        np.testing.assert_array_equal(simulation._noise_blocks(rel, sensor), want)
+        for r, block in zip(rel[::37], want[::37]):
+            np.testing.assert_array_equal(measurement_noise_cartesian(r, sensor), block)
+
+    def test_degenerate_noise_blocks_match_scalar_reference(self):
+        rel = np.random.default_rng(12).standard_normal((50, 3)) * 80.0
+        sensor = SensorConfig(elevation_noise_deg=0.0)
+        sigmas = (sensor.range_error_m, sensor.bearing_noise_rad, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = np.array([o_noise_cartesian(r, sigmas) for r in rel])
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            got = simulation._noise_blocks(rel, sensor)
+        np.testing.assert_array_equal(got, want)
+
+    def test_fov_mask_matches_scalar_reference(self):
+        sensor = SensorConfig(fov_deg=20.0, boresight=(0.3, -0.2, -1.0))
+        b = np.array(sensor.boresight)
+        u = np.cross(b, [1.0, 0.0, 0.0])
+        u /= np.linalg.norm(u)
+        w = np.cross(b, u)
+        rng = np.random.default_rng(13)
+        rows = [np.zeros(3)]  # zero range is never in view
+        angle = np.deg2rad(sensor.fov_deg)
+        for phi in rng.uniform(0.0, 2.0 * np.pi, 60):
+            edge = 70.0 * (np.cos(angle) * b + np.sin(angle) * (np.cos(phi) * u + np.sin(phi) * w))
+            rows.append(edge)
+            for axis in range(3):  # one ulp either way on each component
+                for toward in (-np.inf, np.inf):
+                    nudged = edge.copy()
+                    nudged[axis] = np.nextafter(nudged[axis], toward)
+                    rows.append(nudged)
+        rows.extend(rng.standard_normal((300, 3)) * 50.0)
+        rel = np.array(rows)
+        want = np.array([o_in_fov(r, sensor.boresight, sensor.fov_deg) for r in rel])
+        edge_rows = want[1:421]
+        assert edge_rows.any() and not edge_rows.all()  # the edge cuts through
+        np.testing.assert_array_equal(simulation._in_cone(rel, sensor), want)
+        np.testing.assert_array_equal(
+            simulation._in_cone(rel.reshape(7, -1, 3), sensor), want.reshape(7, -1)
+        )
+
+    def test_fov_schedule_matches_scalar_reference(self):
+        features, trajectory = _gated_flight()
+        sensor = SensorConfig(frame_rate_hz=30.0, imu_rate_hz=90.0)
+        schedule = fov_schedule(features, trajectory, sensor)
+        want = np.zeros((4, 2), dtype=bool)
+        for k in range(int(round(trajectory.total_duration * 30.0)) + 1):
+            t = k / 30.0
+            pos = trajectory.state_at(t)[0]
+            for c, position in enumerate(features.values()):
+                if o_in_fov(np.asarray(position) - pos, sensor.boresight, sensor.fov_deg):
+                    want[c, trajectory.segment_index(t)] = True
+        np.testing.assert_array_equal(schedule.detected, want)
+        assert want.sum() > 4
+
+    @pytest.mark.parametrize("gating", ["fov", "schedule"])
+    def test_degenerate_simulate_matches_scalar_reference(self, gating, monkeypatch):
+        features, trajectory = _gated_flight()
+        sensor = SensorConfig(bearing_noise_deg=0.0)
+        schedule = fov_schedule(features, trajectory, sensor) if gating == "schedule" else None
+        scenario = SimScenario(feature_positions=features, schedule=schedule)
+        # 12 s is 301 frames: the run crosses a geometry block boundary
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            got = simulate(scenario, trajectory, sensor, duration=12.0)
+            got_run = state_comparison_run(scenario, trajectory, sensor, seed=3, duration=12.0)
+        monkeypatch.setattr(simulation, "_block_geometry", _scalar_block_geometry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = simulate(scenario, trajectory, sensor, duration=12.0)
+            want_run = state_comparison_run(scenario, trajectory, sensor, seed=3, duration=12.0)
+        assert got.times.size == 301
+        for label in want.labels():
+            np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
+        np.testing.assert_array_equal(got_run.estimated_positions, want_run.estimated_positions)
+
+    def test_zero_range_on_schedule_path_rejected(self):
+        scenario = SimScenario(
+            feature_positions={"f1": [0.0, 0.0, 100.0]},
+            schedule=DetectionSchedule(detected=np.array([[1, 1]], dtype=bool), feature_ids=("f1",)),
+        )
+        with pytest.raises(ValueError, match="range must be positive"):
+            simulate(scenario, flight_trajectory(), SensorConfig(), duration=1.0)
 
 
 class TestSensorConfig:
