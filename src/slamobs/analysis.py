@@ -5,7 +5,8 @@ matrix of a scenario, computes its numerical rank and unobservable subspace,
 and classifies a family of candidate linear functionals as observable or
 not.  Candidates are classified by row-space membership: a functional is
 observable exactly when its projection onto the unobservable subspace is
-negligible.
+negligible.  A report projects all of its candidates in one matrix product,
+as the rows of a weight matrix.
 
 Modes are reported per axis.  A 3-vector quantity such as the velocity error
 counts as an observable mode only when all three of its axes are observable;
@@ -139,63 +140,64 @@ class ObservabilityReport:
         return [base for base in order if all(by_base[base])]
 
 
-def standard_candidates(features) -> list:
-    """Per-axis candidate functionals for a system with the given features.
+def standard_weights(features):
+    """Labels and (count, n) weight matrix of the standard candidate functionals.
 
     ``features`` is either a feature count or a sequence of feature ids.
-    Emits one functional per axis for the vehicle position, velocity and
+    Rows are one functional per axis for the vehicle position, velocity and
     attitude errors, each feature error, each position-minus-feature
-    difference, and each pairwise feature difference.
+    difference, and each pairwise feature difference, in that order; every
+    row is a unit vector or a difference of two.
     """
     if isinstance(features, (int, np.integer)):
         ids = [str(c + 1) for c in range(int(features))]
     else:
         ids = list(features)
-    n = model.VEHICLE_DIM + 3 * len(ids)
-    e = np.eye(n)
-    out = []
-    for b, block in enumerate(("dp", "dv", "psi")):
-        for a, axis in enumerate(AXES):
-            out.append(CandidateFunctional(f"{block}_{axis}", e[3 * b + a]))
-    for c, fid in enumerate(ids):
-        for a, axis in enumerate(AXES):
-            out.append(CandidateFunctional(f"dm_{fid}_{axis}", e[9 + 3 * c + a]))
-    for c, fid in enumerate(ids):
-        for a, axis in enumerate(AXES):
-            out.append(
-                CandidateFunctional(f"dp-dm_{fid}_{axis}", e[a] - e[9 + 3 * c + a])
-            )
-    for c in range(len(ids)):
-        for d in range(c + 1, len(ids)):
-            for a, axis in enumerate(AXES):
-                out.append(
-                    CandidateFunctional(
-                        f"dm_{ids[c]}-dm_{ids[d]}_{axis}",
-                        e[9 + 3 * c + a] - e[9 + 3 * d + a],
-                    )
-                )
-    return out
+    L = len(ids)
+    n = model.VEHICLE_DIM + 3 * L
+    first, second = np.triu_indices(L, 1)
+    labels = [f"{block}_{axis}" for block in ("dp", "dv", "psi") for axis in AXES]
+    labels += [f"dm_{fid}_{axis}" for fid in ids for axis in AXES]
+    labels += [f"dp-dm_{fid}_{axis}" for fid in ids for axis in AXES]
+    labels += [
+        f"dm_{ids[c]}-dm_{ids[d]}_{axis}"
+        for c, d in zip(first.tolist(), second.tolist())
+        for axis in AXES
+    ]
+    # the differences: e_plus - e_minus, axis by axis
+    feature = model.VEHICLE_DIM + 3 * np.arange(L)[:, None] + np.arange(3)
+    plus = np.concatenate([np.tile(np.arange(3), L), feature[first].ravel()])
+    minus = np.concatenate([feature.ravel(), feature[second].ravel()])
+    weights = np.zeros((len(labels), n))
+    weights[:n] = np.eye(n)
+    rows = np.arange(n, len(labels))
+    weights[rows, plus] = 1.0
+    weights[rows, minus] = -1.0
+    return labels, weights
+
+
+def standard_candidates(features) -> list:
+    """The standard candidate functionals of ``standard_weights`` as objects."""
+    labels, weights = standard_weights(features)
+    return [CandidateFunctional(label, w) for label, w in zip(labels, weights)]
 
 
 def _build_report(matrix, feature_ids, scope, segment_index, options):
     basis = null_space(matrix, options.rank_tol)
     n = matrix.shape[1]
-    rank = n - basis.dim
-    candidates = standard_candidates(feature_ids)
-    for cand in options.extra_candidates:
-        if cand.weights.shape[0] == n:
-            candidates.append(cand)
-    results = []
-    for cand in candidates:
-        norm = float(np.linalg.norm(cand.weights))
-        rel = float(np.linalg.norm(basis.projection(cand.weights))) / norm
-        results.append(
-            FunctionalVerdict(
-                label=cand.label,
-                observable=rel <= options.rank_tol,
-                null_projection=rel,
-            )
-        )
+    labels, weights = standard_weights(feature_ids)
+    extra = [cand for cand in options.extra_candidates if cand.weights.shape[0] == n]
+    if extra:
+        labels += [cand.label for cand in extra]
+        weights = np.vstack([weights] + [cand.weights for cand in extra])
+    # every candidate's projection onto the kernel, as rows (W N) N^T
+    N = basis.vectors
+    projections = (weights @ N) @ N.T
+    relative = np.linalg.norm(projections, axis=1) / np.linalg.norm(weights, axis=1)
+    results = [
+        FunctionalVerdict(label=label, observable=rel <= options.rank_tol, null_projection=rel)
+        for label, rel in zip(labels, relative.tolist())
+    ]
     return ObservabilityReport(
         scope=scope,
         segment_index=segment_index,
@@ -204,7 +206,7 @@ def _build_report(matrix, feature_ids, scope, segment_index, options):
         state_labels=model.state_labels(feature_ids),
         matrix_rows=matrix.shape[0],
         matrix_cols=n,
-        rank=rank,
+        rank=n - basis.dim,
         nullity=basis.dim,
         null_basis=basis,
         mode_results=results,

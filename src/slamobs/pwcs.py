@@ -212,7 +212,8 @@ def null_space(M, rel_tol: float = DEFAULT_RANK_TOL) -> NullSpaceBasis:
     n = M.shape[1]
     if M.shape[0] == 0 or not M.any():
         return NullSpaceBasis(dim=n, vectors=np.eye(n))
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
+    # V is n x n either way unless M is wide; U is never read
+    _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     rank = int(np.count_nonzero(s > rel_tol * s[0]))
     return NullSpaceBasis(dim=n - rank, vectors=vt[rank:].T.copy())
 

@@ -121,6 +121,38 @@ class TrajectoryConfig:
             remaining -= duration
         return p, v, self.segments[-1][1]
 
+    def positions_at(self, times):
+        """Positions and active segment indices at an array of times.
+
+        Row k equals ``state_at(times[k])[0]`` and entry k equals
+        ``segment_index(times[k])`` bit for bit, from one pass over the
+        segments: each segment applies ``state_at``'s elementwise arithmetic,
+        in the same order, to the times that end inside it.
+        """
+        times = np.asarray(times, dtype=float)
+        remaining = times.copy()
+        positions = np.empty((remaining.size, 3))
+        pending = np.ones(remaining.size, dtype=bool)
+        g_vec = np.array([0.0, 0.0, self.gravity])
+        p = self.p0.copy()
+        v = self.v0.copy()
+        ends = []
+        acc = 0.0
+        for duration, force in self.segments:
+            accel = force - g_vec
+            here = pending & (remaining <= duration + 1e-12)
+            step = np.minimum(remaining[here], duration)[:, None]
+            positions[here] = p + v * step + 0.5 * accel * step * step
+            pending &= ~here
+            p = p + v * duration + 0.5 * accel * duration * duration
+            v = v + accel * duration
+            remaining -= duration
+            acc += duration
+            ends.append(acc - 1e-12)
+        positions[pending] = p
+        segments = np.searchsorted(ends, times, side="right")
+        return positions, np.minimum(segments, len(self.segments) - 1)
+
 
 @dataclass(frozen=True)
 class SensorConfig:
@@ -427,10 +459,6 @@ def _in_cone(rel, sensor: SensorConfig) -> np.ndarray:
     return (inside & (ranges > 0)).reshape(rel.shape[:-1])
 
 
-def _vehicle_positions(trajectory, times) -> np.ndarray:
-    return np.array([trajectory.state_at(t)[0] for t in times.tolist()])
-
-
 @dataclass(eq=False)
 class SimScenario:
     """What the covariance simulation estimates and when features are seen.
@@ -555,8 +583,7 @@ def fov_schedule(
     for first in range(0, n_frames, GEOMETRY_BLOCK_FRAMES):
         times = np.arange(first, min(first + GEOMETRY_BLOCK_FRAMES, n_frames))
         times = times / sensor.frame_rate_hz
-        positions = _vehicle_positions(trajectory, times)
-        segments = [trajectory.segment_index(t) for t in times.tolist()]
+        positions, segments = trajectory.positions_at(times)
         np.logical_or.at(seen, segments, _in_cone(features - positions[:, None, :], sensor))
     return DetectionSchedule(detected=seen.T.copy(), feature_ids=ids)
 
@@ -580,13 +607,12 @@ class _BlockGeometry(NamedTuple):
 def _block_geometry(scenario: SimScenario, trajectory, sensor, first: int, stop: int):
     """Geometry of frames first..stop-1, at times frame / frame_rate as the loop keeps them."""
     times = np.arange(first, stop) * (1.0 / sensor.frame_rate_hz)
-    positions = _vehicle_positions(trajectory, times)
+    positions, segments = trajectory.positions_at(times)
     features = np.array([scenario.feature_positions[fid] for fid in scenario.feature_ids])
     rel = features - positions[:, None, :]
     if scenario.schedule is None:
         visible = _in_cone(rel, sensor)
     else:
-        segments = [trajectory.segment_index(t) for t in times.tolist()]
         visible = scenario.schedule.detected[:, segments].T
     frame_of, feature_of = np.nonzero(visible)
     rel = rel[frame_of, feature_of]
@@ -744,15 +770,14 @@ def simulate(
     ids = scenario.feature_ids
     n = VEHICLE_DIM + 3 * len(ids)
     # the candidates after the n single-state ones are the unit differences
-    differences = analysis.standard_candidates(ids)[n:]
-    weights = np.array([d.weights for d in differences])
-    plus, minus = weights.argmax(axis=1), weights.argmin(axis=1)
+    labels, weights = analysis.standard_weights(ids)
+    plus, minus = weights[n:].argmax(axis=1), weights[n:].argmin(axis=1)
 
     diag = SimulationDiagnostics() if collect_diagnostics else None
     rng = np.random.default_rng(seed)
     times = np.empty(count)
     std = np.empty((n, count))
-    derived = np.empty((len(differences), count))
+    derived = np.empty((len(plus), count))
     frames = _filter_frames(
         scenario, trajectory, sensor, count, note=None if diag is None else diag.note_raw
     )
@@ -769,7 +794,7 @@ def simulate(
     return CovarianceTrace(
         times=times,
         std=dict(zip(model.state_labels(ids), std)),
-        derived_std={d.label: series for d, series in zip(differences, derived)},
+        derived_std=dict(zip(labels[n:], derived)),
         feature_ids=ids,
         diagnostics=diag,
     )

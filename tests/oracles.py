@@ -3,8 +3,9 @@
 Everything here is assembled with naive Python loops over nested lists,
 deliberately sharing no code with the package: element-by-element matrix
 construction, a converged power-series exponential, and plain stacking.
-The measurement-geometry references at the end are per-vector NumPy
-transcriptions of the scalar noise model and field-of-view gate.  Tests
+The measurement-geometry references are per-vector NumPy transcriptions of
+the scalar noise model and field-of-view gate; the kernel reference takes a
+full SVD, and the candidate enumerator builds one unit vector at a time.  Tests
 compare the package's vectorized results against these transcriptions entry
 for entry.
 """
@@ -178,3 +179,53 @@ def o_in_fov(rel, boresight, fov_deg):
         return False
     cos_angle = float(np.dot(rel, boresight)) / rng
     return cos_angle >= np.cos(np.deg2rad(fov_deg))
+
+
+def o_null_space(M, rel_tol=1e-10):
+    """Kernel basis (columns) from a full SVD, the textbook construction."""
+    arr = np.asarray(M, dtype=float)
+    n = arr.shape[1]
+    if arr.shape[0] == 0 or not arr.any():
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(arr, full_matrices=True)
+    rank = int(sum(1 for v in s if v > rel_tol * s[0]))
+    return vt[rank:].T
+
+
+def o_standard_candidates(features):
+    """(labels, weights) of the standard candidates, one unit vector at a time.
+
+    Position, velocity and attitude per axis; each feature; each
+    position-minus-feature difference; each pairwise feature difference.
+    """
+    ids = [str(c + 1) for c in range(features)] if isinstance(features, int) else list(features)
+    n = 9 + 3 * len(ids)
+    axes = ("N", "E", "U")
+
+    def unit(i):
+        row = [0.0] * n
+        row[i] = 1.0
+        return row
+
+    def minus(a, b):
+        return [x - y for x, y in zip(unit(a), unit(b))]
+
+    labels, weights = [], []
+    for b, block in enumerate(("dp", "dv", "psi")):
+        for a, axis in enumerate(axes):
+            labels.append(f"{block}_{axis}")
+            weights.append(unit(3 * b + a))
+    for c, fid in enumerate(ids):
+        for a, axis in enumerate(axes):
+            labels.append(f"dm_{fid}_{axis}")
+            weights.append(unit(9 + 3 * c + a))
+    for c, fid in enumerate(ids):
+        for a, axis in enumerate(axes):
+            labels.append(f"dp-dm_{fid}_{axis}")
+            weights.append(minus(a, 9 + 3 * c + a))
+    for c in range(len(ids)):
+        for d in range(c + 1, len(ids)):
+            for a, axis in enumerate(axes):
+                labels.append(f"dm_{ids[c]}-dm_{ids[d]}_{axis}")
+                weights.append(minus(9 + 3 * c + a, 9 + 3 * d + a))
+    return labels, weights

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import o_standard_candidates
 from randgen import random_scenario
 from slamobs.analysis import (
     AnalysisOptions,
@@ -12,8 +13,10 @@ from slamobs.analysis import (
     analyze_total,
     case_scenario,
     standard_candidates,
+    standard_weights,
 )
-from slamobs.model import DetectionSchedule, Scenario, SegmentSpec
+from slamobs.model import DetectionSchedule, Scenario, SegmentSpec, augment
+from slamobs.pwcs import is_functional_observable, tom
 
 
 def axes_of(report, base):
@@ -143,6 +146,58 @@ class TestStandardCandidates:
         for cand in standard_candidates(2):
             assert cand.weights.any()
             assert set(np.unique(cand.weights)) <= {-1.0, 0.0, 1.0}
+
+
+class TestStandardWeights:
+    @pytest.mark.parametrize("features", [0, 1, 2, 5, ("a", "b", "c")])
+    def test_matches_loop_reference(self, features):
+        labels, weights = standard_weights(features)
+        want_labels, want_weights = o_standard_candidates(features)
+        assert labels == want_labels
+        np.testing.assert_array_equal(weights, np.array(want_weights))
+
+    def test_candidates_wrap_the_rows(self):
+        labels, weights = standard_weights(("a", "b"))
+        candidates = standard_candidates(("a", "b"))
+        assert [c.label for c in candidates] == labels
+        np.testing.assert_array_equal([c.weights for c in candidates], weights)
+
+
+def _total_matrix(scenario, options):
+    system = augment(scenario.schedule, scenario.segments)
+    return tom(system.stripes, options.max_power, options.expansion_mode)
+
+
+def _random_reports(seed, count):
+    """(report, matrix, weights) of random scenarios, both expansions, with extra rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        scenario = random_scenario(rng)
+        n = 9 + 3 * scenario.schedule.n_features
+        extra = tuple(
+            CandidateFunctional(label=f"x{j}", weights=rng.normal(size=n)) for j in range(3)
+        )
+        for mode in ("exact", "first_order"):
+            options = AnalysisOptions(expansion_mode=mode, extra_candidates=extra)
+            report = analyze_total(scenario, options)
+            _, standard = o_standard_candidates(scenario.schedule.feature_ids)
+            weights = np.vstack([standard] + [c.weights for c in extra])
+            yield report, _total_matrix(scenario, options), weights
+
+
+class TestBatchedClassification:
+    def test_verdicts_agree_with_per_functional_test(self):
+        for report, matrix, weights in _random_reports(59, 25):
+            assert len(report.mode_results) == len(weights)
+            for verdict, w in zip(report.mode_results, weights):
+                assert verdict.observable == is_functional_observable(matrix, w)
+
+    def test_null_projection_matches_per_vector(self):
+        for report, _, weights in _random_reports(61, 25):
+            N = report.null_basis.vectors
+            for verdict, w in zip(report.mode_results, weights):
+                want = np.linalg.norm(N @ (N.T @ w)) / np.linalg.norm(w)
+                assert abs(verdict.null_projection - want) <= 1e-15
 
 
 class TestProperties:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import o_expm, o_rank, o_tom
+from oracles import o_expm, o_null_space, o_rank, o_tom
+from randgen import random_scenario
 from slamobs.analysis import case_scenario
 from slamobs.model import augment_scenario, ins_error_f
 from slamobs.pwcs import (
@@ -262,6 +263,37 @@ class TestNullSpace:
     def test_empty_row_matrix(self):
         basis = null_space(np.zeros((0, 9)))
         assert basis.dim == 9
+
+    def test_tall_basis_equals_full_svd(self):
+        # a tall or square M takes the thin SVD; its V^T is the full one's
+        rng = np.random.default_rng(17)
+        matrices = [tom(case2_system().stripes), np.eye(6)]
+        for _ in range(10):
+            rows, rank = int(rng.integers(12, 40)), int(rng.integers(1, 12))
+            matrices.append(rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, 12)))
+        for _ in range(5):
+            system = augment_scenario(random_scenario(rng, n_features=8, n_segments=6))
+            matrices.append(tom(system.stripes, 2))
+        for M in matrices:
+            assert M.shape[0] >= M.shape[1]
+            np.testing.assert_array_equal(null_space(M).vectors, o_null_space(M))
+
+    def test_wide_kernel_matches_reference(self):
+        rng = np.random.default_rng(19)
+        matrices = [lom(case2_segment1_stripe(), 2)]
+        for _ in range(10):
+            rows, rank = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            matrices.append(rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, 12)))
+        for M in matrices:
+            assert M.shape[0] < M.shape[1]
+            basis = null_space(M)
+            want = o_null_space(M)
+            assert basis.dim == want.shape[1] == M.shape[1] - o_rank(M)
+            assert np.linalg.norm(M @ basis.vectors) <= 1e-10 * np.linalg.norm(M)
+            np.testing.assert_allclose(basis.vectors.T @ basis.vectors, np.eye(basis.dim), atol=1e-12)
+            np.testing.assert_allclose(
+                basis.vectors @ basis.vectors.T, want @ want.T, atol=1e-12
+            )
 
 
 class TestIsFunctionalObservable:

@@ -72,6 +72,24 @@ class TestTrajectory:
         pos = np.array([config.state_at(k / 10.0)[0] for k in range(101)])
         np.testing.assert_allclose(pos, np.tile([1.0, 2.0, 30.0], (101, 1)), atol=1e-12)
 
+    def test_positions_at_matches_per_time_lookup(self):
+        config = TrajectoryConfig(
+            p0=[3.0, -2.0, 120.0],
+            v0=[4.9, 0.7, -0.3],
+            segments=[(10.3, [0.2, 0.0, G]), (0.7, [1.5, -0.4, 9.0]), (25.1, [0.0, 0.3, 10.2]),
+                      (3.3, [-0.8, 0.1, G])],
+        )
+        ends = np.cumsum([d for d, _ in config.segments])
+        near = [ends, ends - 1e-12, ends + 1e-12]
+        near += [np.nextafter(t, limit) for t in near for limit in (0, 99)]
+        times = np.concatenate(
+            [np.arange(0, 1000) / 25.0, *near, [0.0, -1.0, 39.4 + 1e-6, 50.0, 1e4]]
+        )
+        positions, segments = config.positions_at(times)
+        want = np.array([config.state_at(t)[0] for t in times.tolist()])
+        np.testing.assert_array_equal(positions, want)
+        np.testing.assert_array_equal(segments, [config.segment_index(t) for t in times.tolist()])
+
     def test_rejects_bad_segments(self):
         with pytest.raises(ValueError):
             TrajectoryConfig(p0=[0, 0, 0], v0=[0, 0, 0], segments=[(0.0, [0, 0, G])])
