@@ -13,21 +13,27 @@ changes; a feature is "initialized" the first time it is detected, which
 stamps its prior block and zeroes its cross-covariances.
 
 There is one filter loop, ``_filter_frames``, built on one Joseph-form update
-(``_joseph``, which solves for the gain through a NumPy Cholesky factor of the
-innovation covariance) and one propagation (``_propagated``); the transition
+(``_joseph``, which takes the gain from one solve against the innovation
+covariance after a Cholesky check that it is positive definite) and one
+propagation (``_propagated``) per vision frame.  The IMU-step transition
 matrix is computed once per trajectory segment, in closed form because the
-inertial error dynamics are nilpotent.  ``simulate`` records standard
-deviations from it frame by frame; ``state_comparison_run`` runs the same
-loop plus one sampled error state and its estimate.  The public ``update``,
-``propagate`` and ``initialize_feature`` validate their inputs and wrap the
-same array-level steps.
+inertial error dynamics are nilpotent.  A frame's IMU steps are composed into
+one transition Phi_f and one process noise Q_f (the per-step recursion
+Q <- Phi Q Phi^T + q dt run from zero, which keeps the first-order noise of
+every step), cached per distinct tuple of step segments, so a frame that
+straddles a segment boundary gets its own pair.  ``simulate`` records
+variances from the loop frame by frame and takes standard deviations once
+per run; ``state_comparison_run`` runs the same loop plus one sampled error
+state, still propagated and driven by noise step by step, and its estimate.
+The public ``update``, ``propagate`` and ``initialize_feature`` validate
+their inputs and wrap the same array-level steps.
 
 The measurement geometry is computed per block of ``GEOMETRY_BLOCK_FRAMES``
 vision frames (``_block_geometry``), not per frame and feature: the vehicle
 positions at the block's frame times, the visibility mask (the schedule's
-columns, or one field-of-view gate over frames x features), and for every
-visible (frame, feature) pair its observation rows and its 3x3 noise block
-from one batched kernel (``_noise_blocks``).  Inside the loop an update frame
+columns, or one field-of-view gate over frames x features), the segment of
+every IMU step, and for every visible (frame, feature) pair its observation
+rows and its 3x3 noise block from one batched kernel (``_noise_blocks``).  Inside the loop an update frame
 only slices its rows and stacks H and R (``_stacked_measurement``).  The
 batched kernels take dot products and norms as stacked 1x3 by 3x1 matrix
 products, which sum exactly as ``np.dot`` does, so every number equals the
@@ -121,13 +127,23 @@ class TrajectoryConfig:
             remaining -= duration
         return p, v, self.segments[-1][1]
 
+    def segments_at(self, times) -> np.ndarray:
+        """Active segment indices at an array of times.
+
+        Entry k equals ``segment_index(times[k])``: the segment ends are
+        accumulated in the same order and compared with the same 1e-12 slack.
+        """
+        ends = np.cumsum([duration for duration, _ in self.segments]) - 1e-12
+        segments = np.searchsorted(ends, times, side="right")
+        return np.minimum(segments, len(self.segments) - 1)
+
     def positions_at(self, times):
         """Positions and active segment indices at an array of times.
 
-        Row k equals ``state_at(times[k])[0]`` and entry k equals
-        ``segment_index(times[k])`` bit for bit, from one pass over the
-        segments: each segment applies ``state_at``'s elementwise arithmetic,
-        in the same order, to the times that end inside it.
+        Row k equals ``state_at(times[k])[0]`` bit for bit, from one pass
+        over the segments: each segment applies ``state_at``'s elementwise
+        arithmetic, in the same order, to the times that end inside it.  The
+        indices are ``segments_at(times)``.
         """
         times = np.asarray(times, dtype=float)
         remaining = times.copy()
@@ -136,8 +152,6 @@ class TrajectoryConfig:
         g_vec = np.array([0.0, 0.0, self.gravity])
         p = self.p0.copy()
         v = self.v0.copy()
-        ends = []
-        acc = 0.0
         for duration, force in self.segments:
             accel = force - g_vec
             here = pending & (remaining <= duration + 1e-12)
@@ -147,11 +161,8 @@ class TrajectoryConfig:
             p = p + v * duration + 0.5 * accel * duration * duration
             v = v + accel * duration
             remaining -= duration
-            acc += duration
-            ends.append(acc - 1e-12)
         positions[pending] = p
-        segments = np.searchsorted(ends, times, side="right")
-        return positions, np.minimum(segments, len(self.segments) - 1)
+        return positions, self.segments_at(times)
 
 
 @dataclass(frozen=True)
@@ -291,20 +302,40 @@ def _propagated(P, phi, q_dt, note=None):
 def _joseph(P, H, R, note=None):
     """Array-level Joseph-form update; returns (gain, re-symmetrized P).
 
+    The gain is K = (S^-1 H P)^T with S = H P H^T + R, from one solve; a
+    Cholesky factorization of S only checks that it is positive definite.
     ``note`` (if given) sees the raw posterior before re-symmetrization.
     """
+    HP = H @ P
+    S = HP @ H.T + R
     try:
-        chol = np.linalg.cholesky(H @ P @ H.T + R)
+        np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"innovation covariance is singular or indefinite: {exc}"
         ) from exc
-    K = np.linalg.solve(chol.T, np.linalg.solve(chol, H @ P)).T
+    K = np.linalg.solve(S, HP).T
     ikh = np.eye(P.shape[0]) - K @ H
     P_raw = ikh @ P @ ikh.T + K @ R @ K.T
     if note is not None:
         note(P_raw)
     return K, 0.5 * (P_raw + P_raw.T)
+
+
+def _frame_transition(phis, q_dt):
+    """Transition and process noise of consecutive IMU steps with transitions ``phis``.
+
+    Phi_f = phis[-1] ... phis[0], and Q_f is the ``_propagated`` recursion over
+    the same steps started from a zero matrix, so one ``_propagated(P, Phi_f,
+    Q_f)`` equals the step-by-step propagation (each step adding ``q_dt``)
+    up to rounding.
+    """
+    phi_f = np.eye(len(q_dt))
+    q_f = np.zeros_like(q_dt)
+    for phi in phis:
+        phi_f = phi @ phi_f
+        q_f = _propagated(q_f, phi, q_dt)
+    return phi_f, q_f
 
 
 def _stamped(P, c: int, u_m_value: float):
@@ -504,7 +535,8 @@ class SimulationDiagnostics:
     """Numerical health of a covariance run.
 
     max_relative_asymmetry is measured on raw propagate/update outputs before
-    re-symmetrization; min_eigenvalue_ratio is the most negative eigenvalue
+    re-symmetrization, sampled once per vision frame for propagation (the
+    composed per-frame step, not every IMU step); min_eigenvalue_ratio is the most negative eigenvalue
     seen relative to the largest one (0 or above means positive
     semidefinite); max_update_variance_growth is the worst relative increase
     of any sampled functional variance across an update (non-positive means
@@ -595,6 +627,8 @@ class _BlockGeometry(NamedTuple):
     frame's visible features, in ascending order, are
     ``features[bounds[i]:bounds[i + 1]]``; ``obs`` and ``noise`` hold their
     3x9 vehicle observation rows and 3x3 noise blocks on the same rows.
+    ``steps[i]`` is the tuple of trajectory segments active at the IMU steps
+    that propagate the previous frame to this one (unused for frame 0).
     """
 
     positions: np.ndarray
@@ -602,12 +636,28 @@ class _BlockGeometry(NamedTuple):
     features: list
     obs: np.ndarray
     noise: np.ndarray
+    steps: list
+
+
+def _imu_steps(sensor: SensorConfig):
+    """(IMU steps per vision frame, IMU step length in seconds)."""
+    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
+    return steps_per_frame, (1.0 / sensor.frame_rate_hz) / steps_per_frame
 
 
 def _block_geometry(scenario: SimScenario, trajectory, sensor, first: int, stop: int):
-    """Geometry of frames first..stop-1, at times frame / frame_rate as the loop keeps them."""
-    times = np.arange(first, stop) * (1.0 / sensor.frame_rate_hz)
+    """Geometry of frames first..stop-1, at times frame / frame_rate as the loop keeps them.
+
+    The IMU step times of frame i start at frame i - 1's time and accumulate
+    the step length one addition at a time, as a running clock would.
+    """
+    frame_dt = 1.0 / sensor.frame_rate_hz
+    times = np.arange(first, stop) * frame_dt
     positions, segments = trajectory.positions_at(times)
+    steps_per_frame, imu_dt = _imu_steps(sensor)
+    step_times = np.full((stop - first, steps_per_frame), imu_dt)
+    step_times[:, 0] = np.arange(first - 1, stop - 1) * frame_dt
+    steps = trajectory.segments_at(np.cumsum(step_times, axis=1))
     features = np.array([scenario.feature_positions[fid] for fid in scenario.feature_ids])
     rel = features - positions[:, None, :]
     if scenario.schedule is None:
@@ -629,6 +679,7 @@ def _block_geometry(scenario: SimScenario, trajectory, sensor, first: int, stop:
         features=feature_of.tolist(),
         obs=obs,
         noise=_noise_blocks(rel, sensor) if len(rel) else np.empty((0, 3, 3)),
+        steps=list(map(tuple, steps.tolist())),
     )
 
 
@@ -679,22 +730,27 @@ def _frame_count(scenario: SimScenario, trajectory, sensor, duration) -> int:
 def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, note=None):
     """The covariance filter loop: yield a _Frame for each of ``count`` frames.
 
-    Propagates at the IMU rate with one transition matrix per trajectory
-    segment, built once, and applies one stacked Joseph update per vision
-    frame covering every currently-detected feature, stamping each feature's
-    prior block at its first detection; the positions, visibility and
-    measurement rows come from one ``_block_geometry`` per
-    ``GEOMETRY_BLOCK_FRAMES`` frames.  With ``rng`` the loop also carries
-    one sampled error state x (initial errors, then process noise at every
-    IMU step), measures it with noise drawn from R at every update, and
-    tracks the filter's estimate x_hat.  ``note`` sees every raw covariance
-    before re-symmetrization.
+    Propagates P once per vision frame with the frame's composed transition
+    Phi_f = Phi_{s_k} ... Phi_{s_1} over its IMU steps and the matching
+    process noise Q_f (``_frame_transition``: the per-step recursion
+    Q <- Phi_s Q Phi_s^T + q dt started from zero, so the first-order noise of
+    every IMU step is kept).  Phi_s is built once per trajectory segment, and
+    (Phi_f, Q_f) once per distinct tuple of step segments: a frame inside
+    one segment, or one of the few frames that straddle a segment boundary.
+    Then it applies one stacked Joseph update per vision frame covering every
+    currently-detected feature, stamping each feature's prior block at its
+    first detection; the positions, visibility, measurement rows and step
+    segments come from one ``_block_geometry`` per ``GEOMETRY_BLOCK_FRAMES``
+    frames.  With ``rng`` the loop also carries one sampled error state x
+    (initial errors, then process noise at every IMU step, propagated step
+    by step), measures it with noise drawn from R at every update, and
+    tracks the filter's estimate x_hat, predicted with Phi_f.  ``note`` sees
+    every raw covariance before re-symmetrization.
     """
     L = len(scenario.feature_ids)
     n = VEHICLE_DIM + 3 * L
     frame_dt = 1.0 / sensor.frame_rate_hz
-    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
-    imu_dt = frame_dt / steps_per_frame
+    steps_per_frame, imu_dt = _imu_steps(sensor)
     q = process_noise_intensity(sensor, n)
     q_dt = q * imu_dt
     phis = []
@@ -702,6 +758,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
         F = np.zeros((n, n))
         F[0:VEHICLE_DIM, 0:VEHICLE_DIM] = model.ins_error_f(force)
         phis.append(state_transition(F, imu_dt, "exact"))
+    transitions = {}  # step segments -> (Phi_f, Q_f)
     P = AugmentedCovariance.initial(scenario.vehicle_variances, L, scenario.feature_prior).P
     initialized = [False] * L
 
@@ -715,21 +772,22 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
         noise_std = np.sqrt(np.diag(q))
         sqrt_dt = np.sqrt(imu_dt)
 
-    t = 0.0
     for frame in range(count):
         i = frame % GEOMETRY_BLOCK_FRAMES
         if not i:
             stop = min(frame + GEOMETRY_BLOCK_FRAMES, count)
             geometry = _block_geometry(scenario, trajectory, sensor, frame, stop)
         if frame:
-            for _ in range(steps_per_frame):
-                phi = phis[trajectory.segment_index(t)]
-                if x is not None:
-                    x = phi @ x + rng.standard_normal(n) * noise_std * sqrt_dt
-                    x_hat = phi @ x_hat
-                P = _propagated(P, phi, q_dt, note)
-                t += imu_dt
-            t = frame * frame_dt  # keep frame times exact multiples
+            pattern = geometry.steps[i]
+            if pattern not in transitions:
+                transitions[pattern] = _frame_transition([phis[s] for s in pattern], q_dt)
+            phi_f, q_f = transitions[pattern]
+            if x is not None:
+                draws = rng.standard_normal((steps_per_frame, n)) * noise_std * sqrt_dt
+                for s, w in zip(pattern, draws):
+                    x = phis[s] @ x + w
+                x_hat = phi_f @ x_hat
+            P = _propagated(P, phi_f, q_f, note)
         pos = geometry.positions[i]
         rows = slice(geometry.bounds[i], geometry.bounds[i + 1])
         visible = geometry.features[rows]
@@ -746,7 +804,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
             K, P = _joseph(P, H, R, note)
             if x is not None:
                 x_hat = x_hat + K @ (z - H @ x_hat)
-        yield _Frame(t, pos, P, P_prior, x, x_hat)
+        yield _Frame(frame * frame_dt, pos, P, P_prior, x, x_hat)
 
 
 def simulate(
@@ -759,9 +817,10 @@ def simulate(
 ) -> CovarianceTrace:
     """Run the covariance recursion and record standard deviations per frame.
 
-    Propagates at the IMU rate and applies one stacked measurement update per
-    vision frame covering every currently-detected feature, initializing each
-    feature's prior block at its first detection.  ``duration`` truncates the
+    Propagates once per vision frame over the frame's IMU steps and applies
+    one stacked measurement update per vision frame covering every
+    currently-detected feature, initializing each feature's prior block at
+    its first detection.  ``duration`` truncates the
     run; the trace holds duration * frame_rate + 1 rows.  The run itself is
     deterministic; the seed only drives the random functionals sampled for
     the optional diagnostics.
@@ -786,10 +845,12 @@ def simulate(
             diag.note_frame(frame, rng)
         P = frame.P
         times[k] = frame.t
-        std[:, k] = np.sqrt(np.clip(np.diag(P), 0.0, None))
+        std[:, k] = np.diag(P)
         # (e_a - e_b) P (e_a - e_b), summed in the order w @ P @ w sums it
-        variances = (P[plus, plus] - P[minus, plus]) - (P[plus, minus] - P[minus, minus])
-        derived[:, k] = np.sqrt(np.clip(variances, 0.0, None))
+        derived[:, k] = (P[plus, plus] - P[minus, plus]) - (P[plus, minus] - P[minus, minus])
+    # variances to standard deviations, elementwise and in place, once per run
+    for variances in (std, derived):
+        np.sqrt(np.clip(variances, 0.0, None, out=variances), out=variances)
 
     return CovarianceTrace(
         times=times,

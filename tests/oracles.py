@@ -5,7 +5,8 @@ deliberately sharing no code with the package: element-by-element matrix
 construction, a converged power-series exponential, and plain stacking.
 The measurement-geometry references are per-vector NumPy transcriptions of
 the scalar noise model and field-of-view gate; the kernel reference takes a
-full SVD, and the candidate enumerator builds one unit vector at a time.  Tests
+full SVD, and the candidate enumerator builds one unit vector at a time.  The
+filter reference propagates the covariance one IMU step at a time.  Tests
 compare the package's vectorized results against these transcriptions entry
 for entry.
 """
@@ -229,3 +230,55 @@ def o_standard_candidates(features):
                 labels.append(f"dm_{ids[c]}-dm_{ids[d]}_{axis}")
                 weights.append(minus(9 + 3 * c + a, 9 + 3 * d + a))
     return labels, weights
+
+
+def o_step_filter(P0, phis, q_dt, durations, frame_dt, steps_per_frame, measurements, prior):
+    """Covariance filter propagated one IMU step at a time.
+
+    The per-step reference for a filter that propagates once per vision
+    frame.  Between frames f - 1 and f a running clock starts at
+    (f - 1) * frame_dt and advances by frame_dt / steps_per_frame per step;
+    each step applies the transition ``phis[s]`` of the segment s whose end
+    (less 1e-12) lies beyond the clock, P <- phi P phi^T + q_dt, and
+    re-symmetrizes.  ``measurements[f]`` is (visible feature indices, H, R);
+    a feature seen for the first time gets the block ``prior * I3`` with its
+    cross-covariances zeroed, then a Joseph update takes its gain from one
+    solve with S = H P H^T + R.  Returns the posterior covariance of every
+    frame and the tuple of step segments of every propagation.
+    """
+    ends, acc = [], 0.0
+    for duration in durations:
+        acc += duration
+        ends.append(acc - 1e-12)
+    imu_dt = frame_dt / steps_per_frame
+    P = np.array(P0, dtype=float)
+    n = P.shape[0]
+    seen = set()
+    covariances, patterns = [], []
+    for f, (visible, H, R) in enumerate(measurements):
+        if f:
+            clock = (f - 1) * frame_dt
+            pattern = []
+            for _ in range(steps_per_frame):
+                s = next((j for j, end in enumerate(ends) if clock < end), len(ends) - 1)
+                pattern.append(s)
+                P = phis[s] @ P @ phis[s].T + q_dt
+                P = 0.5 * (P + P.T)
+                clock += imu_dt
+            patterns.append(tuple(pattern))
+        for c in visible:
+            if c not in seen:
+                seen.add(c)
+                block = slice(9 + 3 * c, 12 + 3 * c)
+                P = P.copy()
+                P[block, :] = 0.0
+                P[:, block] = 0.0
+                P[block, block] = prior * np.eye(3)
+        if len(visible):
+            HP = H @ P
+            K = np.linalg.solve(HP @ H.T + R, HP).T
+            ikh = np.eye(n) - K @ H
+            P = ikh @ P @ ikh.T + K @ R @ K.T
+            P = 0.5 * (P + P.T)
+        covariances.append(P)
+    return np.array(covariances), patterns

@@ -5,9 +5,10 @@ import pytest
 
 import warnings
 
-from oracles import o_expm, o_in_fov, o_noise_cartesian
+from oracles import o_expm, o_in_fov, o_noise_cartesian, o_step_filter
 from slamobs import simulation
 from slamobs.model import DetectionSchedule, feature_obs_row, ins_error_f
+from slamobs.pwcs import state_transition
 from slamobs.simulation import (
     AugmentedCovariance,
     SensorConfig,
@@ -412,13 +413,22 @@ def _scalar_block_geometry(scenario, trajectory, sensor, first, stop):
     """Block geometry built frame by frame and feature by feature.
 
     Per-vector references (``o_in_fov``, ``o_noise_cartesian``) and
-    ``feature_obs_row`` in place of the batched kernels, in the layout the
-    filter loop reads.
+    ``feature_obs_row`` in place of the batched kernels, and a running clock
+    with ``segment_index`` for the IMU steps, in the layout the filter loop
+    reads.
     """
     ids = scenario.feature_ids
     sigmas = (sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad)
-    positions, bounds, features, obs, noise = [], [0], [], [], []
+    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
+    imu_dt = (1.0 / sensor.frame_rate_hz) / steps_per_frame
+    positions, bounds, features, obs, noise, steps = [], [0], [], [], [], []
     for frame in range(first, stop):
+        clock = (frame - 1) * (1.0 / sensor.frame_rate_hz)
+        pattern = []
+        for _ in range(steps_per_frame):
+            pattern.append(trajectory.segment_index(clock))
+            clock += imu_dt
+        steps.append(tuple(pattern))
         t = frame * (1.0 / sensor.frame_rate_hz)
         pos = trajectory.state_at(t)[0]
         positions.append(pos)
@@ -439,6 +449,7 @@ def _scalar_block_geometry(scenario, trajectory, sensor, first, stop):
         features=features,
         obs=np.array(obs).reshape(-1, 3, 9),
         noise=np.array(noise).reshape(-1, 3, 3),
+        steps=steps,
     )
 
 
@@ -553,6 +564,98 @@ class TestBatchedGeometry:
         )
         with pytest.raises(ValueError, match="range must be positive"):
             simulate(scenario, flight_trajectory(), SensorConfig(), duration=1.0)
+
+
+def _straddling_flight(schedule=True):
+    """Three segments of 1.005, 0.97 and 1.01 s: their ends fall between vision frames."""
+    trajectory = TrajectoryConfig(
+        p0=[0.0, 0.0, 100.0],
+        v0=[5.0, 0.0, 0.0],
+        segments=[(1.005, [0.0, 0.0, G]), (0.97, [0.8, -0.6, G + 0.3]), (1.01, [-0.5, 0.4, G])],
+    )
+    detected = DetectionSchedule(
+        detected=np.array([[1, 1, 1], [0, 1, 1]], dtype=bool), feature_ids=("a", "b")
+    )
+    scenario = SimScenario(
+        feature_positions={"a": [10.0, 3.0, 0.0], "b": [18.0, -6.0, 0.0]},
+        schedule=detected if schedule else None,
+    )
+    return scenario, trajectory
+
+
+class TestFramePropagation:
+    """One composed propagation per frame against the per-IMU-step recursion."""
+
+    @staticmethod
+    def _loop_and_oracle(sensor):
+        scenario, trajectory = _straddling_flight()
+        count = simulation._frame_count(scenario, trajectory, sensor, None)
+        got = np.array([f.P for f in simulation._filter_frames(scenario, trajectory, sensor, count)])
+        n = got.shape[1]
+        frame_dt = 1.0 / sensor.frame_rate_hz
+        steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
+        imu_dt = frame_dt / steps_per_frame
+        phis = []
+        for _, force in trajectory.segments:
+            F = np.zeros((n, n))
+            F[0:9, 0:9] = ins_error_f(force)
+            phis.append(state_transition(F, imu_dt, "exact"))
+        geometry = _scalar_block_geometry(scenario, trajectory, sensor, 0, count)
+        measurements = []
+        for f in range(count):
+            rows = slice(geometry.bounds[f], geometry.bounds[f + 1])
+            visible = geometry.features[rows]
+            H, R = simulation._stacked_measurement(
+                visible, geometry.obs[rows], geometry.noise[rows], n
+            ) if visible else (None, None)
+            measurements.append((visible, H, R))
+        want, patterns = o_step_filter(
+            AugmentedCovariance.initial(n_features=2).P,
+            phis,
+            process_noise_intensity(sensor, n) * imu_dt,
+            [duration for duration, _ in trajectory.segments],
+            frame_dt,
+            steps_per_frame,
+            measurements,
+            scenario.feature_prior,
+        )
+        steps = simulation._block_geometry(scenario, trajectory, sensor, 0, count).steps
+        return got, want, patterns, steps
+
+    @pytest.mark.parametrize("rates", [(100.0, 25.0), (90.0, 30.0)])
+    def test_matches_step_by_step_oracle(self, rates):
+        sensor = SensorConfig(imu_rate_hz=rates[0], frame_rate_hz=rates[1])
+        got, want, patterns, steps = self._loop_and_oracle(sensor)
+        straddling = [p for p in patterns if len(set(p)) > 1]
+        assert len(straddling) >= 2  # both inner segment ends fall inside a frame
+        assert steps[1:] == patterns  # the block's step segments follow the running clock
+        assert got.shape == want.shape
+        variances = np.einsum("kii->ki", want)
+        np.testing.assert_allclose(np.einsum("kii->ki", got), variances, rtol=1e-9)
+        # off-diagonal entries relative to their scale sqrt(P_ii P_jj)
+        scale = np.sqrt(variances[:, :, None] * variances[:, None, :])
+        np.testing.assert_allclose(got / scale, want / scale, rtol=0.0, atol=1e-9)
+
+    def test_one_imu_step_per_frame_equals_oracle_bitwise(self):
+        sensor = SensorConfig(imu_rate_hz=25.0, frame_rate_hz=25.0)
+        got, want, _, _ = self._loop_and_oracle(sensor)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("schedule", [True, False], ids=["schedule", "fov"])
+    def test_runs_without_per_step_segment_lookup(self, schedule, monkeypatch):
+        def refuse(self, t):
+            raise AssertionError("segment_index called")
+
+        scenario, trajectory = _straddling_flight(schedule)
+        want = simulate(scenario, trajectory, SensorConfig())
+        want_run = state_comparison_run(scenario, trajectory, SensorConfig(), seed=4)
+        monkeypatch.setattr(TrajectoryConfig, "segment_index", refuse)
+        got = simulate(scenario, trajectory, SensorConfig())
+        got_run = state_comparison_run(scenario, trajectory, SensorConfig(), seed=4)
+        assert got.times.size == got_run.times.size == 76
+        for label in want.labels():
+            np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
+        np.testing.assert_array_equal(got_run.estimated_positions, want_run.estimated_positions)
 
 
 class TestSensorConfig:
