@@ -26,11 +26,16 @@ from .model import AXES, DetectionSchedule, Scenario, SegmentSpec, augment
 from .pwcs import (
     DEFAULT_RANK_TOL,
     NullSpaceBasis,
+    PwcsStripe,
     _as_finite_array,
     lom,
     null_space,
     tom,
 )
+
+#: Highest dynamics power stacked per segment: F**3 == 0, so higher powers add
+#: only zero rows (``matrix_rows``, pinned by the goldens, follows from it).
+MAX_POWER = 2
 
 #: Detection patterns of the four two-feature / two-segment benchmark cases,
 #: as rows (feature) by columns (segment).
@@ -68,15 +73,13 @@ class AnalysisOptions:
 
     expansion_mode selects how segment transitions are expanded when stacking
     the total observability matrix ("exact" or "first_order"); rank_tol is
-    the relative singular-value threshold; max_power the highest dynamics
-    power stacked per segment; extra_candidates additional functionals
-    (weights over the full augmented state) classified alongside the
-    standard set.
+    the relative singular-value threshold; extra_candidates additional
+    functionals (weights over the full augmented state) classified alongside
+    the standard set.
     """
 
     expansion_mode: str = "exact"
     rank_tol: float = DEFAULT_RANK_TOL
-    max_power: int = 2
     extra_candidates: tuple = ()
 
     def __post_init__(self):
@@ -156,11 +159,12 @@ def standard_weights(features):
     L = len(ids)
     n = model.VEHICLE_DIM + 3 * L
     first, second = np.triu_indices(L, 1)
-    labels = [f"{block}_{axis}" for block in ("dp", "dv", "psi") for axis in AXES]
-    labels += [f"dm_{fid}_{axis}" for fid in ids for axis in AXES]
-    labels += [f"dp-dm_{fid}_{axis}" for fid in ids for axis in AXES]
+    position = model.VEHICLE_BLOCKS[0]
+    blocks = model.state_blocks(ids)[len(model.VEHICLE_BLOCKS) :]
+    labels = model.state_labels(ids)
+    labels += [f"{position}-{block}_{axis}" for block in blocks for axis in AXES]
     labels += [
-        f"dm_{ids[c]}-dm_{ids[d]}_{axis}"
+        f"{blocks[c]}-{blocks[d]}_{axis}"
         for c, d in zip(first.tolist(), second.tolist())
         for axis in AXES
     ]
@@ -228,19 +232,14 @@ def analyze_local(
             f"segment index {segment_index} out of range "
             f"(scenario has {scenario.n_segments} segments)"
         )
-    local_pairs = scenario.schedule.features_in_segment(segment_index)
-    local_ids = tuple(fid for _, fid in local_pairs)
+    local_ids = [fid for _, fid in scenario.schedule.features_in_segment(segment_index)]
     seg = scenario.segments[segment_index]
-    local_schedule = DetectionSchedule(
-        detected=np.ones((len(local_ids), 1), dtype=bool), feature_ids=local_ids
-    )
-    local_segment = SegmentSpec(
-        duration=seg.duration,
-        specific_force=seg.specific_force,
-        feature_rel_pos={fid: seg.feature_rel_pos[fid] for fid in local_ids},
-    )
-    system = augment(local_schedule, [local_segment])
-    matrix = lom(system.stripes[0], options.max_power)
+    k = len(local_ids)
+    n = model.VEHICLE_DIM + 3 * k
+    rel = np.array([seg.feature_rel_pos[fid] for fid in local_ids]).reshape(-1, 3)
+    H = model.feature_bands(range(k), model.feature_obs_rows(rel), n).reshape(3 * k, n)
+    F = model.augmented_f(seg.specific_force, n)
+    matrix = lom(PwcsStripe(F=F, H=H, delta=seg.duration), MAX_POWER)
     return _build_report(matrix, local_ids, "local", segment_index, options)
 
 
@@ -255,7 +254,7 @@ def analyze_total(
     """
     options = options or AnalysisOptions()
     system = augment(scenario.schedule, scenario.segments)
-    matrix = tom(system.stripes, options.max_power, options.expansion_mode)
+    matrix = tom(system.stripes, MAX_POWER, options.expansion_mode)
     return _build_report(matrix, system.feature_ids, "total", None, options)
 
 

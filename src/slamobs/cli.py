@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,14 +20,12 @@ import numpy as np
 
 from . import analysis, simulation
 from .analysis import AnalysisOptions, analyze_case, analyze_local, analyze_total
+from .model import AXES, VEHICLE_DIM
+from .pwcs import DEFAULT_RANK_TOL
 from .scenario import ScenarioError, load_scenario
 
-_GROUP_PREFIXES = (
-    ("position", ("dp_",)),
-    ("velocity", ("dv_",)),
-    ("attitude", ("psi_",)),
-    ("features", ("dm_",)),
-)
+#: One CSV per vehicle block, in state order, then one for every feature.
+_CSV_GROUPS = ("position", "velocity", "attitude", "features")
 
 
 def report_to_dict(report, scenario_name: str) -> dict:
@@ -65,11 +64,7 @@ def _analysis_options(doc_options: AnalysisOptions, args) -> AnalysisOptions:
     elif args.exact:
         expansion = "exact"
     rank_tol = args.tol if args.tol is not None else doc_options.rank_tol
-    return AnalysisOptions(
-        expansion_mode=expansion,
-        rank_tol=rank_tol,
-        extra_candidates=doc_options.extra_candidates,
-    )
+    return dataclasses.replace(doc_options, expansion_mode=expansion, rank_tol=rank_tol)
 
 
 def cmd_analyze(args) -> int:
@@ -112,12 +107,9 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for group, prefixes in _GROUP_PREFIXES:
-        labels = [
-            lab
-            for lab in trace.std
-            if any(lab.startswith(p) for p in prefixes)
-        ]
+    state = list(trace.std)
+    groups = [state[k : k + 3] for k in range(0, VEHICLE_DIM, 3)] + [state[VEHICLE_DIM:]]
+    for group, labels in zip(_CSV_GROUPS, groups):
         path = out_dir / f"{group}.csv"
         _write_csv(path, labels, trace.times, [trace.std[lab] for lab in labels])
         written.append(path)
@@ -136,19 +128,13 @@ def cmd_simulate(args) -> int:
             duration=args.duration,
         )
         path = out_dir / "state_run.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["time_s"]
-                + [f"true_{a}" for a in ("N", "E", "U")]
-                + [f"ins_{a}" for a in ("N", "E", "U")]
-                + [f"est_{a}" for a in ("N", "E", "U")]
-            )
-            for k in range(run.times.size):
-                row = [f"{run.times[k]:.6f}"]
-                for arr in (run.true_positions, run.ins_positions, run.estimated_positions):
-                    row.extend(f"{v:.12g}" for v in arr[k])
-                writer.writerow(row)
+        series = (run.true_positions, run.ins_positions, run.estimated_positions)
+        _write_csv(
+            path,
+            [f"{kind}_{axis}" for kind in ("true", "ins", "est") for axis in AXES],
+            run.times,
+            [positions[:, a] for positions in series for a in range(3)],
+        )
         written.append(path)
     rows = trace.times.size
     print(f"simulated {doc.name}: {rows} rows per trace (seed {args.seed})")
@@ -197,7 +183,7 @@ def cmd_cases(args) -> int:
         modes.append("exact")
     if args.first_order:
         modes.append("first_order")
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else DEFAULT_RANK_TOL
     blocks = []
     for mode in modes:
         options = AnalysisOptions(expansion_mode=mode, rank_tol=tol)

@@ -13,6 +13,10 @@ rows are zeroed in segments where it is not detected.  Appending unmeasured,
 dynamics-free states in this way never changes the rank attributable to the
 original states, which is what makes the fixed-dimension embedding sound;
 ``equivalence_pad`` exposes exactly that padding for testing.
+
+The analysis and the covariance filter both take that layout from here:
+block names, F (``augmented_f``), the rows [-I, 0, skew(r)] of m relative
+positions (``feature_obs_rows``) and their bands in H (``feature_bands``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from .pwcs import PwcsStripe, _as_finite_array, skew
 
 AXES = ("N", "E", "U")
+VEHICLE_BLOCKS = ("dp", "dv", "psi")
 VEHICLE_DIM = 9
 
 
@@ -42,16 +47,40 @@ def ins_error_f(specific_force) -> np.ndarray:
     return F
 
 
-def feature_obs_row(rel_pos) -> np.ndarray:
-    """3x9 vehicle-block observation rows for one relative-position measurement.
+def augmented_f(specific_force, n) -> np.ndarray:
+    """n x n dynamics: ``ins_error_f`` top-left, zero rows for the static features."""
+    F = np.zeros((n, n))
+    F[0:VEHICLE_DIM, 0:VEHICLE_DIM] = ins_error_f(specific_force)
+    return F
 
-    rel_pos is the feature position relative to the vehicle in the navigation
-    frame.  The block row is [-I, 0, skew(rel_pos)] acting on (dp, dv, psi).
+
+def feature_obs_rows(rel) -> np.ndarray:
+    """(m, 3, 9) rows [-I, 0, skew(rel[i])] on (dp, dv, psi) for (m, 3) relative positions.
+
+    ``rel`` (feature minus vehicle, nav frame) is not validated.
     """
+    H = np.zeros((len(rel), 3, VEHICLE_DIM))
+    H[:, :, 0:3] = -np.eye(3)
+    x, y, z = rel.T
+    H[:, 0, 7], H[:, 0, 8] = -z, y
+    H[:, 1, 6], H[:, 1, 8] = z, -x
+    H[:, 2, 6], H[:, 2, 7] = -y, x
+    return H
+
+
+def feature_obs_row(rel_pos) -> np.ndarray:
+    """3x9 rows of one relative-position measurement: ``feature_obs_rows``, validated."""
     r = _as_finite_array(rel_pos, "rel_pos", (3,))
-    H = np.zeros((3, VEHICLE_DIM))
-    H[:, 0:3] = -np.eye(3)
-    H[:, 6:9] = skew(r)
+    return feature_obs_rows(r[None, :])[0]
+
+
+def feature_bands(features, obs, n) -> np.ndarray:
+    """(k, 3, n) bands of H: vehicle rows ``obs[i]`` plus I3 on feature ``features[i]``'s block."""
+    k = len(features)
+    H = np.zeros((k, 3, n))
+    H[:, :, 0:VEHICLE_DIM] = obs
+    band = VEHICLE_DIM + 3 * np.asarray(features, dtype=int)[:, None] + np.arange(3)
+    H[np.arange(k)[:, None], np.arange(3), band] = 1.0
     return H
 
 
@@ -194,12 +223,14 @@ class Scenario:
         return self.schedule.feature_ids
 
 
+def state_blocks(feature_ids=()) -> list:
+    """Names of the 3-state blocks of the augmented state, in state order."""
+    return list(VEHICLE_BLOCKS) + [f"dm_{fid}" for fid in feature_ids]
+
+
 def state_labels(feature_ids=()) -> list:
     """Per-axis names of the augmented state, in state order."""
-    labels = [f"{block}_{axis}" for block in ("dp", "dv", "psi") for axis in AXES]
-    for fid in feature_ids:
-        labels.extend(f"dm_{fid}_{axis}" for axis in AXES)
-    return labels
+    return [f"{block}_{axis}" for block in state_blocks(feature_ids) for axis in AXES]
 
 
 @dataclass(eq=False)
@@ -231,15 +262,13 @@ def augment(schedule: DetectionSchedule, segments) -> AugmentedSystem:
     n = VEHICLE_DIM + 3 * L
     stripes = []
     for i, seg in enumerate(segments):
-        F = np.zeros((n, n))
-        F[0:VEHICLE_DIM, 0:VEHICLE_DIM] = ins_error_f(seg.specific_force)
-        H = np.zeros((3 * L, n))
-        for c, fid in schedule.features_in_segment(i):
-            rows = slice(3 * c, 3 * c + 3)
-            cols = slice(VEHICLE_DIM + 3 * c, VEHICLE_DIM + 3 * c + 3)
-            H[rows, 0:VEHICLE_DIM] = feature_obs_row(seg.feature_rel_pos[fid])
-            H[rows, cols] = np.eye(3)
-        stripes.append(PwcsStripe(F=F, H=H, delta=seg.duration))
+        pairs = schedule.features_in_segment(i)
+        detected = [c for c, _ in pairs]
+        rel = np.array([seg.feature_rel_pos[fid] for _, fid in pairs]).reshape(-1, 3)
+        H = np.zeros((L, 3, n))
+        H[detected] = feature_bands(detected, feature_obs_rows(rel), n)
+        F = augmented_f(seg.specific_force, n)
+        stripes.append(PwcsStripe(F=F, H=H.reshape(3 * L, n), delta=seg.duration))
     return AugmentedSystem(
         stripes=stripes,
         state_labels=state_labels(schedule.feature_ids),

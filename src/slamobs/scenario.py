@@ -22,7 +22,8 @@ import numpy as np
 import yaml
 
 from .analysis import AnalysisOptions, CandidateFunctional
-from .model import DetectionSchedule, Scenario, SegmentSpec
+from .model import DetectionSchedule, Scenario, SegmentSpec, state_blocks
+from .pwcs import DEFAULT_RANK_TOL
 from .simulation import (
     DEFAULT_VEHICLE_VARIANCES,
     FEATURE_PRIOR_DEFAULT,
@@ -43,11 +44,6 @@ class ScenarioError(ValueError):
 
 
 _SENSOR_FIELDS = tuple(f.name for f in fields(SensorConfig))
-
-
-def _state_blocks(feature_ids) -> list:
-    """Names of the 3-state blocks of the augmented state, in state order."""
-    return ["dp", "dv", "psi"] + [f"dm_{fid}" for fid in feature_ids]
 
 
 @dataclass(eq=False)
@@ -125,7 +121,7 @@ class ScenarioDoc:
             "feature_prior": self.feature_prior,
         }
         if self.options.extra_candidates:
-            blocks = _state_blocks(schedule.feature_ids)
+            blocks = state_blocks(schedule.feature_ids)
             doc["candidates"] = [
                 {
                     "label": cand.label,
@@ -223,7 +219,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     if expansion not in ("exact", "first_order"):
         raise ScenarioError("options.expansion", "must be 'exact' or 'first_order'")
     rank_tol = _number(
-        options_raw.get("rank_tol", 1e-10), "options.rank_tol", minimum=0.0, strict=True
+        options_raw.get("rank_tol", DEFAULT_RANK_TOL), "options.rank_tol", minimum=0.0, strict=True
     )
 
     features_raw = raw.get("features", {})
@@ -387,7 +383,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     if not isinstance(candidates_raw, list):
         raise ScenarioError("candidates", "must be a list")
     extra = []
-    blocks = _state_blocks(schedule.feature_ids)
+    blocks = state_blocks(schedule.feature_ids)
     block_offsets = {block: 3 * k for k, block in enumerate(blocks)}
     for k, cand in enumerate(candidates_raw):
         cand_path = f"candidates[{k}]"

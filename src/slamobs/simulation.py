@@ -6,11 +6,11 @@ predicted estimator performance can be compared against the rank-based
 observability verdicts: observable functionals should see their standard
 deviations collapse, unobservable ones should stay at prior level or grow.
 
-State order matches the analysis modules: (dp, dv, psi, dm_1, ..., dm_L)
-in the North / East / Up navigation frame.  Feature covariance blocks are
-carried from the start at a large prior so the state dimension never
-changes; a feature is "initialized" the first time it is detected, which
-stamps its prior block and zeroes its cross-covariances.
+The state layout, F and the measurement rows are ``slamobs.model``'s: the
+system the analysis ranks, in the North / East / Up navigation frame.
+Feature covariance blocks are carried from the start at a large prior so the
+state dimension never changes; a feature is "initialized" the first time it
+is detected, which stamps its prior block and zeroes its cross-covariances.
 
 There is one filter loop, ``_filter_frames``, built on one Joseph-form update
 (``_joseph``, which takes the gain from one solve against the innovation
@@ -30,16 +30,17 @@ their inputs and wrap the same array-level steps.
 
 The measurement geometry is computed per block of ``GEOMETRY_BLOCK_FRAMES``
 vision frames (``_block_geometry``), not per frame and feature: the vehicle
-positions at the block's frame times, the visibility mask (the schedule's
-columns, or one field-of-view gate over frames x features), the segment of
-every IMU step, and for every visible (frame, feature) pair its observation
-rows and its 3x3 noise block from one batched kernel (``_noise_blocks``).  Inside the loop an update frame
-only slices its rows and stacks H and R (``_stacked_measurement``).  The
-batched kernels take dot products and norms as stacked 1x3 by 3x1 matrix
-products, which sum exactly as ``np.dot`` does, so every number equals the
-per-vector computation bit for bit; ``measurement_noise_cartesian`` and
-``fov_schedule`` are the same kernels applied to one vector and to a whole
-flight.  Blocks bound the extra memory to one block whatever the run length.
+positions at the block's frame times (``_frame_clock``), the visibility mask
+(the schedule's columns, or one field-of-view gate over frames x features),
+the segment of every IMU step, and for every visible (frame, feature) pair
+its rows (``model.feature_obs_rows``) and 3x3 noise block (``_noise_blocks``).
+An update frame only slices its rows and stacks H and R
+(``_stacked_measurement``).  The batched kernels take dot products and norms
+as stacked 1x3 by 3x1 matrix products, which sum exactly as ``np.dot`` does,
+so every number equals the per-vector computation bit for bit;
+``measurement_noise_cartesian`` and ``fov_schedule`` are the same kernels
+applied to one vector and to a whole flight.  Blocks bound the extra memory
+to one block whatever the run length.
 """
 
 from __future__ import annotations
@@ -258,12 +259,8 @@ class AugmentedCovariance:
             raise ValueError("vehicle variances must be non-negative")
         if feature_prior < 0:
             raise ValueError("feature_prior must be non-negative")
-        n = VEHICLE_DIM + 3 * int(n_features)
-        P = np.zeros((n, n))
-        P[:VEHICLE_DIM, :VEHICLE_DIM] = np.diag(variances)
-        for c in range(int(n_features)):
-            block = slice(VEHICLE_DIM + 3 * c, VEHICLE_DIM + 3 * c + 3)
-            P[block, block] = feature_prior * np.eye(3)
+        features = np.full(3 * int(n_features), float(feature_prior))
+        P = np.diag(np.concatenate([variances, features]))
         return cls(P=P, feature_initialized=[False] * int(n_features))
 
     def stds(self) -> np.ndarray:
@@ -573,7 +570,7 @@ class CovarianceTrace:
     """Standard-deviation time series recorded at the vision frame rate.
 
     ``std`` holds per-axis standard deviations of the state errors keyed by
-    label ("dp_N", ..., "dm_<id>_U"); ``derived_std`` those of the
+    ``model.state_labels``, in state order; ``derived_std`` those of the
     position-minus-feature and feature-minus-feature differences.
     """
 
@@ -611,10 +608,9 @@ def fov_schedule(
     ids = tuple(feature_positions)
     features = np.array([feature_positions[fid] for fid in ids], dtype=float)
     seen = np.zeros((len(trajectory.segments), len(ids)), dtype=bool)
-    n_frames = int(round(trajectory.total_duration * sensor.frame_rate_hz)) + 1
+    n_frames, frame_dt, _, _ = _frame_clock(sensor, trajectory.total_duration)
     for first in range(0, n_frames, GEOMETRY_BLOCK_FRAMES):
-        times = np.arange(first, min(first + GEOMETRY_BLOCK_FRAMES, n_frames))
-        times = times / sensor.frame_rate_hz
+        times = np.arange(first, min(first + GEOMETRY_BLOCK_FRAMES, n_frames)) * frame_dt
         positions, segments = trajectory.positions_at(times)
         np.logical_or.at(seen, segments, _in_cone(features - positions[:, None, :], sensor))
     return DetectionSchedule(detected=seen.T.copy(), feature_ids=ids)
@@ -639,22 +635,27 @@ class _BlockGeometry(NamedTuple):
     steps: list
 
 
-def _imu_steps(sensor: SensorConfig):
-    """(IMU steps per vision frame, IMU step length in seconds)."""
+def _frame_clock(sensor: SensorConfig, duration=0.0):
+    """(frames in the first ``duration`` s, frame period dt, IMU steps per frame, IMU step).
+
+    Every frame time is k * dt, in the loop, ``fov_schedule`` and
+    ``_block_geometry`` alike (k / frame_rate_hz differs by an ulp on some k).
+    """
+    frame_dt = 1.0 / sensor.frame_rate_hz
     steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
-    return steps_per_frame, (1.0 / sensor.frame_rate_hz) / steps_per_frame
+    count = int(round(duration * sensor.frame_rate_hz)) + 1 if duration > 0 else 0
+    return count, frame_dt, steps_per_frame, frame_dt / steps_per_frame
 
 
 def _block_geometry(scenario: SimScenario, trajectory, sensor, first: int, stop: int):
-    """Geometry of frames first..stop-1, at times frame / frame_rate as the loop keeps them.
+    """Geometry of frames first..stop-1, at the loop's frame times (``_frame_clock``).
 
     The IMU step times of frame i start at frame i - 1's time and accumulate
     the step length one addition at a time, as a running clock would.
     """
-    frame_dt = 1.0 / sensor.frame_rate_hz
+    _, frame_dt, steps_per_frame, imu_dt = _frame_clock(sensor)
     times = np.arange(first, stop) * frame_dt
     positions, segments = trajectory.positions_at(times)
-    steps_per_frame, imu_dt = _imu_steps(sensor)
     step_times = np.full((stop - first, steps_per_frame), imu_dt)
     step_times[:, 0] = np.arange(first - 1, stop - 1) * frame_dt
     steps = trajectory.segments_at(np.cumsum(step_times, axis=1))
@@ -666,33 +667,22 @@ def _block_geometry(scenario: SimScenario, trajectory, sensor, first: int, stop:
         visible = scenario.schedule.detected[:, segments].T
     frame_of, feature_of = np.nonzero(visible)
     rel = rel[frame_of, feature_of]
-    # [-I, 0, skew(rel)] on (dp, dv, psi), as model.feature_obs_row builds it
-    obs = np.zeros((len(rel), 3, VEHICLE_DIM))
-    obs[:, :, 0:3] = -np.eye(3)
-    x, y, z = rel.T
-    obs[:, 0, 7], obs[:, 0, 8] = -z, y
-    obs[:, 1, 6], obs[:, 1, 8] = z, -x
-    obs[:, 2, 6], obs[:, 2, 7] = -y, x
     return _BlockGeometry(
         positions=positions,
         bounds=np.searchsorted(frame_of, np.arange(stop - first + 1)).tolist(),
         features=feature_of.tolist(),
-        obs=obs,
+        obs=model.feature_obs_rows(rel),
         noise=_noise_blocks(rel, sensor) if len(rel) else np.empty((0, 3, 3)),
         steps=list(map(tuple, steps.tolist())),
     )
 
 
 def _stacked_measurement(features, obs, noise, n):
-    """Stacked H (3k x n) and block-diagonal R of one frame's k visible features."""
+    """Stacked H (3k x n, ``model.feature_bands``) and block-diagonal R of k visible features."""
     k = len(features)
-    H = np.zeros((k, 3, n))
-    H[:, :, 0:VEHICLE_DIM] = obs
-    band = VEHICLE_DIM + 3 * np.asarray(features)[:, None] + np.arange(3)
-    H[np.arange(k)[:, None], np.arange(3), band] = 1.0
     R = np.zeros((k, 3, k, 3))
     R[np.arange(k), :, np.arange(k), :] = noise
-    return H.reshape(3 * k, n), R.reshape(3 * k, 3 * k)
+    return model.feature_bands(features, obs, n).reshape(3 * k, n), R.reshape(3 * k, 3 * k)
 
 
 class _Frame(NamedTuple):
@@ -723,8 +713,7 @@ def _frame_count(scenario: SimScenario, trajectory, sensor, duration) -> int:
     total = trajectory.total_duration if duration is None else float(duration)
     if not total >= 0:
         raise ValueError("duration must be non-negative")
-    total = min(total, trajectory.total_duration)
-    return int(round(total * sensor.frame_rate_hz)) + 1 if total > 0 else 0
+    return _frame_clock(sensor, min(total, trajectory.total_duration))[0]
 
 
 def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, note=None):
@@ -749,15 +738,13 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
     """
     L = len(scenario.feature_ids)
     n = VEHICLE_DIM + 3 * L
-    frame_dt = 1.0 / sensor.frame_rate_hz
-    steps_per_frame, imu_dt = _imu_steps(sensor)
+    _, frame_dt, steps_per_frame, imu_dt = _frame_clock(sensor)
     q = process_noise_intensity(sensor, n)
     q_dt = q * imu_dt
-    phis = []
-    for _, force in trajectory.segments:
-        F = np.zeros((n, n))
-        F[0:VEHICLE_DIM, 0:VEHICLE_DIM] = model.ins_error_f(force)
-        phis.append(state_transition(F, imu_dt, "exact"))
+    phis = [
+        state_transition(model.augmented_f(force, n), imu_dt, "exact")
+        for _, force in trajectory.segments
+    ]
     transitions = {}  # step segments -> (Phi_f, Q_f)
     P = AugmentedCovariance.initial(scenario.vehicle_variances, L, scenario.feature_prior).P
     initialized = [False] * L

@@ -81,6 +81,11 @@ def o_aug_h(rel_by_index, detected, n_features):
     return H
 
 
+def o_feature_obs_row(rel):
+    """Vehicle-block rows [-I, 0, skew(rel)] of one relative-position measurement."""
+    return [row[:9] for row in o_aug_h({0: rel}, {0}, 1)]
+
+
 def o_expm(F, dt):
     """Converged power-series matrix exponential."""
     n = len(F)

@@ -38,3 +38,17 @@ def random_scenario(rng, n_features=None, n_segments=None):
             )
         )
     return Scenario(schedule=schedule, segments=segments)
+
+
+def zero_components(rng, scenario, share=0.3):
+    """Set a random share of the scenario's relative-position components to 0.0.
+
+    Works in place on the validated arrays and returns the number zeroed.
+    """
+    zeroed = 0
+    for seg in scenario.segments:
+        for rel in seg.feature_rel_pos.values():
+            mask = rng.random(3) < share
+            rel[mask] = 0.0
+            zeroed += int(mask.sum())
+    return zeroed

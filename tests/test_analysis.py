@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import o_standard_candidates
-from randgen import random_scenario
+from oracles import o_aug_f, o_aug_h, o_lom, o_standard_candidates
+from randgen import random_scenario, zero_components
+from slamobs import analysis
 from slamobs.analysis import (
+    MAX_POWER,
     AnalysisOptions,
     CandidateFunctional,
     analyze_case,
@@ -16,7 +18,7 @@ from slamobs.analysis import (
     standard_weights,
 )
 from slamobs.model import DetectionSchedule, Scenario, SegmentSpec, augment
-from slamobs.pwcs import is_functional_observable, tom
+from slamobs.pwcs import is_functional_observable, lom, tom
 
 
 def axes_of(report, base):
@@ -59,6 +61,35 @@ class TestAnalyzeLocal:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             analyze_local(case_scenario(2), 2)
+
+    def test_local_stripe_matches_oracle(self, monkeypatch):
+        stacked = []
+
+        def recording_lom(stripe, max_power):
+            stacked.append((stripe, lom(stripe, max_power)))
+            return stacked[-1][1]
+
+        monkeypatch.setattr(analysis, "lom", recording_lom)
+        rng = np.random.default_rng(73)
+        zeroed = 0
+        for _ in range(30):
+            scenario = random_scenario(rng)
+            zeroed += zero_components(rng, scenario)
+            for i, seg in enumerate(scenario.segments):
+                stacked.clear()
+                report = analyze_local(scenario, i)
+                ((stripe, matrix),) = stacked
+                ids = [fid for _, fid in scenario.schedule.features_in_segment(i)]
+                k, n = len(ids), 9 + 3 * len(ids)
+                rel = {c: seg.feature_rel_pos[fid] for c, fid in enumerate(ids)}
+                F, H = o_aug_f(seg.specific_force, k), o_aug_h(rel, set(rel), k)
+                np.testing.assert_array_equal(stripe.F, F)
+                np.testing.assert_array_equal(stripe.H, np.reshape(H, (3 * k, n)))
+                want = np.reshape(o_lom(H, F, 2), (9 * k, n))
+                np.testing.assert_array_equal(matrix, want)
+                assert report.matrix_rows == 9 * k
+                assert report.state_labels[9:] == [f"dm_{fid}_{a}" for fid in ids for a in "NEU"]
+        assert zeroed > 30
 
 
 class TestAnalyzeTotal:
@@ -165,7 +196,7 @@ class TestStandardWeights:
 
 def _total_matrix(scenario, options):
     system = augment(scenario.schedule, scenario.segments)
-    return tom(system.stripes, options.max_power, options.expansion_mode)
+    return tom(system.stripes, MAX_POWER, options.expansion_mode)
 
 
 def _random_reports(seed, count):

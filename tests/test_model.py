@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from randgen import random_scenario
+from oracles import o_aug_f, o_aug_h, o_feature_obs_row
+from randgen import random_scenario, zero_components
 from slamobs.analysis import case_scenario
 from slamobs.model import (
     DetectionSchedule,
@@ -13,6 +14,7 @@ from slamobs.model import (
     augment_scenario,
     equivalence_pad,
     feature_obs_row,
+    feature_obs_rows,
     ins_error_f,
     state_labels,
 )
@@ -61,6 +63,16 @@ class TestFeatureObsRow:
         H = feature_obs_row([10, 0, -100])
         np.testing.assert_array_equal(H[:, 6:9], skew([10, 0, -100]))
         np.testing.assert_array_equal(H[:, 3:6], np.zeros((3, 3)))
+
+    def test_batched_rows_match_oracle(self):
+        rng = np.random.default_rng(5)
+        rel = rng.normal(scale=100.0, size=(60, 3))
+        rel[rng.random((60, 3)) < 0.3] = 0.0
+        rel[0] = 0.0
+        want = np.array([o_feature_obs_row(r) for r in rel])
+        np.testing.assert_array_equal(feature_obs_rows(rel), want)
+        for r, rows in zip(rel, want):
+            np.testing.assert_array_equal(feature_obs_row(r), rows)
 
     def test_always_full_row_rank(self):
         rng = np.random.default_rng(2)
@@ -142,6 +154,22 @@ class TestAugment:
         for stripe in system.stripes:
             for c in range(L):
                 assert stripe.H[3 * c : 3 * c + 3].any()
+
+    def test_stripes_match_oracle(self):
+        rng = np.random.default_rng(71)
+        zeroed = 0
+        for _ in range(40):
+            scenario = random_scenario(rng)
+            zeroed += zero_components(rng, scenario)
+            schedule, L = scenario.schedule, scenario.schedule.n_features
+            system = augment_scenario(scenario)
+            for i, (seg, stripe) in enumerate(zip(scenario.segments, system.stripes)):
+                rel = {c: seg.feature_rel_pos[fid] for c, fid in schedule.features_in_segment(i)}
+                np.testing.assert_array_equal(stripe.F, o_aug_f(seg.specific_force, L))
+                np.testing.assert_array_equal(
+                    stripe.H, np.reshape(o_aug_h(rel, set(rel), L), stripe.H.shape)
+                )
+        assert zeroed > 50
 
     def test_feature_rows_of_dynamics_are_zero(self):
         rng = np.random.default_rng(9)

@@ -5,10 +5,12 @@ import pytest
 
 import warnings
 
-from oracles import o_expm, o_in_fov, o_noise_cartesian, o_step_filter
+from oracles import o_expm, o_feature_obs_row, o_in_fov, o_noise_cartesian, o_step_filter
+from test_golden_fov import SCENARIO as FOV_SCENARIO
 from slamobs import simulation
 from slamobs.model import DetectionSchedule, feature_obs_row, ins_error_f
 from slamobs.pwcs import state_transition
+from slamobs.scenario import parse_scenario
 from slamobs.simulation import (
     AugmentedCovariance,
     SensorConfig,
@@ -412,8 +414,8 @@ class TestStateComparisonRun:
 def _scalar_block_geometry(scenario, trajectory, sensor, first, stop):
     """Block geometry built frame by frame and feature by feature.
 
-    Per-vector references (``o_in_fov``, ``o_noise_cartesian``) and
-    ``feature_obs_row`` in place of the batched kernels, and a running clock
+    Per-vector references (``o_in_fov``, ``o_noise_cartesian``,
+    ``o_feature_obs_row``) in place of the batched kernels, and a running clock
     with ``segment_index`` for the IMU steps, in the layout the filter loop
     reads.
     """
@@ -440,7 +442,7 @@ def _scalar_block_geometry(scenario, trajectory, sensor, first, stop):
                 visible = scenario.schedule.detected[c, trajectory.segment_index(t)]
             if visible:
                 features.append(c)
-                obs.append(feature_obs_row(rel))
+                obs.append(o_feature_obs_row(rel))
                 noise.append(o_noise_cartesian(rel, sigmas))
         bounds.append(len(features))
     return simulation._BlockGeometry(
@@ -536,6 +538,26 @@ class TestBatchedGeometry:
                     want[c, trajectory.segment_index(t)] = True
         np.testing.assert_array_equal(schedule.detected, want)
         assert want.sum() > 4
+
+    @pytest.mark.parametrize("flight", ["gated", "fov_golden"])
+    def test_fov_schedule_gates_the_filters_frames(self, flight):
+        """The auto schedule is the per-segment OR of the loop's own per-frame visibility."""
+        if flight == "gated":
+            features, trajectory = _gated_flight()
+            sensor = SensorConfig(frame_rate_hz=30.0, imu_rate_hz=90.0)
+        else:
+            doc = parse_scenario(FOV_SCENARIO)
+            features, trajectory, sensor = doc.feature_positions, doc.trajectory, doc.sensor
+        scenario = SimScenario(feature_positions=features)
+        count = simulation._frame_count(scenario, trajectory, sensor, None)
+        geometry = simulation._block_geometry(scenario, trajectory, sensor, 0, count)
+        want = np.zeros((len(features), len(trajectory.segments)), dtype=bool)
+        for frame in range(count):
+            segment = trajectory.segment_index(frame * (1.0 / sensor.frame_rate_hz))
+            for c in geometry.features[geometry.bounds[frame] : geometry.bounds[frame + 1]]:
+                want[c, segment] = True
+        assert want.sum() > len(features)
+        np.testing.assert_array_equal(fov_schedule(features, trajectory, sensor).detected, want)
 
     @pytest.mark.parametrize("gating", ["fov", "schedule"])
     def test_degenerate_simulate_matches_scalar_reference(self, gating, monkeypatch):
