@@ -327,6 +327,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     # complete per-segment relative positions, deriving from the trajectory
     # at segment start where omitted
     seg_starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
+    vehicles = None if trajectory is None else trajectory.positions_at(seg_starts)[0]
     segment_specs = []
     for i in range(len(segments_raw)):
         rel = dict(rel_maps[i])
@@ -338,8 +339,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
                     f"segments[{i}].rel.{fid}",
                     "missing relative position (no trajectory/features to derive it from)",
                 )
-            vehicle, _, _ = trajectory.state_at(seg_starts[i])
-            rel[fid] = feature_positions[fid] - vehicle
+            rel[fid] = feature_positions[fid] - vehicles[i]
         try:
             segment_specs.append(
                 SegmentSpec(

@@ -28,13 +28,15 @@ state, still propagated and driven by noise step by step, and its estimate.
 The public ``update``, ``propagate`` and ``initialize_feature`` validate
 their inputs and wrap the same array-level steps.
 
-The measurement geometry is computed per block of ``GEOMETRY_BLOCK_FRAMES``
-vision frames (``_block_geometry``), not per frame and feature: the vehicle
-positions at the block's frame times (``_frame_clock``), the visibility mask
-(the schedule's columns, or one field-of-view gate over frames x features),
-the segment of every IMU step, and for every visible (frame, feature) pair
-its rows (``model.feature_obs_rows``) and 3x3 noise block (``_noise_blocks``).
-An update frame only slices its rows and stacks H and R
+The frame timeline has one source.  ``_frame_blocks`` walks the run in
+blocks of ``GEOMETRY_BLOCK_FRAMES`` vision frames at the times k * dt of
+``_frame_clock`` and yields each block's vehicle positions, active segments
+and the segments of every IMU step; ``fov_schedule`` gates those positions
+and ``_frame_geometry`` turns them into one record per frame: its time,
+position, step segments, visible features (the schedule's columns, or one
+field-of-view gate over frames x features) and their rows
+(``model.feature_obs_rows``) and 3x3 noise blocks (``_noise_blocks``), both
+computed once per block.  An update frame only stacks H and R
 (``_stacked_measurement``).  The batched kernels take dot products and norms
 as stacked 1x3 by 3x1 matrix products, which sum exactly as ``np.dot`` does,
 so every number equals the per-vector computation bit for bit;
@@ -113,20 +115,25 @@ class TrajectoryConfig:
         return len(self.segments) - 1
 
     def state_at(self, t: float):
-        """(position, velocity, specific_force) at time t."""
+        """(position, velocity, specific_force) at time t.
+
+        The force is that of ``segment_index(t)``, the segment whose
+        transition the filter applies from t on.
+        """
+        force = self.segments[self.segment_index(t)][1]
         g_vec = np.array([0.0, 0.0, self.gravity])
         p = self.p0.copy()
         v = self.v0.copy()
         remaining = float(t)
-        for duration, force in self.segments:
-            accel = force - g_vec
+        for duration, segment_force in self.segments:
+            accel = segment_force - g_vec
             step = min(remaining, duration)
             if remaining <= duration + 1e-12:
                 return p + v * step + 0.5 * accel * step * step, v + accel * step, force
             p = p + v * duration + 0.5 * accel * duration * duration
             v = v + accel * duration
             remaining -= duration
-        return p, v, self.segments[-1][1]
+        return p, v, force
 
     def segments_at(self, times) -> np.ndarray:
         """Active segment indices at an array of times.
@@ -409,13 +416,6 @@ def _row_dots(a, b) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _cross(a, b) -> np.ndarray:
-    """Row-wise cross products of two (m, 3) arrays, formed as ``np.cross`` forms them."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
-
-
 def _noise_blocks(rel, sensor: SensorConfig) -> np.ndarray:
     """(m, 3, 3) Cartesian noise covariances for the (m, 3) relative vectors ``rel``.
 
@@ -433,9 +433,9 @@ def _noise_blocks(rel, sensor: SensorConfig) -> np.ndarray:
     near_vertical = np.abs(los[:, 2]) > 0.9
     helper[near_vertical, 0] = 1.0
     helper[~near_vertical, 2] = 1.0
-    t1 = _cross(los, helper)
+    t1 = np.cross(los, helper)
     t1 /= np.sqrt(_row_dots(t1, t1))[:, None]
-    t2 = _cross(los, t1)
+    t2 = np.cross(los, t1)
     J = np.stack([los, ranges[:, None] * t1, ranges[:, None] * t2], axis=2)
     sig = np.array(
         [sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad]
@@ -608,73 +608,71 @@ def fov_schedule(
     ids = tuple(feature_positions)
     features = np.array([feature_positions[fid] for fid in ids], dtype=float)
     seen = np.zeros((len(trajectory.segments), len(ids)), dtype=bool)
-    n_frames, frame_dt, _, _ = _frame_clock(sensor, trajectory.total_duration)
-    for first in range(0, n_frames, GEOMETRY_BLOCK_FRAMES):
-        times = np.arange(first, min(first + GEOMETRY_BLOCK_FRAMES, n_frames)) * frame_dt
-        positions, segments = trajectory.positions_at(times)
+    count = _frame_clock(sensor, trajectory.total_duration)[0]
+    for _, positions, segments, _ in _frame_blocks(trajectory, sensor, count):
         np.logical_or.at(seen, segments, _in_cone(features - positions[:, None, :], sensor))
     return DetectionSchedule(detected=seen.T.copy(), feature_ids=ids)
-
-
-class _BlockGeometry(NamedTuple):
-    """Measurement geometry of the vision frames first, first + 1, ...
-
-    ``positions[i]`` is the vehicle position at the block's i-th frame.  That
-    frame's visible features, in ascending order, are
-    ``features[bounds[i]:bounds[i + 1]]``; ``obs`` and ``noise`` hold their
-    3x9 vehicle observation rows and 3x3 noise blocks on the same rows.
-    ``steps[i]`` is the tuple of trajectory segments active at the IMU steps
-    that propagate the previous frame to this one (unused for frame 0).
-    """
-
-    positions: np.ndarray
-    bounds: list
-    features: list
-    obs: np.ndarray
-    noise: np.ndarray
-    steps: list
 
 
 def _frame_clock(sensor: SensorConfig, duration=0.0):
     """(frames in the first ``duration`` s, frame period dt, IMU steps per frame, IMU step).
 
-    Every frame time is k * dt, in the loop, ``fov_schedule`` and
-    ``_block_geometry`` alike (k / frame_rate_hz differs by an ulp on some k).
+    Frame k is at k * dt everywhere (k / frame_rate_hz differs by an ulp on
+    some k), and the frames counted are those with k * dt <= duration, with
+    the 1e-12 s slack of the segment lookups.
     """
     frame_dt = 1.0 / sensor.frame_rate_hz
     steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
-    count = int(round(duration * sensor.frame_rate_hz)) + 1 if duration > 0 else 0
+    last = round(duration * sensor.frame_rate_hz)
+    if last * frame_dt > duration + 1e-12:  # the nearest frame lies past the end
+        last -= 1
+    count = last + 1 if duration > 0 else 0
     return count, frame_dt, steps_per_frame, frame_dt / steps_per_frame
 
 
-def _block_geometry(scenario: SimScenario, trajectory, sensor, first: int, stop: int):
-    """Geometry of frames first..stop-1, at the loop's frame times (``_frame_clock``).
+def _frame_blocks(trajectory, sensor, count):
+    """Yield (times, positions, segments, steps) per block of ``count`` frames.
 
-    The IMU step times of frame i start at frame i - 1's time and accumulate
-    the step length one addition at a time, as a running clock would.
+    A block holds ``GEOMETRY_BLOCK_FRAMES`` frames: their times, the vehicle
+    positions and active segments there, and in row i of ``steps`` the
+    segments of the IMU steps that propagate the previous frame to frame i
+    (unused for frame 0).  Those step times start at the previous frame's
+    time and add the step length one at a time, as a running clock would.
     """
     _, frame_dt, steps_per_frame, imu_dt = _frame_clock(sensor)
-    times = np.arange(first, stop) * frame_dt
-    positions, segments = trajectory.positions_at(times)
-    step_times = np.full((stop - first, steps_per_frame), imu_dt)
-    step_times[:, 0] = np.arange(first - 1, stop - 1) * frame_dt
-    steps = trajectory.segments_at(np.cumsum(step_times, axis=1))
+    for first in range(0, count, GEOMETRY_BLOCK_FRAMES):
+        frames = np.arange(first, min(first + GEOMETRY_BLOCK_FRAMES, count))
+        times = frames * frame_dt
+        positions, segments = trajectory.positions_at(times)
+        step_times = np.full((frames.size, steps_per_frame), imu_dt)
+        step_times[:, 0] = (frames - 1) * frame_dt
+        yield times, positions, segments, trajectory.segments_at(np.cumsum(step_times, axis=1))
+
+
+def _frame_geometry(scenario: SimScenario, trajectory, sensor, count):
+    """Yield (t, position, step segments, visible features, rows, noise) per frame.
+
+    The visible features of a frame are in ascending order (the schedule's
+    columns, or the field-of-view gate); ``rows`` and ``noise`` hold their
+    3x9 vehicle observation rows (``model.feature_obs_rows``) and 3x3 noise
+    blocks (``_noise_blocks``), computed once per ``_frame_blocks`` block.
+    """
     features = np.array([scenario.feature_positions[fid] for fid in scenario.feature_ids])
-    rel = features - positions[:, None, :]
-    if scenario.schedule is None:
-        visible = _in_cone(rel, sensor)
-    else:
-        visible = scenario.schedule.detected[:, segments].T
-    frame_of, feature_of = np.nonzero(visible)
-    rel = rel[frame_of, feature_of]
-    return _BlockGeometry(
-        positions=positions,
-        bounds=np.searchsorted(frame_of, np.arange(stop - first + 1)).tolist(),
-        features=feature_of.tolist(),
-        obs=model.feature_obs_rows(rel),
-        noise=_noise_blocks(rel, sensor) if len(rel) else np.empty((0, 3, 3)),
-        steps=list(map(tuple, steps.tolist())),
-    )
+    for times, positions, segments, steps in _frame_blocks(trajectory, sensor, count):
+        rel = features - positions[:, None, :]
+        if scenario.schedule is None:
+            visible = _in_cone(rel, sensor)
+        else:
+            visible = scenario.schedule.detected[:, segments].T
+        frame_of, feature_of = np.nonzero(visible)
+        rel = rel[frame_of, feature_of]
+        obs = model.feature_obs_rows(rel)
+        noise = _noise_blocks(rel, sensor) if len(rel) else np.empty((0, 3, 3))
+        bounds = np.searchsorted(frame_of, np.arange(times.size + 1)).tolist()
+        feature_of = feature_of.tolist()
+        for i, (t, pattern) in enumerate(zip(times.tolist(), map(tuple, steps.tolist()))):
+            rows = slice(bounds[i], bounds[i + 1])
+            yield t, positions[i], pattern, feature_of[rows], obs[rows], noise[rows]
 
 
 def _stacked_measurement(features, obs, noise, n):
@@ -728,17 +726,17 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
     one segment, or one of the few frames that straddle a segment boundary.
     Then it applies one stacked Joseph update per vision frame covering every
     currently-detected feature, stamping each feature's prior block at its
-    first detection; the positions, visibility, measurement rows and step
-    segments come from one ``_block_geometry`` per ``GEOMETRY_BLOCK_FRAMES``
-    frames.  With ``rng`` the loop also carries one sampled error state x
-    (initial errors, then process noise at every IMU step, propagated step
-    by step), measures it with noise drawn from R at every update, and
-    tracks the filter's estimate x_hat, predicted with Phi_f.  ``note`` sees
-    every raw covariance before re-symmetrization.
+    first detection; each frame's time, position, step segments, visible
+    features and their rows and noise come from ``_frame_geometry``.  With
+    ``rng`` the loop also carries one sampled error state x (initial errors,
+    then process noise at every IMU step, propagated step by step), measures
+    it with noise drawn from R at every update, and tracks the filter's
+    estimate x_hat, predicted with Phi_f.  ``note`` sees every raw
+    covariance before re-symmetrization.
     """
     L = len(scenario.feature_ids)
     n = VEHICLE_DIM + 3 * L
-    _, frame_dt, steps_per_frame, imu_dt = _frame_clock(sensor)
+    _, _, steps_per_frame, imu_dt = _frame_clock(sensor)
     q = process_noise_intensity(sensor, n)
     q_dt = q * imu_dt
     phis = [
@@ -759,13 +757,9 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
         noise_std = np.sqrt(np.diag(q))
         sqrt_dt = np.sqrt(imu_dt)
 
-    for frame in range(count):
-        i = frame % GEOMETRY_BLOCK_FRAMES
-        if not i:
-            stop = min(frame + GEOMETRY_BLOCK_FRAMES, count)
-            geometry = _block_geometry(scenario, trajectory, sensor, frame, stop)
+    frames = _frame_geometry(scenario, trajectory, sensor, count)
+    for frame, (t, pos, pattern, visible, obs, noise) in enumerate(frames):
         if frame:
-            pattern = geometry.steps[i]
             if pattern not in transitions:
                 transitions[pattern] = _frame_transition([phis[s] for s in pattern], q_dt)
             phi_f, q_f = transitions[pattern]
@@ -775,23 +769,20 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
                     x = phis[s] @ x + w
                 x_hat = phi_f @ x_hat
             P = _propagated(P, phi_f, q_f, note)
-        pos = geometry.positions[i]
-        rows = slice(geometry.bounds[i], geometry.bounds[i + 1])
-        visible = geometry.features[rows]
         for c in visible:
             if not initialized[c]:
                 P = _stamped(P, c, scenario.feature_prior)
                 initialized[c] = True
         P_prior = None
         if visible:
-            H, R = _stacked_measurement(visible, geometry.obs[rows], geometry.noise[rows], n)
+            H, R = _stacked_measurement(visible, obs, noise, n)
             if x is not None:
                 z = H @ x + np.linalg.cholesky(R) @ rng.standard_normal(H.shape[0])
             P_prior = P
             K, P = _joseph(P, H, R, note)
             if x is not None:
                 x_hat = x_hat + K @ (z - H @ x_hat)
-        yield _Frame(frame * frame_dt, pos, P, P_prior, x, x_hat)
+        yield _Frame(t, pos, P, P_prior, x, x_hat)
 
 
 def simulate(
@@ -807,10 +798,10 @@ def simulate(
     Propagates once per vision frame over the frame's IMU steps and applies
     one stacked measurement update per vision frame covering every
     currently-detected feature, initializing each feature's prior block at
-    its first detection.  ``duration`` truncates the
-    run; the trace holds duration * frame_rate + 1 rows.  The run itself is
-    deterministic; the seed only drives the random functionals sampled for
-    the optional diagnostics.
+    its first detection.  ``duration`` truncates the run; the trace holds
+    floor(duration * frame_rate) + 1 rows.  The run itself is deterministic;
+    the seed only drives the random functionals sampled for the optional
+    diagnostics.
     """
     count = _frame_count(scenario, trajectory, sensor, duration)
     ids = scenario.feature_ids

@@ -6,11 +6,12 @@ import pytest
 import warnings
 
 from oracles import o_expm, o_feature_obs_row, o_in_fov, o_noise_cartesian, o_step_filter
+from test_golden import SCENARIO as CASE2_FLIGHT
 from test_golden_fov import SCENARIO as FOV_SCENARIO
 from slamobs import simulation
 from slamobs.model import DetectionSchedule, feature_obs_row, ins_error_f
 from slamobs.pwcs import state_transition
-from slamobs.scenario import parse_scenario
+from slamobs.scenario import load_scenario, parse_scenario
 from slamobs.simulation import (
     AugmentedCovariance,
     SensorConfig,
@@ -92,6 +93,17 @@ class TestTrajectory:
         want = np.array([config.state_at(t)[0] for t in times.tolist()])
         np.testing.assert_array_equal(positions, want)
         np.testing.assert_array_equal(segments, [config.segment_index(t) for t in times.tolist()])
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-13], ids=["boundary", "within_slack"])
+    def test_state_at_force_follows_segment_index(self, offset):
+        """At a segment end the force is the next segment's, as the filter's Phi is."""
+        trajectory = load_scenario(CASE2_FLIGHT).trajectory
+        t = 50.0 + offset
+        assert trajectory.segment_index(t) == 1
+        np.testing.assert_array_equal(trajectory.state_at(t)[2], trajectory.segments[1][1])
+        assert trajectory.segments_at([t])[0] == 1
+        before = trajectory.state_at(50.0 - 2e-12)[2]
+        np.testing.assert_array_equal(before, trajectory.segments[0][1])
 
     def test_rejects_bad_segments(self):
         with pytest.raises(ValueError):
@@ -335,6 +347,26 @@ class TestSimulate:
         assert trace.times.size == 0
         assert all(series.size == 0 for series in trace.std.values())
 
+    @pytest.mark.parametrize("gating", ["schedule", "fov"])
+    def test_no_frame_past_the_end(self, gating):
+        """A run whose length is not a whole number of frames stops at the last frame inside it."""
+        trajectory = TrajectoryConfig(
+            p0=[0.0, 0.0, 100.0], v0=[0.1, 0.0, 0.0], segments=[(10.03, [0.0, 0.0, G])]
+        )
+        scenario = SimScenario(
+            feature_positions={"f1": [0.2, 0.0, 0.0]},
+            schedule=DetectionSchedule(detected=np.array([[1]], dtype=bool), feature_ids=("f1",))
+            if gating == "schedule"
+            else None,
+        )
+        trace = simulate(scenario, trajectory, SensorConfig())
+        run = state_comparison_run(scenario, trajectory, SensorConfig(), seed=1)
+        for times in (trace.times, run.times):
+            assert times.size == 251
+            assert times[-1] <= 10.03
+        truncated = simulate(flight_scenario(), flight_trajectory(), SensorConfig(), duration=4.03)
+        assert truncated.times.size == 101 and truncated.times[-1] <= 4.03
+
     def test_auto_schedule_runs(self):
         scenario = SimScenario(
             feature_positions={"f1": [10.0, 0.0, 0.0], "f2": [20.0, 100.0, 0.0]}
@@ -411,29 +443,27 @@ class TestStateComparisonRun:
         assert not np.array_equal(a.estimated_positions, c.estimated_positions)
 
 
-def _scalar_block_geometry(scenario, trajectory, sensor, first, stop):
-    """Block geometry built frame by frame and feature by feature.
+def _scalar_frame_geometry(scenario, trajectory, sensor, count):
+    """The per-frame geometry stream built frame by frame and feature by feature.
 
     Per-vector references (``o_in_fov``, ``o_noise_cartesian``,
     ``o_feature_obs_row``) in place of the batched kernels, and a running clock
-    with ``segment_index`` for the IMU steps, in the layout the filter loop
-    reads.
+    with ``segment_index`` for the IMU steps, yielding the records the filter
+    loop reads.
     """
     ids = scenario.feature_ids
     sigmas = (sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad)
     steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
     imu_dt = (1.0 / sensor.frame_rate_hz) / steps_per_frame
-    positions, bounds, features, obs, noise, steps = [], [0], [], [], [], []
-    for frame in range(first, stop):
+    for frame in range(count):
         clock = (frame - 1) * (1.0 / sensor.frame_rate_hz)
         pattern = []
         for _ in range(steps_per_frame):
             pattern.append(trajectory.segment_index(clock))
             clock += imu_dt
-        steps.append(tuple(pattern))
         t = frame * (1.0 / sensor.frame_rate_hz)
         pos = trajectory.state_at(t)[0]
-        positions.append(pos)
+        features, obs, noise = [], [], []
         for c, fid in enumerate(ids):
             rel = scenario.feature_positions[fid] - pos
             if scenario.schedule is None:
@@ -444,15 +474,14 @@ def _scalar_block_geometry(scenario, trajectory, sensor, first, stop):
                 features.append(c)
                 obs.append(o_feature_obs_row(rel))
                 noise.append(o_noise_cartesian(rel, sigmas))
-        bounds.append(len(features))
-    return simulation._BlockGeometry(
-        positions=np.array(positions),
-        bounds=bounds,
-        features=features,
-        obs=np.array(obs).reshape(-1, 3, 9),
-        noise=np.array(noise).reshape(-1, 3, 3),
-        steps=steps,
-    )
+        yield (
+            t,
+            pos,
+            tuple(pattern),
+            features,
+            np.array(obs).reshape(-1, 3, 9),
+            np.array(noise).reshape(-1, 3, 3),
+        )
 
 
 def _gated_flight():
@@ -550,12 +579,10 @@ class TestBatchedGeometry:
             features, trajectory, sensor = doc.feature_positions, doc.trajectory, doc.sensor
         scenario = SimScenario(feature_positions=features)
         count = simulation._frame_count(scenario, trajectory, sensor, None)
-        geometry = simulation._block_geometry(scenario, trajectory, sensor, 0, count)
         want = np.zeros((len(features), len(trajectory.segments)), dtype=bool)
-        for frame in range(count):
-            segment = trajectory.segment_index(frame * (1.0 / sensor.frame_rate_hz))
-            for c in geometry.features[geometry.bounds[frame] : geometry.bounds[frame + 1]]:
-                want[c, segment] = True
+        frames = simulation._frame_geometry(scenario, trajectory, sensor, count)
+        for t, _, _, visible, _, _ in frames:
+            want[visible, trajectory.segment_index(t)] = True
         assert want.sum() > len(features)
         np.testing.assert_array_equal(fov_schedule(features, trajectory, sensor).detected, want)
 
@@ -565,11 +592,11 @@ class TestBatchedGeometry:
         sensor = SensorConfig(bearing_noise_deg=0.0)
         schedule = fov_schedule(features, trajectory, sensor) if gating == "schedule" else None
         scenario = SimScenario(feature_positions=features, schedule=schedule)
-        # 12 s is 301 frames: the run crosses a geometry block boundary
+        # 12 s is 301 frames: the stream crosses a geometry block boundary
         with pytest.warns(RuntimeWarning, match="degenerate"):
             got = simulate(scenario, trajectory, sensor, duration=12.0)
             got_run = state_comparison_run(scenario, trajectory, sensor, seed=3, duration=12.0)
-        monkeypatch.setattr(simulation, "_block_geometry", _scalar_block_geometry)
+        monkeypatch.setattr(simulation, "_frame_geometry", _scalar_frame_geometry)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want = simulate(scenario, trajectory, sensor, duration=12.0)
@@ -622,14 +649,13 @@ class TestFramePropagation:
             F = np.zeros((n, n))
             F[0:9, 0:9] = ins_error_f(force)
             phis.append(state_transition(F, imu_dt, "exact"))
-        geometry = _scalar_block_geometry(scenario, trajectory, sensor, 0, count)
         measurements = []
-        for f in range(count):
-            rows = slice(geometry.bounds[f], geometry.bounds[f + 1])
-            visible = geometry.features[rows]
-            H, R = simulation._stacked_measurement(
-                visible, geometry.obs[rows], geometry.noise[rows], n
-            ) if visible else (None, None)
+        for _, _, _, visible, obs, noise in _scalar_frame_geometry(
+            scenario, trajectory, sensor, count
+        ):
+            H = R = None
+            if visible:
+                H, R = simulation._stacked_measurement(visible, obs, noise, n)
             measurements.append((visible, H, R))
         want, patterns = o_step_filter(
             AugmentedCovariance.initial(n_features=2).P,
@@ -641,7 +667,10 @@ class TestFramePropagation:
             measurements,
             scenario.feature_prior,
         )
-        steps = simulation._block_geometry(scenario, trajectory, sensor, 0, count).steps
+        steps = [
+            pattern
+            for _, _, pattern, *_ in simulation._frame_geometry(scenario, trajectory, sensor, count)
+        ]
         return got, want, patterns, steps
 
     @pytest.mark.parametrize("rates", [(100.0, 25.0), (90.0, 30.0)])
@@ -650,7 +679,7 @@ class TestFramePropagation:
         got, want, patterns, steps = self._loop_and_oracle(sensor)
         straddling = [p for p in patterns if len(set(p)) > 1]
         assert len(straddling) >= 2  # both inner segment ends fall inside a frame
-        assert steps[1:] == patterns  # the block's step segments follow the running clock
+        assert steps[1:] == patterns  # the stream's step segments follow the running clock
         assert got.shape == want.shape
         variances = np.einsum("kii->ki", want)
         np.testing.assert_allclose(np.einsum("kii->ki", got), variances, rtol=1e-9)
@@ -674,7 +703,7 @@ class TestFramePropagation:
         monkeypatch.setattr(TrajectoryConfig, "segment_index", refuse)
         got = simulate(scenario, trajectory, SensorConfig())
         got_run = state_comparison_run(scenario, trajectory, SensorConfig(), seed=4)
-        assert got.times.size == got_run.times.size == 76
+        assert got.times.size == got_run.times.size == 75
         for label in want.labels():
             np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
         np.testing.assert_array_equal(got_run.estimated_positions, want_run.estimated_positions)
