@@ -10,7 +10,8 @@ detected in which segment.  Relative feature positions omitted from a
 segment are derived from the trajectory at the segment start.
 
 Parse and validation problems raise ScenarioError carrying the offending
-field's path.
+field's path; that includes a key that no section knows, so a misspelt field
+never falls back to its default without a word.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ class ScenarioError(ValueError):
 
 
 _SENSOR_FIELDS = tuple(f.name for f in fields(SensorConfig))
+_TOP_FIELDS = (
+    "name", "gravity", "options", "features", "segments", "schedule", "trajectory", "sensor",
+    "initial_covariance", "candidates",
+)
 
 
 @dataclass(eq=False)
@@ -154,6 +159,16 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
+def _known(mapping, names, path):
+    """Reject the first key of ``mapping`` outside ``names``, at its field path."""
+    for key in mapping:
+        if key not in names:
+            raise ScenarioError(
+                f"{path}.{key}" if path else str(key),
+                f"unknown field (known: {', '.join(names)})",
+            )
+
+
 def _vec3(value, path):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScenarioError(path, "expected a list of 3 numbers")
@@ -207,6 +222,7 @@ def dump_scenario(doc: ScenarioDoc) -> str:
 
 
 def _build_doc(raw: dict) -> ScenarioDoc:
+    _known(raw, _TOP_FIELDS, "")
     name = raw.get("name", "scenario")
     if not isinstance(name, str) or not name:
         raise ScenarioError("name", "must be a non-empty string")
@@ -215,6 +231,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     options_raw = raw.get("options", {})
     if not isinstance(options_raw, dict):
         raise ScenarioError("options", "must be a mapping")
+    _known(options_raw, ("expansion", "rank_tol"), "options")
     expansion = options_raw.get("expansion", "exact")
     if expansion not in ("exact", "first_order"):
         raise ScenarioError("options.expansion", "must be 'exact' or 'first_order'")
@@ -237,6 +254,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
         seg_path = f"segments[{i}]"
         if not isinstance(seg, dict):
             raise ScenarioError(seg_path, "must be a mapping")
+        _known(seg, ("duration", "specific_force", "rel"), seg_path)
         durations.append(
             _number(_require(seg, "duration", seg_path), f"{seg_path}.duration", 0.0, True)
         )
@@ -257,6 +275,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
         traj_raw = raw["trajectory"]
         if not isinstance(traj_raw, dict):
             raise ScenarioError("trajectory", "must be a mapping")
+        _known(traj_raw, ("p0", "v0"), "trajectory")
         p0 = _vec3(_require(traj_raw, "p0", "trajectory"), "trajectory.p0")
         v0 = _vec3(_require(traj_raw, "v0", "trajectory"), "trajectory.v0")
         trajectory = TrajectoryConfig(
@@ -271,10 +290,9 @@ def _build_doc(raw: dict) -> ScenarioDoc:
         sensor_raw = raw["sensor"]
         if not isinstance(sensor_raw, dict):
             raise ScenarioError("sensor", "must be a mapping")
+        _known(sensor_raw, _SENSOR_FIELDS, "sensor")
         kwargs = {}
         for key, value in sensor_raw.items():
-            if key not in _SENSOR_FIELDS:
-                raise ScenarioError(f"sensor.{key}", "unknown sensor field")
             if key == "boresight":
                 kwargs[key] = tuple(_vec3(value, "sensor.boresight"))
             else:
@@ -298,6 +316,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
             raise ScenarioError("schedule", f"field-of-view gating failed: {exc}") from exc
     elif isinstance(schedule_raw, dict):
         schedule_mode = "explicit"
+        _known(schedule_raw, ("detected",), "schedule")
         detected_raw = _require(schedule_raw, "detected", "schedule", dict)
         ids, rows = [], []
         for fid, row in detected_raw.items():
@@ -359,6 +378,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     initial_raw = raw.get("initial_covariance", {})
     if not isinstance(initial_raw, dict):
         raise ScenarioError("initial_covariance", "must be a mapping")
+    _known(initial_raw, ("vehicle_diag", "interpretation", "feature_prior"), "initial_covariance")
     vehicle_diag = initial_raw.get("vehicle_diag", list(DEFAULT_VEHICLE_VARIANCES))
     if not isinstance(vehicle_diag, list) or len(vehicle_diag) != 9:
         raise ScenarioError("initial_covariance.vehicle_diag", "expected a list of 9 numbers")
@@ -389,6 +409,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
         cand_path = f"candidates[{k}]"
         if not isinstance(cand, dict):
             raise ScenarioError(cand_path, "must be a mapping")
+        _known(cand, ("label", "weights"), cand_path)
         label = _require(cand, "label", cand_path, str)
         weights_raw = _require(cand, "weights", cand_path, dict)
         w = np.zeros(3 * len(blocks))

@@ -28,13 +28,19 @@ state, still propagated and driven by noise step by step, and its estimate.
 The public ``update``, ``propagate`` and ``initialize_feature`` validate
 their inputs and wrap the same array-level steps.
 
+The trajectory has one segment-boundary rule, ``TrajectoryConfig.segments_at``:
+segment j is active from ``_SLACK`` before the end of segment j - 1 until
+``_SLACK`` before its own end.  Positions, velocities and forces come from
+one kinematics pass keyed by it, so the motion is continuous across a
+segment end and agrees with the transition the filter applies there.
+
 The frame timeline has one source.  ``_frame_blocks`` walks the run in
 blocks of ``GEOMETRY_BLOCK_FRAMES`` vision frames at the times k * dt of
 ``_frame_clock`` and yields each block's vehicle positions, active segments
-and the segments of every IMU step; ``fov_schedule`` gates those positions
-and ``_frame_geometry`` turns them into one record per frame: its time,
-position, step segments, visible features (the schedule's columns, or one
-field-of-view gate over frames x features) and their rows
+and the segments of every IMU step, all under that rule; ``fov_schedule``
+gates those positions and ``_frame_geometry`` turns them into one record per
+frame: its time, position, step segments, visible features (the schedule's
+columns, or one field-of-view gate over frames x features) and their rows
 (``model.feature_obs_rows``) and 3x3 noise blocks (``_noise_blocks``), both
 computed once per block.  An update frame only stacks H and R
 (``_stacked_measurement``).  The batched kernels take dot products and norms
@@ -65,6 +71,10 @@ FEATURE_PRIOR_DEFAULT = 1.0e9
 DEFAULT_VEHICLE_VARIANCES = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0873, 0.0873, 0.0873)
 
 _R_FLOOR = 1e-12
+#: Segment-boundary slack in seconds: a time this close before a segment's end
+#: already belongs to the next segment, and a frame this close past the end of
+#: a run is still recorded.
+_SLACK = 1e-12
 #: Vision frames whose measurement geometry (vehicle positions, visibility,
 #: observation rows, noise blocks) is computed in one batch: 10 s at 25 Hz.
 GEOMETRY_BLOCK_FRAMES = 250
@@ -106,79 +116,63 @@ class TrajectoryConfig:
         return float(sum(d for d, _ in self.segments))
 
     def segment_index(self, t: float) -> int:
-        """Segment active at time t (the last one at and beyond the end)."""
-        acc = 0.0
-        for j, (duration, _) in enumerate(self.segments):
-            acc += duration
-            if t < acc - 1e-12:
-                return j
-        return len(self.segments) - 1
+        """Segment active at time t: ``segments_at`` of one time."""
+        return int(self.segments_at([t])[0])
 
     def state_at(self, t: float):
-        """(position, velocity, specific_force) at time t.
-
-        The force is that of ``segment_index(t)``, the segment whose
-        transition the filter applies from t on.
-        """
-        force = self.segments[self.segment_index(t)][1]
-        g_vec = np.array([0.0, 0.0, self.gravity])
-        p = self.p0.copy()
-        v = self.v0.copy()
-        remaining = float(t)
-        for duration, segment_force in self.segments:
-            accel = segment_force - g_vec
-            step = min(remaining, duration)
-            if remaining <= duration + 1e-12:
-                return p + v * step + 0.5 * accel * step * step, v + accel * step, force
-            p = p + v * duration + 0.5 * accel * duration * duration
-            v = v + accel * duration
-            remaining -= duration
-        return p, v, force
+        """(position, velocity, specific_force) at time t: one row of ``_kinematics``."""
+        positions, velocities, segments = self._kinematics([t])
+        return positions[0], velocities[0], self.segments[segments[0]][1]
 
     def segments_at(self, times) -> np.ndarray:
         """Active segment indices at an array of times.
 
-        Entry k equals ``segment_index(times[k])``: the segment ends are
-        accumulated in the same order and compared with the same 1e-12 slack.
+        Segment j is active from ``_SLACK`` before the end of segment j - 1
+        until ``_SLACK`` before its own end, the ends accumulated in segment
+        order; the last segment also at and beyond the end of the trajectory.
         """
-        ends = np.cumsum([duration for duration, _ in self.segments]) - 1e-12
-        segments = np.searchsorted(ends, times, side="right")
-        return np.minimum(segments, len(self.segments) - 1)
+        ends = np.cumsum([duration for duration, _ in self.segments]) - _SLACK
+        return np.minimum(np.searchsorted(ends, times, side="right"), len(self.segments) - 1)
 
     def positions_at(self, times):
-        """Positions and active segment indices at an array of times.
+        """Positions and active segment indices (``segments_at``) at an array of times."""
+        positions, _, segments = self._kinematics(times)
+        return positions, segments
 
-        Row k equals ``state_at(times[k])[0]`` bit for bit, from one pass
-        over the segments: each segment applies ``state_at``'s elementwise
-        arithmetic, in the same order, to the times that end inside it.  The
-        indices are ``segments_at(times)``.
+    def _kinematics(self, times):
+        """(positions, velocities, segments) at a 1-D array of times.
+
+        Each time moves on the constant-acceleration piece of its own segment
+        (``segments_at``) from that segment's start state, by the time left
+        after subtracting the earlier durations one at a time, at most the
+        segment's duration: past the end the vehicle holds its end point.
         """
         times = np.asarray(times, dtype=float)
+        segments = self.segments_at(times)
         remaining = times.copy()
-        positions = np.empty((remaining.size, 3))
-        pending = np.ones(remaining.size, dtype=bool)
+        positions, velocities = np.empty((2, times.size, 3))
         g_vec = np.array([0.0, 0.0, self.gravity])
-        p = self.p0.copy()
-        v = self.v0.copy()
-        for duration, force in self.segments:
+        p, v = self.p0, self.v0
+        for j, (duration, force) in enumerate(self.segments):
             accel = force - g_vec
-            here = pending & (remaining <= duration + 1e-12)
+            here = segments == j
             step = np.minimum(remaining[here], duration)[:, None]
             positions[here] = p + v * step + 0.5 * accel * step * step
-            pending &= ~here
+            velocities[here] = v + accel * step
             p = p + v * duration + 0.5 * accel * duration * duration
             v = v + accel * duration
             remaining -= duration
-        positions[pending] = p
-        return positions, self.segments_at(times)
+        return positions, velocities, segments
 
 
 @dataclass(frozen=True)
 class SensorConfig:
     """IMU and vision sensor noise model.
 
-    Rates in Hz, angular noises in degrees (per second for the gyro),
-    accelerometer noise in m/s^2, range error in metres; all 1-sigma.
+    Rates in Hz, the IMU rate a whole multiple of the frame rate (each vision
+    frame spans the same number of IMU steps); angular noises in degrees (per
+    second for the gyro), accelerometer noise in m/s^2, range error in metres;
+    all 1-sigma.
     The vision boresight is a unit vector in the navigation frame, pointing
     straight down by default.
     """
@@ -209,6 +203,9 @@ class SensorConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.imu_rate_hz < self.frame_rate_hz:
             raise ValueError("imu_rate_hz must be at least frame_rate_hz")
+        ratio = self.imu_rate_hz / self.frame_rate_hz
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError("imu_rate_hz must be a whole multiple of frame_rate_hz")
         bs = np.asarray(self.boresight, dtype=float)
         if bs.shape != (3,) or not np.all(np.isfinite(bs)) or not np.linalg.norm(bs) > 0:
             raise ValueError("boresight must be a nonzero 3-vector")
@@ -619,12 +616,12 @@ def _frame_clock(sensor: SensorConfig, duration=0.0):
 
     Frame k is at k * dt everywhere (k / frame_rate_hz differs by an ulp on
     some k), and the frames counted are those with k * dt <= duration, with
-    the 1e-12 s slack of the segment lookups.
+    the ``_SLACK`` of the segment lookups.
     """
     frame_dt = 1.0 / sensor.frame_rate_hz
     steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
     last = round(duration * sensor.frame_rate_hz)
-    if last * frame_dt > duration + 1e-12:  # the nearest frame lies past the end
+    if last * frame_dt > duration + _SLACK:  # the nearest frame lies past the end
         last -= 1
     count = last + 1 if duration > 0 else 0
     return count, frame_dt, steps_per_frame, frame_dt / steps_per_frame

@@ -6,9 +6,9 @@ construction, a converged power-series exponential, and plain stacking.
 The measurement-geometry references are per-vector NumPy transcriptions of
 the scalar noise model and field-of-view gate; the kernel reference takes a
 full SVD, and the candidate enumerator builds one unit vector at a time.  The
-filter reference propagates the covariance one IMU step at a time.  Tests
-compare the package's vectorized results against these transcriptions entry
-for entry.
+trajectory references look up one time at a time, and the filter reference
+propagates the covariance one IMU step at a time.  Tests compare the
+package's vectorized results against these transcriptions entry for entry.
 """
 
 import warnings
@@ -237,24 +237,58 @@ def o_standard_candidates(features):
     return labels, weights
 
 
+def o_segment(durations, t):
+    """Segment active at time t: the first whose end, less 1e-12 s, lies beyond t.
+
+    The ends are accumulated one duration at a time; at and beyond the last
+    end the last segment stays active.
+    """
+    acc = 0.0
+    for j, duration in enumerate(durations):
+        acc += duration
+        if t < acc - 1e-12:
+            return j
+    return len(durations) - 1
+
+
+def o_kinematics(p0, v0, segments, gravity, t):
+    """(position, velocity, specific force) at time t, one segment at a time.
+
+    ``segments`` holds (duration, specific force) pairs.  The state is carried
+    through each whole segment before ``o_segment``'s one, and t moves on that
+    segment's constant-acceleration piece by the time left after subtracting
+    the earlier durations one at a time, at most the segment's duration.
+    """
+    g_vec = np.array([0.0, 0.0, float(gravity)])
+    p, v = np.array(p0, dtype=float), np.array(v0, dtype=float)
+    remaining = float(t)
+    active = o_segment([duration for duration, _ in segments], t)
+    for duration, force in segments[:active]:
+        accel = np.asarray(force, dtype=float) - g_vec
+        p = p + v * duration + 0.5 * accel * duration * duration
+        v = v + accel * duration
+        remaining -= duration
+    duration, force = segments[active]
+    force = np.asarray(force, dtype=float)
+    accel = force - g_vec
+    step = min(remaining, duration)
+    return p + v * step + 0.5 * accel * step * step, v + accel * step, force
+
+
 def o_step_filter(P0, phis, q_dt, durations, frame_dt, steps_per_frame, measurements, prior):
     """Covariance filter propagated one IMU step at a time.
 
     The per-step reference for a filter that propagates once per vision
     frame.  Between frames f - 1 and f a running clock starts at
     (f - 1) * frame_dt and advances by frame_dt / steps_per_frame per step;
-    each step applies the transition ``phis[s]`` of the segment s whose end
-    (less 1e-12) lies beyond the clock, P <- phi P phi^T + q_dt, and
+    each step applies the transition ``phis[s]`` of the segment
+    ``o_segment(durations, clock)``, P <- phi P phi^T + q_dt, and
     re-symmetrizes.  ``measurements[f]`` is (visible feature indices, H, R);
     a feature seen for the first time gets the block ``prior * I3`` with its
     cross-covariances zeroed, then a Joseph update takes its gain from one
     solve with S = H P H^T + R.  Returns the posterior covariance of every
     frame and the tuple of step segments of every propagation.
     """
-    ends, acc = [], 0.0
-    for duration in durations:
-        acc += duration
-        ends.append(acc - 1e-12)
     imu_dt = frame_dt / steps_per_frame
     P = np.array(P0, dtype=float)
     n = P.shape[0]
@@ -265,7 +299,7 @@ def o_step_filter(P0, phis, q_dt, durations, frame_dt, steps_per_frame, measurem
             clock = (f - 1) * frame_dt
             pattern = []
             for _ in range(steps_per_frame):
-                s = next((j for j, end in enumerate(ends) if clock < end), len(ends) - 1)
+                s = o_segment(durations, clock)
                 pattern.append(s)
                 P = phis[s] @ P @ phis[s].T + q_dt
                 P = 0.5 * (P + P.T)

@@ -4,6 +4,7 @@ import importlib.resources
 
 import numpy as np
 import pytest
+import yaml
 
 from slamobs.analysis import analyze_total
 from slamobs.scenario import ScenarioError, dump_scenario, load_scenario, parse_scenario
@@ -99,6 +100,22 @@ class TestParsing:
             load_scenario("/nonexistent/path.yaml")
 
 
+#: One misspelt key per scenario section, with the field path the parser must report.
+UNKNOWN_FIELDS = [
+    (lambda d: d.update(gravty=9.8), "gravty"),
+    (lambda d: d["options"].update(ranktol=1e-9), "options.ranktol"),
+    (lambda d: d["segments"][1].update(durtion=5.0), "segments[1].durtion"),
+    (lambda d: d["trajectory"].update(a0=[0, 0, 0]), "trajectory.a0"),
+    (lambda d: d["sensor"].update(imu_hz=100.0), "sensor.imu_hz"),
+    (lambda d: d["schedule"].update(mode="explicit"), "schedule.mode"),
+    (lambda d: d["initial_covariance"].update(featur_prior=1.0), "initial_covariance.featur_prior"),
+    (
+        lambda d: d.update(candidates=[{"label": "x", "weights": {"dp": [1, 0, 0]}, "lable": "y"}]),
+        "candidates[0].lable",
+    ),
+]
+
+
 class TestValidationErrors:
     @pytest.mark.parametrize(
         "mutation, field",
@@ -141,14 +158,30 @@ class TestValidationErrors:
         ],
     )
     def test_errors_name_the_field(self, mutation, field):
-        import yaml
-
         data = yaml.safe_load(MINIMAL)
         data.setdefault("features", {"f1": [5.0, 0.0, -50.0]})
         mutation(data)
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(data, sort_keys=False))
         assert err.value.field == field
+
+    @pytest.mark.parametrize("mutation, field", UNKNOWN_FIELDS, ids=[f for _, f in UNKNOWN_FIELDS])
+    def test_unknown_field_is_named(self, mutation, field):
+        """A misspelt key in any section fails at its path instead of taking a default."""
+        data = load_scenario(bundled_path("case2_flight.yaml")).to_dict()
+        parse_scenario(yaml.safe_dump(data, sort_keys=False))
+        mutation(data)
+        with pytest.raises(ScenarioError, match="unknown field") as err:
+            parse_scenario(yaml.safe_dump(data, sort_keys=False))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("rates", [(110.0, 25.0), (100.0, 30.0)])
+    def test_imu_rate_not_a_whole_multiple_of_frame_rate(self, rates):
+        data = load_scenario(bundled_path("case2_flight.yaml")).to_dict()
+        data["sensor"].update(imu_rate_hz=rates[0], frame_rate_hz=rates[1])
+        with pytest.raises(ScenarioError, match="whole multiple") as err:
+            parse_scenario(yaml.safe_dump(data, sort_keys=False))
+        assert err.value.field == "sensor"
 
     def test_never_detected_feature(self):
         text = MINIMAL.replace("f1: [1]", "f1: [1]\n    f2: [0]")

@@ -5,7 +5,15 @@ import pytest
 
 import warnings
 
-from oracles import o_expm, o_feature_obs_row, o_in_fov, o_noise_cartesian, o_step_filter
+from oracles import (
+    o_expm,
+    o_feature_obs_row,
+    o_in_fov,
+    o_kinematics,
+    o_noise_cartesian,
+    o_segment,
+    o_step_filter,
+)
 from test_golden import SCENARIO as CASE2_FLIGHT
 from test_golden_fov import SCENARIO as FOV_SCENARIO
 from slamobs import simulation
@@ -36,6 +44,11 @@ def flight_trajectory():
         v0=[0.1, 0.0, 0.0],
         segments=[(50.0, [0.0, 0.0, G]), (50.0, [0.0, 0.1, G])],
     )
+
+
+def o_trajectory(trajectory, t):
+    """``o_kinematics`` of a TrajectoryConfig at time t."""
+    return o_kinematics(trajectory.p0, trajectory.v0, trajectory.segments, trajectory.gravity, t)
 
 
 def flight_scenario():
@@ -90,9 +103,32 @@ class TestTrajectory:
             [np.arange(0, 1000) / 25.0, *near, [0.0, -1.0, 39.4 + 1e-6, 50.0, 1e4]]
         )
         positions, segments = config.positions_at(times)
-        want = np.array([config.state_at(t)[0] for t in times.tolist()])
-        np.testing.assert_array_equal(positions, want)
-        np.testing.assert_array_equal(segments, [config.segment_index(t) for t in times.tolist()])
+        want = [o_trajectory(config, t) for t in times.tolist()]
+        np.testing.assert_array_equal(positions, [p for p, _, _ in want])
+        durations = [d for d, _ in config.segments]
+        want_segments = [o_segment(durations, t) for t in times.tolist()]
+        np.testing.assert_array_equal(segments, want_segments)
+        for t, (p, v, f), s in zip(times.tolist(), want, want_segments):
+            got = config.state_at(t)
+            np.testing.assert_array_equal(np.concatenate(got), np.concatenate([p, v, f]))
+            assert config.segment_index(t) == s
+
+    def test_motion_is_continuous_past_a_segment_end(self):
+        """A time just past an end moves on the next segment, not held at the end point."""
+        trajectory = TrajectoryConfig(
+            p0=[0.0, 0.0, 100.0],
+            v0=[200.0, 0.0, 0.0],
+            segments=[(10.0, [0.0, 0.0, G]), (10.0, [1.5, -0.5, G + 0.2])],
+        )
+        pos, _, _ = trajectory.state_at(10.0 + 5e-13)
+        assert pos[0] == 2000.0000000000998
+        np.testing.assert_array_equal(trajectory.positions_at([10.0 + 5e-13])[0][0], pos)
+        for t in (10.0 - 5e-13, 10.0, 10.0 + 5e-13):
+            assert trajectory.segment_index(t) == o_segment([10.0, 10.0], t) == 1
+            got = trajectory.state_at(t)
+            for g, w in zip(got, o_trajectory(trajectory, t)):
+                np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(got[2], trajectory.segments[1][1])
 
     @pytest.mark.parametrize("offset", [0.0, 5e-13], ids=["boundary", "within_slack"])
     def test_state_at_force_follows_segment_index(self, offset):
@@ -447,11 +483,12 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
     """The per-frame geometry stream built frame by frame and feature by feature.
 
     Per-vector references (``o_in_fov``, ``o_noise_cartesian``,
-    ``o_feature_obs_row``) in place of the batched kernels, and a running clock
-    with ``segment_index`` for the IMU steps, yielding the records the filter
-    loop reads.
+    ``o_feature_obs_row``) in place of the batched kernels, ``o_kinematics``
+    for the vehicle position, and a running clock with ``o_segment`` for the
+    IMU steps, yielding the records the filter loop reads.
     """
     ids = scenario.feature_ids
+    durations = [duration for duration, _ in trajectory.segments]
     sigmas = (sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad)
     steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
     imu_dt = (1.0 / sensor.frame_rate_hz) / steps_per_frame
@@ -459,17 +496,17 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
         clock = (frame - 1) * (1.0 / sensor.frame_rate_hz)
         pattern = []
         for _ in range(steps_per_frame):
-            pattern.append(trajectory.segment_index(clock))
+            pattern.append(o_segment(durations, clock))
             clock += imu_dt
         t = frame * (1.0 / sensor.frame_rate_hz)
-        pos = trajectory.state_at(t)[0]
+        pos = o_trajectory(trajectory, t)[0]
         features, obs, noise = [], [], []
         for c, fid in enumerate(ids):
             rel = scenario.feature_positions[fid] - pos
             if scenario.schedule is None:
                 visible = o_in_fov(rel, sensor.boresight, sensor.fov_deg)
             else:
-                visible = scenario.schedule.detected[c, trajectory.segment_index(t)]
+                visible = scenario.schedule.detected[c, o_segment(durations, t)]
             if visible:
                 features.append(c)
                 obs.append(o_feature_obs_row(rel))
@@ -561,10 +598,10 @@ class TestBatchedGeometry:
         want = np.zeros((4, 2), dtype=bool)
         for k in range(int(round(trajectory.total_duration * 30.0)) + 1):
             t = k / 30.0
-            pos = trajectory.state_at(t)[0]
+            pos = o_trajectory(trajectory, t)[0]
             for c, position in enumerate(features.values()):
                 if o_in_fov(np.asarray(position) - pos, sensor.boresight, sensor.fov_deg):
-                    want[c, trajectory.segment_index(t)] = True
+                    want[c, o_segment([d for d, _ in trajectory.segments], t)] = True
         np.testing.assert_array_equal(schedule.detected, want)
         assert want.sum() > 4
 
@@ -713,6 +750,15 @@ class TestSensorConfig:
     def test_rate_consistency(self):
         with pytest.raises(ValueError):
             SensorConfig(imu_rate_hz=10.0, frame_rate_hz=25.0)
+
+    @pytest.mark.parametrize("rates", [(110.0, 25.0), (100.0, 30.0), (25.0 * 3.5, 25.0)])
+    def test_imu_rate_must_be_a_whole_multiple_of_frame_rate(self, rates):
+        with pytest.raises(ValueError, match="whole multiple"):
+            SensorConfig(imu_rate_hz=rates[0], frame_rate_hz=rates[1])
+
+    def test_whole_multiple_within_rounding_accepted(self):
+        sensor = SensorConfig(imu_rate_hz=3.3, frame_rate_hz=1.1)  # 3.3 / 1.1 = 2.9999999999999996
+        assert simulation._frame_clock(sensor)[2] == 3
 
     def test_boresight_normalized(self):
         sensor = SensorConfig(boresight=(0.0, 0.0, -2.0))
