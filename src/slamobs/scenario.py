@@ -17,6 +17,7 @@ never falls back to its default without a word.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -145,28 +146,44 @@ def _floats(values) -> list:
     return [float(v) for v in values]
 
 
-def _require(mapping, key, path, kind=None):
-    if not isinstance(mapping, dict):
-        raise ScenarioError(path, "must be a mapping")
+def _require(mapping, key, path):
     if key not in mapping:
         raise ScenarioError(f"{path}.{key}" if path else key, "missing required field")
-    value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(
-            f"{path}.{key}" if path else key,
-            f"expected {kind.__name__}, got {type(value).__name__}",
-        )
+    return mapping[key]
+
+
+def _mapping(value, path, known=None):
+    """``value`` if it is a mapping whose keys are all in ``known`` (any keys when None).
+
+    The first key outside ``known`` is rejected at its own field path.
+    """
+    if not isinstance(value, dict):
+        raise ScenarioError(path, "must be a mapping")
+    if known is not None:
+        for key in value:
+            if key not in known:
+                raise ScenarioError(
+                    f"{path}.{key}" if path else str(key),
+                    f"unknown field (known: {', '.join(known)})",
+                )
     return value
 
 
-def _known(mapping, names, path):
-    """Reject the first key of ``mapping`` outside ``names``, at its field path."""
-    for key in mapping:
-        if key not in names:
-            raise ScenarioError(
-                f"{path}.{key}" if path else str(key),
-                f"unknown field (known: {', '.join(names)})",
-            )
+@contextmanager
+def _located(path):
+    """Re-raise a ValueError of the block as a ScenarioError at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from exc
+
+
+def _feature_id(key, feature_positions, path):
+    """``key`` as a feature id, rejected at ``path.id`` when a features section lacks it."""
+    fid = str(key)
+    if feature_positions and fid not in feature_positions:
+        raise ScenarioError(f"{path}.{fid}", "unknown feature id")
+    return fid
 
 
 def _vec3(value, path):
@@ -222,16 +239,13 @@ def dump_scenario(doc: ScenarioDoc) -> str:
 
 
 def _build_doc(raw: dict) -> ScenarioDoc:
-    _known(raw, _TOP_FIELDS, "")
+    _mapping(raw, "", _TOP_FIELDS)
     name = raw.get("name", "scenario")
     if not isinstance(name, str) or not name:
         raise ScenarioError("name", "must be a non-empty string")
     gravity = _number(raw.get("gravity", GRAVITY), "gravity", minimum=0.0)
 
-    options_raw = raw.get("options", {})
-    if not isinstance(options_raw, dict):
-        raise ScenarioError("options", "must be a mapping")
-    _known(options_raw, ("expansion", "rank_tol"), "options")
+    options_raw = _mapping(raw.get("options", {}), "options", ("expansion", "rank_tol"))
     expansion = options_raw.get("expansion", "exact")
     if expansion not in ("exact", "first_order"):
         raise ScenarioError("options.expansion", "must be 'exact' or 'first_order'")
@@ -239,43 +253,31 @@ def _build_doc(raw: dict) -> ScenarioDoc:
         options_raw.get("rank_tol", DEFAULT_RANK_TOL), "options.rank_tol", minimum=0.0, strict=True
     )
 
-    features_raw = raw.get("features", {})
-    if not isinstance(features_raw, dict):
-        raise ScenarioError("features", "must be a mapping of id to position")
     feature_positions = {
-        str(fid): _vec3(pos, f"features.{fid}") for fid, pos in features_raw.items()
+        str(fid): _vec3(pos, f"features.{fid}")
+        for fid, pos in _mapping(raw.get("features", {}), "features").items()
     }
 
-    segments_raw = _require(raw, "segments", "", list)
-    if not segments_raw:
-        raise ScenarioError("segments", "at least one segment is required")
+    segments_raw = _require(raw, "segments", "")
+    if not isinstance(segments_raw, list) or not segments_raw:
+        raise ScenarioError("segments", "must be a non-empty list")
     durations, forces, rel_maps = [], [], []
     for i, seg in enumerate(segments_raw):
         seg_path = f"segments[{i}]"
-        if not isinstance(seg, dict):
-            raise ScenarioError(seg_path, "must be a mapping")
-        _known(seg, ("duration", "specific_force", "rel"), seg_path)
+        _mapping(seg, seg_path, ("duration", "specific_force", "rel"))
         durations.append(
             _number(_require(seg, "duration", seg_path), f"{seg_path}.duration", 0.0, True)
         )
         forces.append(_vec3(_require(seg, "specific_force", seg_path), f"{seg_path}.specific_force"))
-        rel_raw = seg.get("rel", {})
-        if not isinstance(rel_raw, dict):
-            raise ScenarioError(f"{seg_path}.rel", "must be a mapping of feature id to vector")
         rel = {}
-        for fid, vec in rel_raw.items():
-            fid = str(fid)
-            if feature_positions and fid not in feature_positions:
-                raise ScenarioError(f"{seg_path}.rel.{fid}", "unknown feature id")
+        for key, vec in _mapping(seg.get("rel", {}), f"{seg_path}.rel").items():
+            fid = _feature_id(key, feature_positions, f"{seg_path}.rel")
             rel[fid] = _vec3(vec, f"{seg_path}.rel.{fid}")
         rel_maps.append(rel)
 
     trajectory = None
     if "trajectory" in raw:
-        traj_raw = raw["trajectory"]
-        if not isinstance(traj_raw, dict):
-            raise ScenarioError("trajectory", "must be a mapping")
-        _known(traj_raw, ("p0", "v0"), "trajectory")
+        traj_raw = _mapping(raw["trajectory"], "trajectory", ("p0", "v0"))
         p0 = _vec3(_require(traj_raw, "p0", "trajectory"), "trajectory.p0")
         v0 = _vec3(_require(traj_raw, "v0", "trajectory"), "trajectory.v0")
         trajectory = TrajectoryConfig(
@@ -287,20 +289,14 @@ def _build_doc(raw: dict) -> ScenarioDoc:
 
     sensor = None
     if "sensor" in raw:
-        sensor_raw = raw["sensor"]
-        if not isinstance(sensor_raw, dict):
-            raise ScenarioError("sensor", "must be a mapping")
-        _known(sensor_raw, _SENSOR_FIELDS, "sensor")
         kwargs = {}
-        for key, value in sensor_raw.items():
+        for key, value in _mapping(raw["sensor"], "sensor", _SENSOR_FIELDS).items():
             if key == "boresight":
                 kwargs[key] = tuple(_vec3(value, "sensor.boresight"))
             else:
                 kwargs[key] = _number(value, f"sensor.{key}", minimum=0.0)
-        try:
+        with _located("sensor"):
             sensor = SensorConfig(**kwargs)
-        except ValueError as exc:
-            raise ScenarioError("sensor", str(exc)) from exc
 
     schedule_raw = _require(raw, "schedule", "")
     if schedule_raw == "auto":
@@ -310,19 +306,15 @@ def _build_doc(raw: dict) -> ScenarioDoc:
         if trajectory is None:
             raise ScenarioError("schedule", "'auto' requires a trajectory section")
         gate_sensor = sensor if sensor is not None else SensorConfig()
-        try:
+        with _located("schedule"):
             schedule = fov_schedule(feature_positions, trajectory, gate_sensor)
-        except ValueError as exc:
-            raise ScenarioError("schedule", f"field-of-view gating failed: {exc}") from exc
     elif isinstance(schedule_raw, dict):
         schedule_mode = "explicit"
-        _known(schedule_raw, ("detected",), "schedule")
-        detected_raw = _require(schedule_raw, "detected", "schedule", dict)
+        _mapping(schedule_raw, "schedule", ("detected",))
+        detected_raw = _mapping(_require(schedule_raw, "detected", "schedule"), "schedule.detected")
         ids, rows = [], []
-        for fid, row in detected_raw.items():
-            fid = str(fid)
-            if feature_positions and fid not in feature_positions:
-                raise ScenarioError(f"schedule.detected.{fid}", "unknown feature id")
+        for key, row in detected_raw.items():
+            fid = _feature_id(key, feature_positions, "schedule.detected")
             if not isinstance(row, list) or len(row) != len(segments_raw):
                 raise ScenarioError(
                     f"schedule.detected.{fid}",
@@ -333,13 +325,11 @@ def _build_doc(raw: dict) -> ScenarioDoc:
                     raise ScenarioError(f"schedule.detected.{fid}[{j}]", "entries must be 0 or 1")
             ids.append(fid)
             rows.append([bool(v) for v in row])
-        try:
+        with _located("schedule.detected"):
             schedule = DetectionSchedule(
                 detected=np.array(rows, dtype=bool).reshape(len(ids), len(segments_raw)),
                 feature_ids=tuple(ids),
             )
-        except ValueError as exc:
-            raise ScenarioError("schedule.detected", str(exc)) from exc
     else:
         raise ScenarioError("schedule", "must be 'auto' or a mapping with 'detected'")
 
@@ -359,7 +349,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
                     "missing relative position (no trajectory/features to derive it from)",
                 )
             rel[fid] = feature_positions[fid] - vehicles[i]
-        try:
+        with _located(f"segments[{i}]"):
             segment_specs.append(
                 SegmentSpec(
                     duration=durations[i],
@@ -367,18 +357,12 @@ def _build_doc(raw: dict) -> ScenarioDoc:
                     feature_rel_pos=rel,
                 )
             )
-        except ValueError as exc:
-            raise ScenarioError(f"segments[{i}]", str(exc)) from exc
 
-    try:
+    with _located("segments"):
         scenario = Scenario(schedule=schedule, segments=segment_specs)
-    except ValueError as exc:
-        raise ScenarioError("segments", str(exc)) from exc
 
-    initial_raw = raw.get("initial_covariance", {})
-    if not isinstance(initial_raw, dict):
-        raise ScenarioError("initial_covariance", "must be a mapping")
-    _known(initial_raw, ("vehicle_diag", "interpretation", "feature_prior"), "initial_covariance")
+    initial_fields = ("vehicle_diag", "interpretation", "feature_prior")
+    initial_raw = _mapping(raw.get("initial_covariance", {}), "initial_covariance", initial_fields)
     vehicle_diag = initial_raw.get("vehicle_diag", list(DEFAULT_VEHICLE_VARIANCES))
     if not isinstance(vehicle_diag, list) or len(vehicle_diag) != 9:
         raise ScenarioError("initial_covariance.vehicle_diag", "expected a list of 9 numbers")
@@ -407,11 +391,11 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     block_offsets = {block: 3 * k for k, block in enumerate(blocks)}
     for k, cand in enumerate(candidates_raw):
         cand_path = f"candidates[{k}]"
-        if not isinstance(cand, dict):
-            raise ScenarioError(cand_path, "must be a mapping")
-        _known(cand, ("label", "weights"), cand_path)
-        label = _require(cand, "label", cand_path, str)
-        weights_raw = _require(cand, "weights", cand_path, dict)
+        _mapping(cand, cand_path, ("label", "weights"))
+        label = _require(cand, "label", cand_path)
+        if not isinstance(label, str):
+            raise ScenarioError(f"{cand_path}.label", "must be a string")
+        weights_raw = _mapping(_require(cand, "weights", cand_path), f"{cand_path}.weights")
         w = np.zeros(3 * len(blocks))
         for block, vec in weights_raw.items():
             if block not in block_offsets:

@@ -21,18 +21,18 @@ inertial error dynamics are nilpotent.  A frame's IMU steps are composed into
 one transition Phi_f and one process noise Q_f (the per-step recursion
 Q <- Phi Q Phi^T + q dt run from zero, which keeps the first-order noise of
 every step), cached per distinct tuple of step segments, so a frame that
-straddles a segment boundary gets its own pair.  ``simulate`` records
-variances from the loop frame by frame and takes standard deviations once
-per run; ``state_comparison_run`` runs the same loop plus one sampled error
-state, still propagated and driven by noise step by step, and its estimate.
+straddles a segment boundary gets its own pair.  Each frame yields what it
+applied (step transitions, Phi_f, and H, R and the gain K at an update):
+``simulate`` records its variances, taking standard deviations once per run,
+and ``state_comparison_run`` replays them on a state sampled outside the loop.
 The public ``update``, ``propagate`` and ``initialize_feature`` validate
 their inputs and wrap the same array-level steps.
 
 The trajectory has one segment-boundary rule, ``TrajectoryConfig.segments_at``:
 segment j is active from ``_SLACK`` before the end of segment j - 1 until
 ``_SLACK`` before its own end.  Positions, velocities and forces come from
-one kinematics pass keyed by it, so the motion is continuous across a
-segment end and agrees with the transition the filter applies there.
+one kinematics pass keyed by it, continuous across a segment end, matching
+the filter's transition there and moving on past the last segment's end.
 
 The frame timeline has one source.  ``_frame_blocks`` walks the run in
 blocks of ``GEOMETRY_BLOCK_FRAMES`` vision frames at the times k * dt of
@@ -144,8 +144,8 @@ class TrajectoryConfig:
 
         Each time moves on the constant-acceleration piece of its own segment
         (``segments_at``) from that segment's start state, by the time left
-        after subtracting the earlier durations one at a time, at most the
-        segment's duration: past the end the vehicle holds its end point.
+        after subtracting the earlier durations one at a time; past the end
+        of the trajectory the vehicle moves on along the last segment.
         """
         times = np.asarray(times, dtype=float)
         segments = self.segments_at(times)
@@ -156,7 +156,7 @@ class TrajectoryConfig:
         for j, (duration, force) in enumerate(self.segments):
             accel = force - g_vec
             here = segments == j
-            step = np.minimum(remaining[here], duration)[:, None]
+            step = remaining[here][:, None]
             positions[here] = p + v * step + 0.5 * accel * step * step
             velocities[here] = v + accel * step
             p = p + v * duration + 0.5 * accel * duration * duration
@@ -510,6 +510,8 @@ class SimScenario:
             self.vehicle_variances, "vehicle_variances", (9,)
         )
         self.feature_prior = float(self.feature_prior)
+        if np.any(self.vehicle_variances < 0) or self.feature_prior < 0:
+            raise ValueError("vehicle variances and feature_prior must be non-negative")
         if self.schedule is not None:
             missing = set(self.schedule.feature_ids) - set(self.feature_positions)
             if missing:
@@ -683,17 +685,21 @@ def _stacked_measurement(features, obs, noise, n):
 class _Frame(NamedTuple):
     """One vision frame of the filter loop.
 
-    ``P`` is the covariance after the frame's update; ``P_prior`` the one
-    entering it (None when no feature is visible).  ``x`` and ``x_hat`` are
-    the sampled error state and its estimate, None when no state is sampled.
+    ``P`` is the covariance after the frame's update and ``P_prior``, ``H``,
+    ``R`` and ``K`` the update's prior, stacked measurement and gain (None when
+    no feature is visible); ``steps`` and ``phi`` the IMU-step transitions from
+    the previous frame and their product Phi_f (empty and None at frame 0).
     """
 
     t: float
     position: np.ndarray
+    steps: list
+    phi: np.ndarray | None
     P: np.ndarray
     P_prior: np.ndarray | None
-    x: np.ndarray | None
-    x_hat: np.ndarray | None
+    H: np.ndarray | None
+    R: np.ndarray | None
+    K: np.ndarray | None
 
 
 def _frame_count(scenario: SimScenario, trajectory, sensor, duration) -> int:
@@ -711,7 +717,7 @@ def _frame_count(scenario: SimScenario, trajectory, sensor, duration) -> int:
     return _frame_clock(sensor, min(total, trajectory.total_duration))[0]
 
 
-def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, note=None):
+def _filter_frames(scenario: SimScenario, trajectory, sensor, count, note=None):
     """The covariance filter loop: yield a _Frame for each of ``count`` frames.
 
     Propagates P once per vision frame with the frame's composed transition
@@ -724,18 +730,15 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
     Then it applies one stacked Joseph update per vision frame covering every
     currently-detected feature, stamping each feature's prior block at its
     first detection; each frame's time, position, step segments, visible
-    features and their rows and noise come from ``_frame_geometry``.  With
-    ``rng`` the loop also carries one sampled error state x (initial errors,
-    then process noise at every IMU step, propagated step by step), measures
-    it with noise drawn from R at every update, and tracks the filter's
-    estimate x_hat, predicted with Phi_f.  ``note`` sees every raw
-    covariance before re-symmetrization.
+    features and their rows and noise come from ``_frame_geometry``.  A frame
+    yields what it applied (step transitions and Phi_f; H, R and the gain K)
+    and carries no sampled state.  ``note`` sees every raw covariance before
+    re-symmetrization.
     """
     L = len(scenario.feature_ids)
     n = VEHICLE_DIM + 3 * L
-    _, _, steps_per_frame, imu_dt = _frame_clock(sensor)
-    q = process_noise_intensity(sensor, n)
-    q_dt = q * imu_dt
+    imu_dt = _frame_clock(sensor)[3]
+    q_dt = process_noise_intensity(sensor, n) * imu_dt
     phis = [
         state_transition(model.augmented_f(force, n), imu_dt, "exact")
         for _, force in trajectory.segments
@@ -743,43 +746,26 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, rng=None, n
     transitions = {}  # step segments -> (Phi_f, Q_f)
     P = AugmentedCovariance.initial(scenario.vehicle_variances, L, scenario.feature_prior).P
     initialized = [False] * L
-
-    x = x_hat = None
-    if rng is not None:
-        # one true error-state sample; feature errors drawn from the same prior
-        x = np.zeros(n)
-        x[:VEHICLE_DIM] = rng.standard_normal(VEHICLE_DIM) * np.sqrt(scenario.vehicle_variances)
-        x[VEHICLE_DIM:] = rng.standard_normal(3 * L) * np.sqrt(scenario.feature_prior)
-        x_hat = np.zeros(n)
-        noise_std = np.sqrt(np.diag(q))
-        sqrt_dt = np.sqrt(imu_dt)
+    steps, phi_f = [], None
 
     frames = _frame_geometry(scenario, trajectory, sensor, count)
     for frame, (t, pos, pattern, visible, obs, noise) in enumerate(frames):
         if frame:
+            steps = [phis[s] for s in pattern]
             if pattern not in transitions:
-                transitions[pattern] = _frame_transition([phis[s] for s in pattern], q_dt)
+                transitions[pattern] = _frame_transition(steps, q_dt)
             phi_f, q_f = transitions[pattern]
-            if x is not None:
-                draws = rng.standard_normal((steps_per_frame, n)) * noise_std * sqrt_dt
-                for s, w in zip(pattern, draws):
-                    x = phis[s] @ x + w
-                x_hat = phi_f @ x_hat
             P = _propagated(P, phi_f, q_f, note)
         for c in visible:
             if not initialized[c]:
                 P = _stamped(P, c, scenario.feature_prior)
                 initialized[c] = True
-        P_prior = None
+        P_prior = H = R = K = None
         if visible:
             H, R = _stacked_measurement(visible, obs, noise, n)
-            if x is not None:
-                z = H @ x + np.linalg.cholesky(R) @ rng.standard_normal(H.shape[0])
             P_prior = P
             K, P = _joseph(P, H, R, note)
-            if x is not None:
-                x_hat = x_hat + K @ (z - H @ x_hat)
-        yield _Frame(t, pos, P, P_prior, x, x_hat)
+        yield _Frame(t, pos, steps, phi_f, P, P_prior, H, R, K)
 
 
 def simulate(
@@ -855,18 +841,32 @@ def state_comparison_run(
 ) -> StateRun:
     """Single noise-driven run comparing dead-reckoning against the filter.
 
-    Samples one realization of the error-state process (initial errors plus
-    process noise) to play the role of the uncorrected inertial drift, feeds
-    the corresponding noisy relative-position measurements to the same
-    Kalman filter loop ``simulate`` runs, and reports true, inertial-only and
-    corrected positions; fully deterministic for a given seed.
+    Samples one realization of the error-state process (prior errors, then
+    process noise at every IMU step of each frame's ``steps``) as the
+    uncorrected inertial drift, measures it with noise drawn from R at every
+    update of the filter loop ``simulate`` runs, and replays the estimate with
+    each frame's Phi_f and gain K.  Reports true, inertial-only and corrected
+    positions; fully deterministic for a given seed.
     """
     count = _frame_count(scenario, trajectory, sensor, duration)
+    n = VEHICLE_DIM + 3 * len(scenario.feature_ids)
+    rng = np.random.default_rng(seed)
+    prior = np.r_[scenario.vehicle_variances, np.full(n - VEHICLE_DIM, scenario.feature_prior)]
+    x, x_hat = rng.standard_normal(n) * np.sqrt(prior), np.zeros(n)
+    noise_std = np.sqrt(np.diag(process_noise_intensity(sensor, n)))
+    sqrt_dt = np.sqrt(_frame_clock(sensor)[3])
     run = StateRun(np.empty(count), np.empty((count, 3)), np.empty((count, 3)), np.empty((count, 3)))
-    frames = _filter_frames(scenario, trajectory, sensor, count, rng=np.random.default_rng(seed))
-    for k, frame in enumerate(frames):
+    for k, frame in enumerate(_filter_frames(scenario, trajectory, sensor, count)):
+        if frame.phi is not None:
+            draws = rng.standard_normal((len(frame.steps), n)) * noise_std * sqrt_dt
+            for phi, w in zip(frame.steps, draws):
+                x = phi @ x + w
+            x_hat = frame.phi @ x_hat
+        if frame.H is not None:
+            z = frame.H @ x + np.linalg.cholesky(frame.R) @ rng.standard_normal(frame.H.shape[0])
+            x_hat = x_hat + frame.K @ (z - frame.H @ x_hat)
         run.times[k] = frame.t
         run.true_positions[k] = frame.position
-        run.ins_positions[k] = frame.position + frame.x[0:3]
-        run.estimated_positions[k] = frame.position + frame.x[0:3] - frame.x_hat[0:3]
+        run.ins_positions[k] = frame.position + x[0:3]
+        run.estimated_positions[k] = frame.position + x[0:3] - x_hat[0:3]
     return run

@@ -6,9 +6,10 @@ construction, a converged power-series exponential, and plain stacking.
 The measurement-geometry references are per-vector NumPy transcriptions of
 the scalar noise model and field-of-view gate; the kernel reference takes a
 full SVD, and the candidate enumerator builds one unit vector at a time.  The
-trajectory references look up one time at a time, and the filter reference
-propagates the covariance one IMU step at a time.  Tests compare the
-package's vectorized results against these transcriptions entry for entry.
+trajectory references look up one time at a time, and the filter references
+propagate the covariance, and a state run's sampled state and estimate, one
+IMU step at a time.  Tests compare the package's vectorized results against
+these transcriptions entry for entry.
 """
 
 import warnings
@@ -257,7 +258,7 @@ def o_kinematics(p0, v0, segments, gravity, t):
     ``segments`` holds (duration, specific force) pairs.  The state is carried
     through each whole segment before ``o_segment``'s one, and t moves on that
     segment's constant-acceleration piece by the time left after subtracting
-    the earlier durations one at a time, at most the segment's duration.
+    the earlier durations one at a time, past the end of the last segment too.
     """
     g_vec = np.array([0.0, 0.0, float(gravity)])
     p, v = np.array(p0, dtype=float), np.array(v0, dtype=float)
@@ -271,53 +272,114 @@ def o_kinematics(p0, v0, segments, gravity, t):
     duration, force = segments[active]
     force = np.asarray(force, dtype=float)
     accel = force - g_vec
-    step = min(remaining, duration)
-    return p + v * step + 0.5 * accel * step * step, v + accel * step, force
+    return p + v * remaining + 0.5 * accel * remaining * remaining, v + accel * remaining, force
+
+
+def _o_step_segments(f, durations, frame_dt, steps_per_frame):
+    """Segments of the IMU steps between frames f - 1 and f, from a running clock.
+
+    The clock starts at (f - 1) * frame_dt and advances by
+    frame_dt / steps_per_frame per step; each step takes ``o_segment`` of it.
+    """
+    clock = (f - 1) * frame_dt
+    pattern = []
+    for _ in range(steps_per_frame):
+        pattern.append(o_segment(durations, clock))
+        clock += frame_dt / steps_per_frame
+    return pattern
+
+
+def _o_stamp(P, visible, seen, prior):
+    """P with each feature seen for the first time given ``prior * I3``, uncorrelated."""
+    for c in visible:
+        if c not in seen:
+            seen.add(c)
+            block = slice(9 + 3 * c, 12 + 3 * c)
+            P = P.copy()
+            P[block, :] = 0.0
+            P[:, block] = 0.0
+            P[block, block] = prior * np.eye(3)
+    return P
+
+
+def _o_joseph(P, H, R):
+    """(K, re-symmetrized Joseph posterior) with the gain from one solve against S = H P H^T + R."""
+    HP = H @ P
+    K = np.linalg.solve(HP @ H.T + R, HP).T
+    ikh = np.eye(P.shape[0]) - K @ H
+    P = ikh @ P @ ikh.T + K @ R @ K.T
+    return K, 0.5 * (P + P.T)
 
 
 def o_step_filter(P0, phis, q_dt, durations, frame_dt, steps_per_frame, measurements, prior):
     """Covariance filter propagated one IMU step at a time.
 
     The per-step reference for a filter that propagates once per vision
-    frame.  Between frames f - 1 and f a running clock starts at
-    (f - 1) * frame_dt and advances by frame_dt / steps_per_frame per step;
-    each step applies the transition ``phis[s]`` of the segment
-    ``o_segment(durations, clock)``, P <- phi P phi^T + q_dt, and
-    re-symmetrizes.  ``measurements[f]`` is (visible feature indices, H, R);
+    frame.  Between frames f - 1 and f each step (``_o_step_segments``)
+    applies the transition ``phis[s]`` of its segment, P <- phi P phi^T + q_dt,
+    and re-symmetrizes.  ``measurements[f]`` is (visible feature indices, H, R);
     a feature seen for the first time gets the block ``prior * I3`` with its
     cross-covariances zeroed, then a Joseph update takes its gain from one
     solve with S = H P H^T + R.  Returns the posterior covariance of every
     frame and the tuple of step segments of every propagation.
     """
-    imu_dt = frame_dt / steps_per_frame
     P = np.array(P0, dtype=float)
-    n = P.shape[0]
     seen = set()
     covariances, patterns = [], []
     for f, (visible, H, R) in enumerate(measurements):
         if f:
-            clock = (f - 1) * frame_dt
-            pattern = []
-            for _ in range(steps_per_frame):
-                s = o_segment(durations, clock)
-                pattern.append(s)
+            pattern = _o_step_segments(f, durations, frame_dt, steps_per_frame)
+            for s in pattern:
                 P = phis[s] @ P @ phis[s].T + q_dt
                 P = 0.5 * (P + P.T)
-                clock += imu_dt
             patterns.append(tuple(pattern))
-        for c in visible:
-            if c not in seen:
-                seen.add(c)
-                block = slice(9 + 3 * c, 12 + 3 * c)
-                P = P.copy()
-                P[block, :] = 0.0
-                P[:, block] = 0.0
-                P[block, block] = prior * np.eye(3)
+        P = _o_stamp(P, visible, seen, prior)
         if len(visible):
-            HP = H @ P
-            K = np.linalg.solve(HP @ H.T + R, HP).T
-            ikh = np.eye(n) - K @ H
-            P = ikh @ P @ ikh.T + K @ R @ K.T
-            P = 0.5 * (P + P.T)
+            _, P = _o_joseph(P, H, R)
         covariances.append(P)
     return np.array(covariances), patterns
+
+
+def o_state_run(
+    P0, phis, q_dt, durations, frame_dt, steps_per_frame, measurements, prior, noise_std, rng
+):
+    """Sampled error state and its filter estimate, both propagated one IMU step at a time.
+
+    The reference for a state run, over ``o_step_filter``'s arguments.  The
+    true error state x starts at ``rng.standard_normal(9)`` times the square
+    roots of P0's vehicle variances, then ``rng.standard_normal`` per feature
+    state times ``sqrt(prior)``; the estimate starts at zero.  Each IMU step
+    moves x by its segment's transition plus the draw
+    ``(rng.standard_normal(n) * noise_std) * sqrt(imu_dt)`` and moves the
+    estimate by the same transition, while P follows ``o_step_filter``.  An
+    update frame measures z = H x + chol(R) v with v drawn next, and the
+    estimate takes the Joseph gain's correction K (z - H x_hat).  Returns x
+    and the estimate at every frame.
+    """
+    P = np.array(P0, dtype=float)
+    n = P.shape[0]
+    sqrt_dt = np.sqrt(frame_dt / steps_per_frame)
+    x = np.concatenate(
+        [
+            rng.standard_normal(9) * np.sqrt(np.diag(P)[:9]),
+            rng.standard_normal(n - 9) * np.sqrt(prior),
+        ]
+    )
+    x_hat = np.zeros(n)
+    seen = set()
+    states, estimates = [], []
+    for f, (visible, H, R) in enumerate(measurements):
+        if f:
+            for s in _o_step_segments(f, durations, frame_dt, steps_per_frame):
+                x = phis[s] @ x + (rng.standard_normal(n) * noise_std) * sqrt_dt
+                x_hat = phis[s] @ x_hat
+                P = phis[s] @ P @ phis[s].T + q_dt
+                P = 0.5 * (P + P.T)
+        P = _o_stamp(P, visible, seen, prior)
+        if len(visible):
+            z = H @ x + np.linalg.cholesky(R) @ rng.standard_normal(H.shape[0])
+            K, P = _o_joseph(P, H, R)
+            x_hat = x_hat + K @ (z - H @ x_hat)
+        states.append(x)
+        estimates.append(x_hat)
+    return np.array(states), np.array(estimates)

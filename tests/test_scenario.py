@@ -155,6 +155,116 @@ class TestValidationErrors:
                 lambda d: d.update(sensor={"imu_rate_hz": "fast"}),
                 "sensor.imu_rate_hz",
             ),
+            pytest.param(lambda d: d.update(name=""), "name", id="name-empty"),
+            pytest.param(lambda d: d.update(gravity=-1.0), "gravity", id="gravity-negative"),
+            pytest.param(lambda d: d.update(gravity=float("inf")), "gravity", id="gravity-inf"),
+            pytest.param(lambda d: d.update(options=["exact"]), "options", id="options-list"),
+            pytest.param(
+                lambda d: d.update(features=[5.0, 0.0, -50.0]), "features", id="features-list"
+            ),
+            pytest.param(
+                lambda d: d["features"].update(f1=[float("nan"), 0.0, -50.0]),
+                "features.f1",
+                id="feature-nan",
+            ),
+            pytest.param(
+                lambda d: d.update(segments={"duration": 10.0}), "segments", id="segments-mapping"
+            ),
+            pytest.param(lambda d: d.update(segments=[]), "segments", id="segments-empty"),
+            pytest.param(lambda d: d.update(segments=[10.0]), "segments[0]", id="segment-number"),
+            pytest.param(
+                lambda d: d["segments"][0].update(specific_force=["up", 0.0, 9.81]),
+                "segments[0].specific_force",
+                id="force-entry-string",
+            ),
+            pytest.param(
+                lambda d: d["segments"][0].update(rel=[[5.0, 0.0, -50.0]]),
+                "segments[0].rel",
+                id="rel-list",
+            ),
+            pytest.param(
+                lambda d: (
+                    d["features"].update(f2=[1.0, 2.0, 0.0]),
+                    d["segments"][0]["rel"].update(f2=[1.0, 2.0, -50.0]),
+                ),
+                "segments",
+                id="rel-of-unscheduled-feature",
+            ),
+            pytest.param(
+                lambda d: d.update(trajectory=[0.0, 0.0, 100.0]), "trajectory", id="trajectory-list"
+            ),
+            pytest.param(lambda d: d.update(sensor=25.0), "sensor", id="sensor-number"),
+            pytest.param(
+                lambda d: (d.pop("features"), d.update(schedule="auto")),
+                "schedule",
+                id="auto-without-features",
+            ),
+            pytest.param(
+                lambda d: d.update(
+                    schedule="auto",
+                    features={"f1": [5000.0, 0.0, 0.0]},
+                    trajectory={"p0": [0.0, 0.0, 100.0], "v0": [0.0, 0.0, 0.0]},
+                ),
+                "schedule",
+                id="auto-feature-never-seen",
+            ),
+            pytest.param(lambda d: d.update(schedule="manual"), "schedule", id="schedule-word"),
+            pytest.param(
+                lambda d: d["schedule"].update(detected=[1]),
+                "schedule.detected",
+                id="detected-list",
+            ),
+            pytest.param(
+                lambda d: d["schedule"]["detected"].update(f9=[1]),
+                "schedule.detected.f9",
+                id="detected-unknown-feature",
+            ),
+            pytest.param(
+                lambda d: d["schedule"]["detected"].update(f1=[1, 1]),
+                "schedule.detected.f1",
+                id="detected-row-length",
+            ),
+            pytest.param(
+                lambda d: d.update(initial_covariance=[1.0] * 9),
+                "initial_covariance",
+                id="initial-covariance-list",
+            ),
+            pytest.param(
+                lambda d: d.update(initial_covariance={"interpretation": "sigma"}),
+                "initial_covariance.interpretation",
+                id="interpretation",
+            ),
+            pytest.param(
+                lambda d: d.update(initial_covariance={"vehicle_diag": [1.0] * 8 + [-1.0]}),
+                "initial_covariance.vehicle_diag[8]",
+                id="vehicle-variance-negative",
+            ),
+            pytest.param(
+                lambda d: d.update(initial_covariance={"feature_prior": float("inf")}),
+                "initial_covariance.feature_prior",
+                id="feature-prior-inf",
+            ),
+            pytest.param(
+                lambda d: d.update(candidates={"label": "x"}), "candidates", id="candidates-mapping"
+            ),
+            pytest.param(
+                lambda d: d.update(candidates=["x"]), "candidates[0]", id="candidate-string"
+            ),
+            pytest.param(
+                lambda d: d.update(candidates=[{"label": 5, "weights": {"dp": [1, 0, 0]}}]),
+                "candidates[0].label",
+                id="candidate-label-number",
+            ),
+            pytest.param(
+                lambda d: d.update(candidates=[{"label": "x", "weights": [1, 0, 0]}]),
+                "candidates[0].weights",
+                id="candidate-weights-list",
+            ),
+            pytest.param(
+                lambda d: d.update(candidates=[{"label": "x", "weights": {"dp": [0, 0, 0]}}]),
+                "candidates[0].weights",
+                id="candidate-weights-zero",
+            ),
         ],
     )
     def test_errors_name_the_field(self, mutation, field):
@@ -164,6 +274,12 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(data, sort_keys=False))
         assert err.value.field == field
+
+    @pytest.mark.parametrize("text", ["schedule: [1\n", "- 1\n- 2\n"], ids=["yaml", "list"])
+    def test_unreadable_document_names_the_source(self, text):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text, name_hint="flight.yaml")
+        assert err.value.field == "flight.yaml"
 
     @pytest.mark.parametrize("mutation, field", UNKNOWN_FIELDS, ids=[f for _, f in UNKNOWN_FIELDS])
     def test_unknown_field_is_named(self, mutation, field):

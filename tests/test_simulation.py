@@ -12,6 +12,7 @@ from oracles import (
     o_kinematics,
     o_noise_cartesian,
     o_segment,
+    o_state_run,
     o_step_filter,
 )
 from test_golden import SCENARIO as CASE2_FLIGHT
@@ -129,6 +130,17 @@ class TestTrajectory:
             for g, w in zip(got, o_trajectory(trajectory, t)):
                 np.testing.assert_array_equal(g, w)
             np.testing.assert_array_equal(got[2], trajectory.segments[1][1])
+
+    def test_motion_continues_past_the_end(self):
+        """Past the last segment's end the vehicle moves on, as its velocity and force say."""
+        trajectory = TrajectoryConfig(
+            p0=[0.0, 0.0, 100.0], v0=[200.0, 0.0, 0.0], segments=[(10.0, [0.0, 0.0, G])]
+        )
+        pos, vel, force = trajectory.state_at(11.0)
+        np.testing.assert_array_equal(pos, [2200.0, 0.0, 100.0])
+        np.testing.assert_array_equal(vel, [200.0, 0.0, 0.0])
+        np.testing.assert_array_equal(force, [0.0, 0.0, G])
+        np.testing.assert_array_equal(trajectory.positions_at([11.0])[0][0], pos)
 
     @pytest.mark.parametrize("offset", [0.0, 5e-13], ids=["boundary", "within_slack"])
     def test_state_at_force_follows_segment_index(self, offset):
@@ -468,6 +480,14 @@ class TestStateComparisonRun:
         half = run.times.size // 2
         assert est_err[half:].mean() < ins_err[half:].mean()
 
+    @pytest.mark.parametrize(
+        "prior", [dict(vehicle_variances=[-1.0] + [1.0] * 8), dict(feature_prior=-1.0)]
+    )
+    def test_negative_prior_rejected(self, prior):
+        """The state run draws its initial errors from the prior before the loop starts."""
+        with pytest.raises(ValueError, match="non-negative"):
+            SimScenario(feature_positions={"f1": [10.0, 0.0, 0.0]}, **prior)
+
     def test_deterministic_per_seed(self):
         kwargs = dict(
             scenario=flight_scenario(), trajectory=flight_trajectory(), sensor=SensorConfig()
@@ -673,11 +693,11 @@ class TestFramePropagation:
     """One composed propagation per frame against the per-IMU-step recursion."""
 
     @staticmethod
-    def _loop_and_oracle(sensor):
+    def _oracle_inputs(sensor):
+        """The straddling flight, its frame count and ``o_step_filter``'s arguments."""
         scenario, trajectory = _straddling_flight()
         count = simulation._frame_count(scenario, trajectory, sensor, None)
-        got = np.array([f.P for f in simulation._filter_frames(scenario, trajectory, sensor, count)])
-        n = got.shape[1]
+        n = 9 + 3 * len(scenario.feature_ids)
         frame_dt = 1.0 / sensor.frame_rate_hz
         steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
         imu_dt = frame_dt / steps_per_frame
@@ -694,7 +714,7 @@ class TestFramePropagation:
             if visible:
                 H, R = simulation._stacked_measurement(visible, obs, noise, n)
             measurements.append((visible, H, R))
-        want, patterns = o_step_filter(
+        args = (
             AugmentedCovariance.initial(n_features=2).P,
             phis,
             process_noise_intensity(sensor, n) * imu_dt,
@@ -704,6 +724,13 @@ class TestFramePropagation:
             measurements,
             scenario.feature_prior,
         )
+        return scenario, trajectory, count, args
+
+    @classmethod
+    def _loop_and_oracle(cls, sensor):
+        scenario, trajectory, count, args = cls._oracle_inputs(sensor)
+        got = np.array([f.P for f in simulation._filter_frames(scenario, trajectory, sensor, count)])
+        want, patterns = o_step_filter(*args)
         steps = [
             pattern
             for _, _, pattern, *_ in simulation._frame_geometry(scenario, trajectory, sensor, count)
@@ -728,6 +755,25 @@ class TestFramePropagation:
         sensor = SensorConfig(imu_rate_hz=25.0, frame_rate_hz=25.0)
         got, want, _, _ = self._loop_and_oracle(sensor)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rates", [(25.0, 25.0), (100.0, 25.0), (90.0, 30.0)])
+    def test_state_run_matches_step_by_step_oracle(self, rates):
+        """Truth and estimate against ``o_state_run``: bitwise at one IMU step per frame."""
+        sensor = SensorConfig(imu_rate_hz=rates[0], frame_rate_hz=rates[1])
+        scenario, trajectory, count, args = self._oracle_inputs(sensor)
+        run = state_comparison_run(scenario, trajectory, sensor, seed=8)
+        noise_std = np.sqrt(np.diag(process_noise_intensity(sensor, len(args[0]))))
+        x, x_hat = o_state_run(*args, noise_std, np.random.default_rng(8))
+        positions = np.array([o_trajectory(trajectory, t)[0] for t in run.times.tolist()])
+        assert run.times.size == count == len(x)
+        np.testing.assert_array_equal(run.true_positions, positions)
+        np.testing.assert_array_equal(run.ins_positions, positions + x[:, :3])
+        want = positions + x[:, :3] - x_hat[:, :3]
+        if rates[0] == rates[1]:
+            np.testing.assert_array_equal(run.estimated_positions, want)
+        else:
+            # the estimate is predicted with the composed Phi_f, not step by step
+            np.testing.assert_allclose(run.estimated_positions, want, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("schedule", [True, False], ids=["schedule", "fov"])
     def test_runs_without_per_step_segment_lookup(self, schedule, monkeypatch):
