@@ -25,8 +25,12 @@ straddles a segment boundary gets its own pair.  Each frame yields what it
 applied (step transitions, Phi_f, and H, R and the gain K at an update):
 ``simulate`` records its variances, taking standard deviations once per run,
 and ``state_comparison_run`` replays them on a state sampled outside the loop.
-The public ``update``, ``propagate`` and ``initialize_feature`` validate
-their inputs and wrap the same array-level steps.
+With ``collect_diagnostics``, ``simulate`` also hands every frame and every
+raw covariance to ``SimulationDiagnostics``, which checks symmetry, the
+eigenvalue ratio and update growth on all of them, one block of
+``_DIAGNOSTIC_BLOCK_FRAMES`` frames at a time.  The public ``update``,
+``propagate`` and ``initialize_feature`` validate their inputs and wrap the
+same array-level steps.
 
 The trajectory has one segment-boundary rule, ``TrajectoryConfig.segments_at``:
 segment j is active from ``_SLACK`` before the end of segment j - 1 until
@@ -54,7 +58,7 @@ to one block whatever the run length.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -78,6 +82,10 @@ _SLACK = 1e-12
 #: Vision frames whose measurement geometry (vehicle positions, visibility,
 #: observation rows, noise blocks) is computed in one batch: 10 s at 25 Hz.
 GEOMETRY_BLOCK_FRAMES = 250
+#: Frames whose health checks ``SimulationDiagnostics`` runs in one batch.  A
+#: block holds every raw, prior and posterior covariance of its frames (about
+#: four n x n matrices a frame), so it is kept short to bound peak memory.
+_DIAGNOSTIC_BLOCK_FRAMES = 50
 
 
 @dataclass(eq=False)
@@ -528,40 +536,75 @@ class SimScenario:
 
 @dataclass(eq=False)
 class SimulationDiagnostics:
-    """Numerical health of a covariance run.
+    """Numerical health of a covariance run, checked on every frame.
 
-    max_relative_asymmetry is measured on raw propagate/update outputs before
-    re-symmetrization, sampled once per vision frame for propagation (the
-    composed per-frame step, not every IMU step); min_eigenvalue_ratio is the most negative eigenvalue
-    seen relative to the largest one (0 or above means positive
-    semidefinite); max_update_variance_growth is the worst relative increase
-    of any sampled functional variance across an update (non-positive means
-    updates never inflated a variance).
+    Three checks cover every vision frame and every update:
+
+    - ``max_relative_asymmetry``: the largest max|P - P^T| / max|P| of a raw
+      covariance before re-symmetrization, over every frame's composed
+      propagation (not every IMU step) and every update;
+    - ``min_eigenvalue_ratio``: the smallest ratio of a posterior's lowest to
+      its highest eigenvalue.  It starts at 0.0, so it reports
+      min(0, ratio): 0 for a positive semidefinite run, negative when a
+      posterior was indefinite;
+    - ``max_update_variance_growth``: the worst relative increase, across an
+      update, of the variances of 20 random functionals drawn per update
+      (non-positive means no update inflated a variance; -inf without
+      updates).
+
+    ``note_raw`` and ``note_frame`` only record the matrices; the checks run
+    over stacked blocks of at most ``_DIAGNOSTIC_BLOCK_FRAMES`` frames, when
+    a block fills and at ``flush``.  Blocking changes no result: maxima and
+    minima do not depend on the grouping, ``eigvalsh`` of a stack equals the
+    per-matrix calls, and one (u, 20, n) draw is the same stream as u draws
+    of (20, n).
     """
 
     max_relative_asymmetry: float = 0.0
     min_eigenvalue_ratio: float = 0.0
     max_update_variance_growth: float = -np.inf
     n_updates: int = 0
+    _raw: list = field(default_factory=list, init=False, repr=False)
+    _posteriors: list = field(default_factory=list, init=False, repr=False)
+    _updates: list = field(default_factory=list, init=False, repr=False)
 
     def note_raw(self, P_raw) -> None:
-        """Record the asymmetry of a raw propagate/update output."""
-        scale = float(np.max(np.abs(P_raw))) or 1.0
-        asym = float(np.max(np.abs(P_raw - P_raw.T))) / scale
-        self.max_relative_asymmetry = max(self.max_relative_asymmetry, asym)
+        """Record a raw propagate/update output (kept by reference, not copied)."""
+        self._raw.append(P_raw)
 
     def note_frame(self, frame, rng) -> None:
-        """Record one filter frame; an update draws 20 random functionals."""
+        """Record a frame's posterior and, at an update, its prior; check a full block."""
+        self._posteriors.append(frame.P)
         if frame.P_prior is not None:
-            w = rng.standard_normal((20, frame.P.shape[0]))
-            before = np.einsum("ij,jk,ik->i", w, frame.P_prior, w)
-            after = np.einsum("ij,jk,ik->i", w, frame.P, w)
-            growth = float(np.max((after - before) / np.maximum(before, 1e-300)))
+            self._updates.append((frame.P_prior, frame.P))
+        if len(self._posteriors) >= _DIAGNOSTIC_BLOCK_FRAMES:
+            self.flush(rng)
+
+    def flush(self, rng) -> None:
+        """Check every recorded matrix and clear the block.
+
+        The updates draw their 20 random functionals each from ``rng`` in
+        one (u, 20, n) block.
+        """
+        if self._raw:
+            raw = np.stack(self._raw)
+            scale = np.abs(raw).max(axis=(1, 2))
+            scale[scale == 0.0] = 1.0
+            asym = np.abs(raw - raw.transpose(0, 2, 1)).max(axis=(1, 2)) / scale
+            self.max_relative_asymmetry = max(self.max_relative_asymmetry, float(asym.max()))
+        if self._posteriors:
+            eigs = np.linalg.eigvalsh(np.stack(self._posteriors))
+            ratio = eigs[:, 0] / np.maximum(eigs[:, -1], 1e-300)
+            self.min_eigenvalue_ratio = min(self.min_eigenvalue_ratio, float(ratio.min()))
+        if self._updates:
+            priors, posteriors = map(np.stack, zip(*self._updates))
+            w = rng.standard_normal((len(priors), 20, priors.shape[1]))
+            before = ((w @ priors) * w).sum(axis=2)
+            after = ((w @ posteriors) * w).sum(axis=2)
+            growth = float(((after - before) / np.maximum(before, 1e-300)).max())
             self.max_update_variance_growth = max(self.max_update_variance_growth, growth)
-            self.n_updates += 1
-        eigs = np.linalg.eigvalsh(frame.P)
-        ratio = float(eigs[0] / max(eigs[-1], 1e-300))
-        self.min_eigenvalue_ratio = min(self.min_eigenvalue_ratio, ratio)
+            self.n_updates += len(priors)
+        self._raw, self._posteriors, self._updates = [], [], []
 
 
 @dataclass(eq=False)
@@ -809,6 +852,8 @@ def simulate(
         std[:, k] = np.diag(P)
         # (e_a - e_b) P (e_a - e_b), summed in the order w @ P @ w sums it
         derived[:, k] = (P[plus, plus] - P[minus, plus]) - (P[plus, minus] - P[minus, minus])
+    if diag is not None:
+        diag.flush(rng)
     # variances to standard deviations, elementwise and in place, once per run
     for variances in (std, derived):
         np.sqrt(np.clip(variances, 0.0, None, out=variances), out=variances)

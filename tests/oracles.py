@@ -8,7 +8,9 @@ the scalar noise model and field-of-view gate; the kernel reference takes a
 full SVD, and the candidate enumerator builds one unit vector at a time.  The
 trajectory references look up one time at a time, and the filter references
 propagate the covariance, and a state run's sampled state and estimate, one
-IMU step at a time.  Tests compare the package's vectorized results against
+IMU step at a time; the diagnostics reference checks one frame at a time.
+The exact rank oracle does modular arithmetic on int64 arrays, with no
+rounding at all.  Tests compare the package's vectorized results against
 these transcriptions entry for entry.
 """
 
@@ -383,3 +385,109 @@ def o_state_run(
         states.append(x)
         estimates.append(x_hat)
     return np.array(states), np.array(estimates)
+
+
+def o_diagnostics(filter_frames, rng):
+    """Covariance-health checks taken one matrix and one frame at a time.
+
+    The per-frame reference for ``SimulationDiagnostics``.  ``filter_frames``
+    is called with a ``note`` hook that sees every raw covariance before
+    re-symmetrization, and yields frames carrying the posterior ``P`` and, at
+    an update, its prior ``P_prior``.  Each raw covariance gives
+    max|P - P^T| / max|P| (a zero max read as 1); each posterior one
+    ``eigvalsh`` call and the ratio of its lowest to its highest eigenvalue
+    (starting from 0); each update draws ``rng.standard_normal((20, n))`` and
+    compares the functionals' variances after and before it, taken with
+    ``einsum``.  Returns (max asymmetry, min eigenvalue ratio, max update
+    growth, updates).
+    """
+    asymmetry = [0.0]
+
+    def note(P_raw):
+        scale = float(np.max(np.abs(P_raw))) or 1.0
+        asymmetry[0] = max(asymmetry[0], float(np.max(np.abs(P_raw - P_raw.T))) / scale)
+
+    ratio, growth, updates = 0.0, -np.inf, 0
+    for frame in filter_frames(note):
+        if frame.P_prior is not None:
+            w = rng.standard_normal((20, frame.P.shape[0]))
+            before = np.einsum("ij,jk,ik->i", w, frame.P_prior, w)
+            after = np.einsum("ij,jk,ik->i", w, frame.P, w)
+            growth = max(growth, float(np.max((after - before) / np.maximum(before, 1e-300))))
+            updates += 1
+        eigs = np.linalg.eigvalsh(frame.P)
+        ratio = min(ratio, float(eigs[0] / max(eigs[-1], 1e-300)))
+    return asymmetry[0], ratio, growth, updates
+
+
+#: Two primes just below 2**25.  Residues multiply to less than 2**50, so an
+#: int64 matrix product mod p is exact for inner dimensions below 2**13.
+PRIMES = (33554393, 33554383)
+
+
+def o_mod(x, p):
+    """Residue mod p of a float, exactly: every float is a dyadic rational m / 2**k."""
+    num, den = float(x).as_integer_ratio()
+    return num * pow(den, -1, p) % p
+
+
+def o_mod_matrix(rows, p):
+    return np.array([[o_mod(v, p) for v in row] for row in rows], dtype=np.int64)
+
+
+def o_mod_tom(stripes, p):
+    """Total observability matrix of (F, H, delta) stripes mod p, exactly.
+
+    F must satisfy F**3 == 0, as the inertial model's does, so the segment
+    transition exp(F delta) is exactly I + F delta + F**2 delta**2 / 2 and
+    the local matrices [H; H F; H F**2] are complete.
+    """
+    n = len(stripes[0][0])
+    half = pow(2, -1, p)
+    blocks = []
+    accumulated = np.eye(n, dtype=np.int64)
+    for F, H, delta in stripes:
+        F, H, d = o_mod_matrix(F, p), o_mod_matrix(H, p), o_mod(delta, p)
+        F2 = F @ F % p
+        HF = H @ F % p
+        for Q in (H, HF, HF @ F % p):
+            blocks.append(Q @ accumulated % p)
+        phi = (np.eye(n, dtype=np.int64) + F * d + F2 * (d * d % p * half % p)) % p
+        accumulated = phi @ accumulated % p
+    return np.vstack(blocks)
+
+
+def o_mod_echelon(M, p):
+    """Reduced row echelon form of an int64 matrix mod p: (nonzero rows, pivot columns)."""
+    M = M % p
+    pivots = []
+    for c in range(M.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(M[r:, c])
+        if below.size == 0:
+            continue
+        M[[r, r + below[0]]] = M[[r + below[0], r]]
+        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
+        others = np.arange(M.shape[0]) != r
+        M[others] = (M[others] - np.outer(M[others, c], M[r])) % p
+        pivots.append(c)
+    return M[: len(pivots)], pivots
+
+
+def o_exact_observability(stripes, weights):
+    """(rank, observable flags) of the exact total observability matrix.
+
+    The tolerance-free reference for rank verdicts: the matrix is rebuilt mod
+    each of ``PRIMES`` from the exact values of its float inputs, its rank
+    is taken by modular elimination, and a weight row is observable iff it
+    reduces to zero against the echelon rows.  The two primes must agree.
+    """
+    results = []
+    for p in PRIMES:
+        echelon, pivots = o_mod_echelon(o_mod_tom(stripes, p), p)
+        W = o_mod_matrix(weights, p)
+        residue = (W - W[:, pivots] @ echelon) % p
+        results.append((len(pivots), [not row.any() for row in residue]))
+    if results[0] != results[1]:
+        raise AssertionError(f"the primes disagree: {results}")
+    return results[0]

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import o_aug_f, o_aug_h, o_lom, o_standard_candidates
+from oracles import o_aug_f, o_aug_h, o_exact_observability, o_lom, o_standard_candidates
 from randgen import random_scenario, zero_components
+from test_acceptance import scenario_to_oracle_stripes
 from slamobs import analysis
 from slamobs.analysis import (
     MAX_POWER,
@@ -281,3 +282,35 @@ class TestProperties:
         for _ in range(30):
             report = analyze_total(random_scenario(rng))
             assert report.rank + report.nullity == report.matrix_cols
+
+
+class TestExactOracle:
+    """Rank and every standard verdict against the tolerance-free modular oracle."""
+
+    @staticmethod
+    def _check(scenario):
+        report = analyze_total(scenario)
+        labels, weights = o_standard_candidates(scenario.schedule.feature_ids)
+        rank, observable = o_exact_observability(scenario_to_oracle_stripes(scenario), weights)
+        assert report.rank == rank
+        assert [report.verdict(label).observable for label in labels] == observable
+        return rank, observable
+
+    def test_case2(self):
+        rank, observable = self._check(case_scenario(2))
+        assert rank == 12
+        assert 0 < sum(observable) < len(observable)
+
+    def test_random_scenarios(self):
+        rng = np.random.default_rng(2039)
+        nullities = []
+        for k in range(60):
+            scenario = random_scenario(rng)
+            if k % 4 == 1:
+                zero_components(rng, scenario)
+            elif k % 4 == 2:  # vertical forces leave the yaw error unobservable
+                for seg in scenario.segments:
+                    seg.specific_force[:2] = 0.0
+            rank, _ = self._check(scenario)
+            nullities.append(9 + 3 * scenario.schedule.n_features - rank)
+        assert set(nullities) == {3, 4}

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import types
 import warnings
 
 from oracles import (
+    o_diagnostics,
     o_expm,
     o_feature_obs_row,
     o_in_fov,
@@ -790,6 +792,86 @@ class TestFramePropagation:
         for label in want.labels():
             np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
         np.testing.assert_array_equal(got_run.estimated_positions, want_run.estimated_positions)
+
+
+class TestDiagnostics:
+    """The blocked health checks against the per-frame reference, and their power."""
+
+    @staticmethod
+    def _blocked_and_reference(scenario, trajectory, sensor, seed, duration):
+        got = simulate(
+            scenario, trajectory, sensor, seed=seed, duration=duration, collect_diagnostics=True
+        )
+        count = simulation._frame_count(scenario, trajectory, sensor, duration)
+
+        def frames(note):
+            return simulation._filter_frames(scenario, trajectory, sensor, count, note)
+
+        want = o_diagnostics(frames, np.random.default_rng(seed))
+        return got.diagnostics, want, count
+
+    @staticmethod
+    def _assert_equal(diag, want):
+        asymmetry, ratio, growth, updates = want
+        assert diag.max_relative_asymmetry == asymmetry
+        assert diag.min_eigenvalue_ratio == ratio
+        assert diag.n_updates == updates
+        if updates:
+            assert abs(diag.max_update_variance_growth - growth) <= 1e-15
+        else:
+            assert diag.max_update_variance_growth == growth == -np.inf
+
+    @pytest.mark.parametrize(
+        "seed, duration, frames", [(0, 20.0, 501), (7, 20.0, 501), (0, 3.3, 83), (5, 0.0, 0)]
+    )
+    def test_case2_flight_matches_per_frame_reference(self, seed, duration, frames):
+        doc = load_scenario(CASE2_FLIGHT)
+        diag, want, count = self._blocked_and_reference(
+            doc.sim_scenario(), doc.trajectory, doc.sensor, seed, duration
+        )
+        assert count == frames
+        self._assert_equal(diag, want)
+        if not frames:
+            assert (diag.max_relative_asymmetry, diag.min_eigenvalue_ratio) == (0.0, 0.0)
+            assert (diag.max_update_variance_growth, diag.n_updates) == (-np.inf, 0)
+        else:
+            assert diag.n_updates == frames  # case2_flight sees a feature on every frame
+            assert diag.max_relative_asymmetry > 0.0
+
+    def test_no_visible_feature_matches_per_frame_reference(self):
+        scenario = SimScenario(feature_positions={"f1": [1000.0, 0.0, 0.0]})
+        diag, want, count = self._blocked_and_reference(
+            scenario, flight_trajectory(), SensorConfig(), 3, 6.0
+        )
+        assert count == 151 and diag.n_updates == 0
+        self._assert_equal(diag, want)
+
+    @pytest.mark.parametrize("fault", ["asymmetric", "indefinite", "inflating"])
+    def test_each_check_can_trip(self, fault):
+        """A fault in one frame of 120 pushes its own field past the hygiene bound."""
+        n, bad_frame = 6, 77
+        assert bad_frame % simulation._DIAGNOSTIC_BLOCK_FRAMES  # inside a block
+        rng = np.random.default_rng(11)
+        diag = simulation.SimulationDiagnostics()
+        for k in range(120):
+            raw, P, P_prior = np.eye(n), 0.5 * np.eye(n), np.eye(n)
+            if k == bad_frame and fault == "asymmetric":
+                raw[0, 1] = 1e-6
+            if k == bad_frame and fault == "indefinite":
+                P[n - 1, n - 1] = -1e-6
+            if k == bad_frame and fault == "inflating":
+                P = 2.0 * np.eye(n)
+            diag.note_raw(raw)
+            diag.note_frame(types.SimpleNamespace(P=P, P_prior=P_prior), rng)
+            assert len(diag._posteriors) < simulation._DIAGNOSTIC_BLOCK_FRAMES
+        diag.flush(rng)
+        tripped = {
+            "asymmetric": diag.max_relative_asymmetry > 1e-9,
+            "indefinite": diag.min_eigenvalue_ratio < -1e-9,
+            "inflating": diag.max_update_variance_growth > 1e-9,
+        }
+        assert tripped == {name: name == fault for name in tripped}
+        assert diag.n_updates == 120
 
 
 class TestSensorConfig:
