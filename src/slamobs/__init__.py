@@ -55,10 +55,8 @@ from .simulation import (
     initialize_feature,
     measurement_noise_cartesian,
     process_noise_intensity,
-    propagate,
     simulate,
     state_comparison_run,
-    update,
 )
 
 __version__ = "0.1.0"

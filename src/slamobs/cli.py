@@ -96,14 +96,13 @@ def _write_csv(path: Path, labels, times, columns) -> None:
 def cmd_simulate(args) -> int:
     doc = load_scenario(args.scenario)
     doc.require_simulation_sections()
-    sim_scenario = doc.sim_scenario()
-    trace = simulation.simulate(
-        sim_scenario,
-        doc.trajectory,
-        doc.sensor,
-        seed=args.seed,
-        duration=args.duration,
-    )
+    inputs = (doc.sim_scenario(), doc.trajectory, doc.sensor)
+    if args.state_run:
+        # the state run records the trace of its own filter pass
+        run = simulation.state_comparison_run(*inputs, seed=args.seed, duration=args.duration)
+        trace = run.trace
+    else:
+        run, trace = None, simulation.simulate(*inputs, seed=args.seed, duration=args.duration)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -119,14 +118,7 @@ def cmd_simulate(args) -> int:
         rel_path, rel_labels, trace.times, [trace.derived_std[lab] for lab in rel_labels]
     )
     written.append(rel_path)
-    if args.state_run:
-        run = simulation.state_comparison_run(
-            sim_scenario,
-            doc.trajectory,
-            doc.sensor,
-            seed=args.seed,
-            duration=args.duration,
-        )
+    if run is not None:
         path = out_dir / "state_run.csv"
         series = (run.true_positions, run.ins_positions, run.estimated_positions)
         _write_csv(

@@ -22,15 +22,15 @@ one transition Phi_f and one process noise Q_f (the per-step recursion
 Q <- Phi Q Phi^T + q dt run from zero, which keeps the first-order noise of
 every step), cached per distinct tuple of step segments, so a frame that
 straddles a segment boundary gets its own pair.  Each frame yields what it
-applied (step transitions, Phi_f, and H, R and the gain K at an update):
-``simulate`` records its variances, taking standard deviations once per run,
-and ``state_comparison_run`` replays them on a state sampled outside the loop.
+applied (step transitions, Phi_f, and H, R and the gain K at an update).
+``simulate`` and ``state_comparison_run`` each run the loop once and record
+its variances through ``_TraceRecorder``, taking standard deviations once
+per run; ``state_comparison_run`` also replays the frames on a state sampled
+outside the loop, so one pass gives both the trace and the state run.
 With ``collect_diagnostics``, ``simulate`` also hands every frame and every
 raw covariance to ``SimulationDiagnostics``, which checks symmetry, the
 eigenvalue ratio and update growth on all of them, one block of
-``_DIAGNOSTIC_BLOCK_FRAMES`` frames at a time.  The public ``update``,
-``propagate`` and ``initialize_feature`` validate their inputs and wrap the
-same array-level steps.
+``_DIAGNOSTIC_BLOCK_FRAMES`` frames at a time.
 
 The trajectory has one segment-boundary rule, ``TrajectoryConfig.segments_at``:
 segment j is active from ``_SLACK`` before the end of segment j - 1 until
@@ -357,40 +357,6 @@ def _stamped(P, c: int, u_m_value: float):
     return P
 
 
-def propagate(cov: AugmentedCovariance, F, q_intensity, dt: float) -> AugmentedCovariance:
-    """One covariance prediction step of length dt.
-
-    Uses the exact segment transition of F and injects q_intensity * dt of
-    process noise (first-order discretization of the continuous intensity).
-    The result is re-symmetrized.
-    """
-    F = _as_finite_array(F, "F")
-    if F.shape != (cov.n, cov.n):
-        raise ValueError(f"F must have shape {(cov.n, cov.n)}, got {F.shape}")
-    q = _as_finite_array(q_intensity, "q_intensity")
-    if q.shape != (cov.n, cov.n):
-        raise ValueError(f"q_intensity must have shape {(cov.n, cov.n)}, got {q.shape}")
-    P = _propagated(cov.P, state_transition(F, dt, "exact"), q * dt)
-    return AugmentedCovariance(P=P, feature_initialized=list(cov.feature_initialized))
-
-
-def update(cov: AugmentedCovariance, H, R) -> AugmentedCovariance:
-    """Joseph-form measurement update.
-
-    Raises numpy.linalg.LinAlgError when the innovation covariance is not
-    positive definite, which signals a degenerate R or P.
-    """
-    H = _as_finite_array(H, "H")
-    if H.ndim != 2 or H.shape[1] != cov.n:
-        raise ValueError(f"H must have {cov.n} columns, got shape {H.shape}")
-    m = H.shape[0]
-    R = _as_finite_array(R, "R")
-    if R.shape != (m, m):
-        raise ValueError(f"R must have shape {(m, m)}, got {R.shape}")
-    _, P = _joseph(cov.P, H, R)
-    return AugmentedCovariance(P=P, feature_initialized=list(cov.feature_initialized))
-
-
 def initialize_feature(
     cov: AugmentedCovariance, feature_index: int, u_m_value: float = FEATURE_PRIOR_DEFAULT
 ) -> AugmentedCovariance:
@@ -533,6 +499,10 @@ class SimScenario:
             return self.schedule.feature_ids
         return tuple(self.feature_positions)
 
+    def _prior_variances(self) -> np.ndarray:
+        """Prior error variances: the vehicle's, then ``feature_prior`` on every feature axis."""
+        return np.r_[self.vehicle_variances, np.full(3 * len(self.feature_ids), self.feature_prior)]
+
 
 @dataclass(eq=False)
 class SimulationDiagnostics:
@@ -637,6 +607,48 @@ class CovarianceTrace:
             raise ValueError("trace is empty")
         k = int(np.argmin(np.abs(self.times - t)))
         return float(self.series(label)[k])
+
+
+class _TraceRecorder:
+    """Records the variances of ``count`` frames for one ``CovarianceTrace``.
+
+    A frame costs one strided read of the diagonal of its P and one gather of
+    the four entries P[a, b], a, b in {plus, minus}, of every standard
+    difference e_plus - e_minus; ``trace`` takes standard deviations once.
+    """
+
+    def __init__(self, feature_ids, count):
+        n = VEHICLE_DIM + 3 * len(feature_ids)
+        # the candidates after the n single-state ones are the unit differences
+        labels, weights = analysis.standard_weights(feature_ids)
+        plus, minus = weights[n:].argmax(axis=1), weights[n:].argmin(axis=1)
+        rows, cols = np.stack([plus, minus, plus, minus]), np.stack([plus, plus, minus, minus])
+        self._pairs = np.ravel_multi_index((rows, cols), (n, n))
+        self._diagonal = slice(None, None, n + 1)  # of the flattened P
+        self._ids, self._derived_labels = tuple(feature_ids), labels[n:]
+        self.times = np.empty(count)
+        self.variances = np.empty((n, count))
+        self.derived = np.empty((len(plus), count))
+
+    def record(self, k: int, frame) -> None:
+        flat = frame.P.reshape(-1)
+        self.times[k] = frame.t
+        self.variances[:, k] = flat[self._diagonal]
+        pp, mp, pm, mm = flat[self._pairs]
+        # (e_a - e_b) P (e_a - e_b), summed in the order w @ P @ w sums it
+        self.derived[:, k] = (pp - mp) - (pm - mm)
+
+    def trace(self, diagnostics=None) -> CovarianceTrace:
+        # variances to standard deviations, elementwise and in place, once per run
+        for variances in (self.variances, self.derived):
+            np.sqrt(np.clip(variances, 0.0, None, out=variances), out=variances)
+        return CovarianceTrace(
+            times=self.times,
+            std=dict(zip(model.state_labels(self._ids), self.variances)),
+            derived_std=dict(zip(self._derived_labels, self.derived)),
+            feature_ids=self._ids,
+            diagnostics=diagnostics,
+        )
 
 
 def fov_schedule(
@@ -787,7 +799,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, note=None):
         for _, force in trajectory.segments
     ]
     transitions = {}  # step segments -> (Phi_f, Q_f)
-    P = AugmentedCovariance.initial(scenario.vehicle_variances, L, scenario.feature_prior).P
+    P = np.diag(scenario._prior_variances())
     initialized = [False] * L
     steps, phi_f = [], None
 
@@ -830,51 +842,35 @@ def simulate(
     diagnostics.
     """
     count = _frame_count(scenario, trajectory, sensor, duration)
-    ids = scenario.feature_ids
-    n = VEHICLE_DIM + 3 * len(ids)
-    # the candidates after the n single-state ones are the unit differences
-    labels, weights = analysis.standard_weights(ids)
-    plus, minus = weights[n:].argmax(axis=1), weights[n:].argmin(axis=1)
-
+    recorder = _TraceRecorder(scenario.feature_ids, count)
     diag = SimulationDiagnostics() if collect_diagnostics else None
     rng = np.random.default_rng(seed)
-    times = np.empty(count)
-    std = np.empty((n, count))
-    derived = np.empty((len(plus), count))
     frames = _filter_frames(
         scenario, trajectory, sensor, count, note=None if diag is None else diag.note_raw
     )
     for k, frame in enumerate(frames):
         if diag is not None:
             diag.note_frame(frame, rng)
-        P = frame.P
-        times[k] = frame.t
-        std[:, k] = np.diag(P)
-        # (e_a - e_b) P (e_a - e_b), summed in the order w @ P @ w sums it
-        derived[:, k] = (P[plus, plus] - P[minus, plus]) - (P[plus, minus] - P[minus, minus])
+        recorder.record(k, frame)
     if diag is not None:
         diag.flush(rng)
-    # variances to standard deviations, elementwise and in place, once per run
-    for variances in (std, derived):
-        np.sqrt(np.clip(variances, 0.0, None, out=variances), out=variances)
-
-    return CovarianceTrace(
-        times=times,
-        std=dict(zip(model.state_labels(ids), std)),
-        derived_std=dict(zip(labels[n:], derived)),
-        feature_ids=ids,
-        diagnostics=diag,
-    )
+    return recorder.trace(diag)
 
 
 @dataclass(eq=False)
 class StateRun:
-    """Trajectory comparison from one noisy-measurement state run."""
+    """Trajectory comparison from one noisy-measurement state run.
+
+    ``trace`` is the covariance trace of the filter pass the run replays:
+    equal, array for array, to ``simulate``'s for the same scenario and
+    duration, without diagnostics.  ``times`` is ``trace.times``.
+    """
 
     times: np.ndarray
     true_positions: np.ndarray
     ins_positions: np.ndarray
     estimated_positions: np.ndarray
+    trace: CovarianceTrace
 
 
 def state_comparison_run(
@@ -889,18 +885,19 @@ def state_comparison_run(
     Samples one realization of the error-state process (prior errors, then
     process noise at every IMU step of each frame's ``steps``) as the
     uncorrected inertial drift, measures it with noise drawn from R at every
-    update of the filter loop ``simulate`` runs, and replays the estimate with
-    each frame's Phi_f and gain K.  Reports true, inertial-only and corrected
-    positions; fully deterministic for a given seed.
+    update of the filter loop, and replays the estimate with each frame's
+    Phi_f and gain K.  Reports true, inertial-only and corrected positions,
+    and the covariance trace of the same pass (``StateRun.trace``), so one
+    run of the loop serves both; fully deterministic for a given seed.
     """
     count = _frame_count(scenario, trajectory, sensor, duration)
     n = VEHICLE_DIM + 3 * len(scenario.feature_ids)
     rng = np.random.default_rng(seed)
-    prior = np.r_[scenario.vehicle_variances, np.full(n - VEHICLE_DIM, scenario.feature_prior)]
-    x, x_hat = rng.standard_normal(n) * np.sqrt(prior), np.zeros(n)
+    x, x_hat = rng.standard_normal(n) * np.sqrt(scenario._prior_variances()), np.zeros(n)
     noise_std = np.sqrt(np.diag(process_noise_intensity(sensor, n)))
     sqrt_dt = np.sqrt(_frame_clock(sensor)[3])
-    run = StateRun(np.empty(count), np.empty((count, 3)), np.empty((count, 3)), np.empty((count, 3)))
+    recorder = _TraceRecorder(scenario.feature_ids, count)
+    true, ins, estimated = np.empty((3, count, 3))
     for k, frame in enumerate(_filter_frames(scenario, trajectory, sensor, count)):
         if frame.phi is not None:
             draws = rng.standard_normal((len(frame.steps), n)) * noise_std * sqrt_dt
@@ -910,8 +907,9 @@ def state_comparison_run(
         if frame.H is not None:
             z = frame.H @ x + np.linalg.cholesky(frame.R) @ rng.standard_normal(frame.H.shape[0])
             x_hat = x_hat + frame.K @ (z - frame.H @ x_hat)
-        run.times[k] = frame.t
-        run.true_positions[k] = frame.position
-        run.ins_positions[k] = frame.position + x[0:3]
-        run.estimated_positions[k] = frame.position + x[0:3] - x_hat[0:3]
-    return run
+        recorder.record(k, frame)
+        true[k] = frame.position
+        ins[k] = frame.position + x[0:3]
+        estimated[k] = frame.position + x[0:3] - x_hat[0:3]
+    trace = recorder.trace()
+    return StateRun(trace.times, true, ins, estimated, trace)

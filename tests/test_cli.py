@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from slamobs import simulation
 from slamobs.cli import main
 
 EXPECTED_TRACE_FILES = (
@@ -166,6 +167,27 @@ class TestSimulateCommand:
         lines = (tmp_path / "state_run.csv").read_text().splitlines()
         assert lines[0] == "time_s,true_N,true_E,true_U,ins_N,ins_E,ins_U,est_N,est_E,est_U"
         assert len(lines) == 252
+
+    def test_state_run_is_one_filter_pass(self, tmp_path, monkeypatch):
+        """--state-run runs the filter loop once and writes the traces it writes without."""
+        passes = []
+        filter_frames = simulation._filter_frames
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return filter_frames(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "_filter_frames", counted)
+        argv = ["simulate", bundled_path("case2_flight.yaml"), "--seed", "42", "--duration", "20"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        assert len(passes) == 1
+        assert main(argv + ["--state-run", "--out", str(tmp_path / "state")]) == 0
+        assert len(passes) == 2
+        for name in EXPECTED_TRACE_FILES:
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "state" / name).read_bytes() == plain, name
+            assert len(plain.splitlines()) == 502
+        assert (tmp_path / "state" / "state_run.csv").exists()
 
     def test_requires_simulation_sections(self, capsys):
         assert main(["simulate", bundled_path("case2.yaml")]) == 1

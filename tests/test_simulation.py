@@ -19,7 +19,7 @@ from oracles import (
 )
 from test_golden import SCENARIO as CASE2_FLIGHT
 from test_golden_fov import SCENARIO as FOV_SCENARIO
-from slamobs import simulation
+from slamobs import analysis, simulation
 from slamobs.model import DetectionSchedule, feature_obs_row, ins_error_f
 from slamobs.pwcs import state_transition
 from slamobs.scenario import load_scenario, parse_scenario
@@ -32,10 +32,8 @@ from slamobs.simulation import (
     initialize_feature,
     measurement_noise_cartesian,
     process_noise_intensity,
-    propagate,
     simulate,
     state_comparison_run,
-    update,
 )
 
 G = 9.81
@@ -162,62 +160,63 @@ class TestTrajectory:
             TrajectoryConfig(p0=[0, 0, 0], v0=[0, 0, 0], segments=[])
 
 
+def _propagate(P, F, q, dt):
+    """One prediction of length dt: the exact transition of F and q * dt of process noise."""
+    return simulation._propagated(P, state_transition(F, dt, "exact"), q * dt)
+
+
+def _update(P, H, R):
+    """The Joseph-form posterior of P."""
+    return simulation._joseph(P, H, R)[1]
+
+
 class TestPropagate:
     def test_no_noise_no_dynamics_is_identity(self):
-        cov = AugmentedCovariance.initial(n_features=1)
-        out = propagate(cov, np.zeros((12, 12)), np.zeros((12, 12)), dt=0.5)
-        np.testing.assert_array_equal(out.P, cov.P)
+        P = AugmentedCovariance.initial(n_features=1).P
+        out = _propagate(P, np.zeros((12, 12)), np.zeros((12, 12)), dt=0.5)
+        np.testing.assert_array_equal(out, P)
 
     def test_position_variance_grows_from_velocity(self):
-        cov = AugmentedCovariance.initial(
-            vehicle_variances=[0, 0, 0, 1, 1, 1, 0, 0, 0], n_features=0
-        )
+        P = np.diag([0.0, 0, 0, 1, 1, 1, 0, 0, 0])
         F = np.zeros((9, 9))
         F[0:3, 3:6] = np.eye(3)
-        out = propagate(cov, F, np.zeros((9, 9)), dt=2.0)
-        assert all(out.P[i, i] > 0 for i in range(3))
-        np.testing.assert_allclose(np.diag(out.P)[0:3], [4.0, 4.0, 4.0])
+        out = _propagate(P, F, np.zeros((9, 9)), dt=2.0)
+        assert all(out[i, i] > 0 for i in range(3))
+        np.testing.assert_allclose(np.diag(out)[0:3], [4.0, 4.0, 4.0])
 
     def test_one_step_matches_direct_oracle(self):
         sensor = SensorConfig()
-        cov = AugmentedCovariance.initial(n_features=2)
+        P = AugmentedCovariance.initial(n_features=2).P
         F = np.zeros((15, 15))
         F[0:9, 0:9] = ins_error_f([0.0, 0.0, G])
         q = process_noise_intensity(sensor, 15)
         dt = 1.0 / sensor.imu_rate_hz
-        out = propagate(cov, F, q, dt)
+        out = _propagate(P, F, q, dt)
         phi = np.array(o_expm(F.tolist(), dt))
-        want = phi @ cov.P @ phi.T + q * dt
+        want = phi @ P @ phi.T + q * dt
         want = 0.5 * (want + want.T)
-        np.testing.assert_allclose(out.P, want, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(out, want, atol=1e-12 * np.abs(want).max())
         # without an update the trace grows by exactly the injected noise
         # (the transition is volume preserving only to first order, so
         # compare against the oracle value, not the bare prior trace)
-        assert np.trace(out.P) > np.trace(cov.P)
-
-    def test_dimension_mismatch(self):
-        cov = AugmentedCovariance.initial(n_features=1)
-        with pytest.raises(ValueError):
-            propagate(cov, np.zeros((9, 9)), np.zeros((12, 12)), dt=0.1)
+        assert np.trace(out) > np.trace(P)
 
 
 class TestUpdate:
     def test_zero_observation_changes_nothing(self):
-        cov = AugmentedCovariance.initial(n_features=1)
-        out = update(cov, np.zeros((3, 12)), 25.0 * np.eye(3))
-        np.testing.assert_allclose(out.P, cov.P, atol=1e-12)
+        P = AugmentedCovariance.initial(n_features=1).P
+        out = _update(P, np.zeros((3, 12)), 25.0 * np.eye(3))
+        np.testing.assert_allclose(out, P, atol=1e-12)
 
     def test_large_prior_scalar_formula(self):
         # a single direct position measurement against a 1e9 prior collapses
         # the variance to the measurement level, like a fresh feature fix
-        cov = AugmentedCovariance.initial(
-            vehicle_variances=[1e9, 0, 0, 0, 0, 0, 0, 0, 0], n_features=0
-        )
+        P = np.diag([1e9, 0, 0, 0, 0, 0, 0, 0, 0])
         H = np.zeros((1, 9))
         H[0, 0] = 1.0
-        out = update(cov, H, np.array([[25.0]]))
+        out = _update(P, H, np.array([[25.0]]))
         expected = 1e9 * 25.0 / (1e9 + 25.0)
-        assert out.P[0, 0] == pytest.approx(expected, rel=1e-9)
+        assert out[0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_relative_functional_collapses_absolute_does_not(self):
         sensor = SensorConfig()
@@ -235,7 +234,7 @@ class TestUpdate:
         w_abs[0] = 1.0
 
         before_rel = cov.functional_std(w_rel)
-        out = update(cov, H, R)
+        out = AugmentedCovariance(_update(cov.P, H, R), cov.feature_initialized)
 
         # textbook-gain oracle for both quadratic forms
         S = H @ cov.P @ H.T + R
@@ -256,13 +255,10 @@ class TestUpdate:
         assert out.functional_std(w_abs) == pytest.approx(1.0, rel=1e-2)
 
     def test_singular_innovation_raises(self):
-        cov = AugmentedCovariance.initial(
-            vehicle_variances=np.zeros(9), n_features=0
-        )
         H = np.zeros((1, 9))
         H[0, 0] = 1.0
         with pytest.raises(np.linalg.LinAlgError):
-            update(cov, H, np.array([[0.0]]))
+            _update(np.zeros((9, 9)), H, np.array([[0.0]]))
 
 
 class TestInitializeFeature:
@@ -441,6 +437,51 @@ class TestSimulate:
         for duration in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="duration"):
                 run(scenario, flight_trajectory(), SensorConfig(), duration=duration)
+
+
+class TestOnePass:
+    """One filter pass gives the trace and the state run, and the trace records it exactly."""
+
+    @pytest.mark.parametrize(
+        "flight, duration, frames",
+        [("case2", None, 2501), ("case2", 3.3, 83), ("case2", 0.0, 0), ("gated", None, 481),
+         ("gated", 3.3, 100)],
+    )
+    def test_state_run_trace_equals_simulate(self, flight, duration, frames):
+        if flight == "case2":
+            doc = load_scenario(CASE2_FLIGHT)
+            inputs = (doc.sim_scenario(), doc.trajectory, doc.sensor)
+        else:
+            features, trajectory = _gated_flight()
+            sensor = SensorConfig(frame_rate_hz=30.0, imu_rate_hz=90.0)
+            inputs = (SimScenario(feature_positions=features), trajectory, sensor)
+        assert (inputs[0].schedule is not None) == (flight == "case2")  # schedule and FOV paths
+        want = simulate(*inputs, seed=7, duration=duration)
+        run = state_comparison_run(*inputs, seed=7, duration=duration)
+        got = run.trace
+        assert want.times.size == frames
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(run.times, want.times)
+        assert got.labels() == want.labels() and got.feature_ids == want.feature_ids
+        for label in want.labels():
+            np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
+        assert got.diagnostics is None
+
+    def test_recorder_matches_each_frames_covariance(self):
+        """Every std is sqrt(max(P_ii, 0)) and every difference's is sqrt(max(w P w, 0))."""
+        doc = load_scenario(CASE2_FLIGHT)
+        scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
+        trace = simulate(scenario, trajectory, sensor, duration=20.0)
+        count = simulation._frame_count(scenario, trajectory, sensor, 20.0)
+        covariances = [f.P for f in simulation._filter_frames(scenario, trajectory, sensor, count)]
+        labels, weights = analysis.standard_weights(scenario.feature_ids)
+        n = len(trace.std)
+        assert count == len(covariances) == trace.times.size == 501
+        assert list(trace.std) == labels[:n] and list(trace.derived_std) == labels[n:]
+        std = [[np.sqrt(max(P[i, i], 0.0)) for P in covariances] for i in range(n)]
+        derived = [[np.sqrt(max(w @ P @ w, 0.0)) for P in covariances] for w in weights[n:]]
+        np.testing.assert_array_equal(np.array(list(trace.std.values())), std)
+        np.testing.assert_array_equal(np.array(list(trace.derived_std.values())), derived)
 
 
 class TestCrossModuleConsistency:
