@@ -53,9 +53,11 @@ class TestAnalyzeLocal:
         ]
         scenario = Scenario(schedule=schedule, segments=segments)
         report = analyze_local(scenario, 1)
-        assert report.matrix_cols == 9
+        assert (report.matrix_rows, report.matrix_cols) == (0, 9)
         assert report.rank == 0
         assert report.nullity == 9
+        assert report.state_labels == [f"{b}_{a}" for b in ("dp", "dv", "psi") for a in "NEU"]
+        assert [v.label for v in report.mode_results] == report.state_labels
         assert report.observable_modes() == []
         assert not any(v.observable for v in report.mode_results)
 
