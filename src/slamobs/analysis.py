@@ -23,15 +23,8 @@ import numpy as np
 
 from . import model
 from .model import AXES, DetectionSchedule, Scenario, SegmentSpec, augment
-from .pwcs import (
-    DEFAULT_RANK_TOL,
-    NullSpaceBasis,
-    PwcsStripe,
-    _as_finite_array,
-    lom,
-    null_space,
-    tom,
-)
+from .pwcs import DEFAULT_RANK_TOL, NullSpaceBasis, _as_finite_array, null_space, tom
+from .pwcs import lom  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 #: Highest dynamics power stacked per segment: F**3 == 0, so higher powers add
 #: only zero rows (``matrix_rows``, pinned by the goldens, follows from it).
@@ -75,7 +68,9 @@ class AnalysisOptions:
     the total observability matrix ("exact" or "first_order"); rank_tol is
     the relative singular-value threshold; extra_candidates additional
     functionals (weights over the full augmented state) classified alongside
-    the standard set.
+    the standard set.  A report classifies only the extra candidates sized
+    for its own system, so a local report skips full-state extras unless its
+    segment sees every feature.
     """
 
     expansion_mode: str = "exact"
@@ -186,10 +181,11 @@ def standard_candidates(features) -> list:
     return [CandidateFunctional(label, w) for label, w in zip(labels, weights)]
 
 
-def _build_report(matrix, feature_ids, scope, segment_index, options):
+def _build_report(system, scope, segment_index, options):
+    matrix = tom(system.stripes, MAX_POWER, options.expansion_mode)
     basis = null_space(matrix, options.rank_tol)
-    n = matrix.shape[1]
-    labels, weights = standard_weights(feature_ids)
+    n = system.n
+    labels, weights = standard_weights(system.feature_ids)
     extra = [cand for cand in options.extra_candidates if cand.weights.shape[0] == n]
     if extra:
         labels += [cand.label for cand in extra]
@@ -207,7 +203,7 @@ def _build_report(matrix, feature_ids, scope, segment_index, options):
         segment_index=segment_index,
         expansion_mode=options.expansion_mode,
         rank_tol=options.rank_tol,
-        state_labels=model.state_labels(feature_ids),
+        state_labels=system.state_labels,
         matrix_rows=matrix.shape[0],
         matrix_cols=n,
         rank=n - basis.dim,
@@ -222,9 +218,10 @@ def analyze_local(
 ) -> ObservabilityReport:
     """Observability report for a single segment considered on its own.
 
-    The local system contains the vehicle states plus only the features
-    detected in that segment, so its dimension is 9 + 3 * (detections in the
-    segment).
+    The local system is ``augment`` of the one segment with every feature it
+    detects, and no other: the vehicle states plus those features, so its
+    dimension is 9 + 3 * (detections in the segment).  Its total
+    observability matrix is the segment's local one.
     """
     options = options or AnalysisOptions()
     if not 0 <= segment_index < scenario.n_segments:
@@ -233,14 +230,9 @@ def analyze_local(
             f"(scenario has {scenario.n_segments} segments)"
         )
     local_ids = [fid for _, fid in scenario.schedule.features_in_segment(segment_index)]
-    seg = scenario.segments[segment_index]
-    k = len(local_ids)
-    n = model.VEHICLE_DIM + 3 * k
-    rel = np.array([seg.feature_rel_pos[fid] for fid in local_ids]).reshape(-1, 3)
-    H = model.feature_bands(range(k), model.feature_obs_rows(rel), n).reshape(3 * k, n)
-    F = model.augmented_f(seg.specific_force, n)
-    matrix = lom(PwcsStripe(F=F, H=H, delta=seg.duration), MAX_POWER)
-    return _build_report(matrix, local_ids, "local", segment_index, options)
+    detected = np.ones((len(local_ids), 1), dtype=bool)
+    system = augment(DetectionSchedule(detected, local_ids), [scenario.segments[segment_index]])
+    return _build_report(system, "local", segment_index, options)
 
 
 def analyze_total(
@@ -254,8 +246,7 @@ def analyze_total(
     """
     options = options or AnalysisOptions()
     system = augment(scenario.schedule, scenario.segments)
-    matrix = tom(system.stripes, MAX_POWER, options.expansion_mode)
-    return _build_report(matrix, system.feature_ids, "total", None, options)
+    return _build_report(system, "total", None, options)
 
 
 def case_scenario(

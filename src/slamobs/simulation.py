@@ -22,15 +22,16 @@ one transition Phi_f and one process noise Q_f (the per-step recursion
 Q <- Phi Q Phi^T + q dt run from zero, which keeps the first-order noise of
 every step), cached per distinct tuple of step segments, so a frame that
 straddles a segment boundary gets its own pair.  Each frame yields what it
-applied (step transitions, Phi_f, and H, R and the gain K at an update).
-``simulate`` and ``state_comparison_run`` each run the loop once and record
-its variances through ``_TraceRecorder``, taking standard deviations once
-per run; ``state_comparison_run`` also replays the frames on a state sampled
-outside the loop, so one pass gives both the trace and the state run.
-With ``collect_diagnostics``, ``simulate`` also hands every frame and every
-raw covariance to ``SimulationDiagnostics``, which checks symmetry, the
-eigenvalue ratio and update growth on all of them, one block of
-``_DIAGNOSTIC_BLOCK_FRAMES`` frames at a time.
+applied (step transitions, Phi_f, and H, R and the gain K at an update) and
+the raw covariances it re-symmetrized.  ``simulate`` and
+``state_comparison_run`` each run the loop once and record its variances
+through ``_TraceRecorder``, taking standard deviations once per run;
+``state_comparison_run`` also replays the frames on a state sampled outside
+the loop, so one pass gives both the trace and the state run.  With
+``collect_diagnostics``, ``simulate`` also hands every frame to
+``SimulationDiagnostics``, which checks symmetry, the eigenvalue ratio and
+update growth on the frames alone, one block of ``_DIAGNOSTIC_BLOCK_FRAMES``
+frames at a time.
 
 The trajectory has one segment-boundary rule, ``TrajectoryConfig.segments_at``:
 segment j is active from ``_SLACK`` before the end of segment j - 1 until
@@ -297,23 +298,17 @@ def process_noise_intensity(sensor: SensorConfig, n: int) -> np.ndarray:
     return q
 
 
-def _propagated(P, phi, q_dt, note=None):
-    """Array-level prediction: phi P phi^T + q_dt, re-symmetrized.
-
-    ``note`` (if given) sees the raw product before re-symmetrization.
-    """
+def _propagated(P, phi, q_dt):
+    """Array-level prediction: (raw phi P phi^T + q_dt, its re-symmetrization)."""
     P_raw = phi @ P @ phi.T + q_dt
-    if note is not None:
-        note(P_raw)
-    return 0.5 * (P_raw + P_raw.T)
+    return P_raw, 0.5 * (P_raw + P_raw.T)
 
 
-def _joseph(P, H, R, note=None):
-    """Array-level Joseph-form update; returns (gain, re-symmetrized P).
+def _joseph(P, H, R):
+    """Array-level Joseph-form update; returns (gain, raw P, re-symmetrized P).
 
     The gain is K = (S^-1 H P)^T with S = H P H^T + R, from one solve; a
     Cholesky factorization of S only checks that it is positive definite.
-    ``note`` (if given) sees the raw posterior before re-symmetrization.
     """
     HP = H @ P
     S = HP @ H.T + R
@@ -326,9 +321,7 @@ def _joseph(P, H, R, note=None):
     K = np.linalg.solve(S, HP).T
     ikh = np.eye(P.shape[0]) - K @ H
     P_raw = ikh @ P @ ikh.T + K @ R @ K.T
-    if note is not None:
-        note(P_raw)
-    return K, 0.5 * (P_raw + P_raw.T)
+    return K, P_raw, 0.5 * (P_raw + P_raw.T)
 
 
 def _frame_transition(phis, q_dt):
@@ -343,7 +336,7 @@ def _frame_transition(phis, q_dt):
     q_f = np.zeros_like(q_dt)
     for phi in phis:
         phi_f = phi @ phi_f
-        q_f = _propagated(q_f, phi, q_dt)
+        q_f = _propagated(q_f, phi, q_dt)[1]
     return phi_f, q_f
 
 
@@ -504,6 +497,11 @@ class SimScenario:
         return np.r_[self.vehicle_variances, np.full(3 * len(self.feature_ids), self.feature_prior)]
 
 
+def _running(pick, old, new) -> float:
+    """``pick(old, new)`` (``max`` or ``min``) keeping a NaN ``new``; ``pick`` keeps a NaN ``old``."""
+    return float(new) if np.isnan(new) else pick(old, float(new))
+
+
 @dataclass(eq=False)
 class SimulationDiagnostics:
     """Numerical health of a covariance run, checked on every frame.
@@ -511,8 +509,8 @@ class SimulationDiagnostics:
     Three checks cover every vision frame and every update:
 
     - ``max_relative_asymmetry``: the largest max|P - P^T| / max|P| of a raw
-      covariance before re-symmetrization, over every frame's composed
-      propagation (not every IMU step) and every update;
+      covariance before re-symmetrization (a frame's ``raw``), over every
+      frame's composed propagation (not every IMU step) and every update;
     - ``min_eigenvalue_ratio``: the smallest ratio of a posterior's lowest to
       its highest eigenvalue.  It starts at 0.0, so it reports
       min(0, ratio): 0 for a positive semidefinite run, negative when a
@@ -522,59 +520,57 @@ class SimulationDiagnostics:
       (non-positive means no update inflated a variance; -inf without
       updates).
 
-    ``note_raw`` and ``note_frame`` only record the matrices; the checks run
-    over stacked blocks of at most ``_DIAGNOSTIC_BLOCK_FRAMES`` frames, when
-    a block fills and at ``flush``.  Blocking changes no result: maxima and
-    minima do not depend on the grouping, ``eigvalsh`` of a stack equals the
-    per-matrix calls, and one (u, 20, n) draw is the same stream as u draws
-    of (20, n).
+    A NaN in a checked matrix makes its field NaN for the rest of the run, so
+    a bound on the field fails.  ``note_frame`` only records the frame, in one
+    buffer; the checks read the frames alone, over stacked blocks of at most
+    ``_DIAGNOSTIC_BLOCK_FRAMES`` frames, when a block fills and at ``flush``.
+    Blocking changes no result: maxima and minima do not depend on the
+    grouping, ``eigvalsh`` of a stack equals the per-matrix calls, and one
+    (u, 20, n) draw is the same stream as u draws of (20, n).
     """
 
     max_relative_asymmetry: float = 0.0
     min_eigenvalue_ratio: float = 0.0
     max_update_variance_growth: float = -np.inf
     n_updates: int = 0
-    _raw: list = field(default_factory=list, init=False, repr=False)
-    _posteriors: list = field(default_factory=list, init=False, repr=False)
-    _updates: list = field(default_factory=list, init=False, repr=False)
-
-    def note_raw(self, P_raw) -> None:
-        """Record a raw propagate/update output (kept by reference, not copied)."""
-        self._raw.append(P_raw)
+    _frames: list = field(default_factory=list, init=False, repr=False)
 
     def note_frame(self, frame, rng) -> None:
-        """Record a frame's posterior and, at an update, its prior; check a full block."""
-        self._posteriors.append(frame.P)
-        if frame.P_prior is not None:
-            self._updates.append((frame.P_prior, frame.P))
-        if len(self._posteriors) >= _DIAGNOSTIC_BLOCK_FRAMES:
+        """Record a frame (kept by reference, not copied); check a full block."""
+        self._frames.append(frame)
+        if len(self._frames) >= _DIAGNOSTIC_BLOCK_FRAMES:
             self.flush(rng)
 
     def flush(self, rng) -> None:
-        """Check every recorded matrix and clear the block.
+        """Check every recorded frame and clear the block.
 
         The updates draw their 20 random functionals each from ``rng`` in
         one (u, 20, n) block.
         """
-        if self._raw:
-            raw = np.stack(self._raw)
+        frames, self._frames = self._frames, []
+        raw = [P_raw for frame in frames for P_raw in frame.raw]
+        if raw:
+            raw = np.stack(raw)
             scale = np.abs(raw).max(axis=(1, 2))
             scale[scale == 0.0] = 1.0
             asym = np.abs(raw - raw.transpose(0, 2, 1)).max(axis=(1, 2)) / scale
-            self.max_relative_asymmetry = max(self.max_relative_asymmetry, float(asym.max()))
-        if self._posteriors:
-            eigs = np.linalg.eigvalsh(np.stack(self._posteriors))
+            self.max_relative_asymmetry = _running(max, self.max_relative_asymmetry, asym.max())
+        if frames:
+            posteriors = np.stack([frame.P for frame in frames])
+            eigs = np.linalg.eigvalsh(posteriors)
             ratio = eigs[:, 0] / np.maximum(eigs[:, -1], 1e-300)
-            self.min_eigenvalue_ratio = min(self.min_eigenvalue_ratio, float(ratio.min()))
-        if self._updates:
-            priors, posteriors = map(np.stack, zip(*self._updates))
+            # eigvalsh can return finite eigenvalues for a matrix holding a NaN
+            ratio[~np.isfinite(posteriors).all(axis=(1, 2))] = np.nan
+            self.min_eigenvalue_ratio = _running(min, self.min_eigenvalue_ratio, ratio.min())
+        updates = [(frame.P_prior, frame.P) for frame in frames if frame.P_prior is not None]
+        if updates:
+            priors, posteriors = map(np.stack, zip(*updates))
             w = rng.standard_normal((len(priors), 20, priors.shape[1]))
             before = ((w @ priors) * w).sum(axis=2)
             after = ((w @ posteriors) * w).sum(axis=2)
-            growth = float(((after - before) / np.maximum(before, 1e-300)).max())
-            self.max_update_variance_growth = max(self.max_update_variance_growth, growth)
+            growth = ((after - before) / np.maximum(before, 1e-300)).max()
+            self.max_update_variance_growth = _running(max, self.max_update_variance_growth, growth)
             self.n_updates += len(priors)
-        self._raw, self._posteriors, self._updates = [], [], []
 
 
 @dataclass(eq=False)
@@ -744,6 +740,8 @@ class _Frame(NamedTuple):
     ``R`` and ``K`` the update's prior, stacked measurement and gain (None when
     no feature is visible); ``steps`` and ``phi`` the IMU-step transitions from
     the previous frame and their product Phi_f (empty and None at frame 0).
+    ``raw`` holds the covariances the frame re-symmetrized, as computed: the
+    propagated one (from frame 1 on), then the updated one (at an update).
     """
 
     t: float
@@ -755,6 +753,7 @@ class _Frame(NamedTuple):
     H: np.ndarray | None
     R: np.ndarray | None
     K: np.ndarray | None
+    raw: tuple
 
 
 def _frame_count(scenario: SimScenario, trajectory, sensor, duration) -> int:
@@ -772,7 +771,7 @@ def _frame_count(scenario: SimScenario, trajectory, sensor, duration) -> int:
     return _frame_clock(sensor, min(total, trajectory.total_duration))[0]
 
 
-def _filter_frames(scenario: SimScenario, trajectory, sensor, count, note=None):
+def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
     """The covariance filter loop: yield a _Frame for each of ``count`` frames.
 
     Propagates P once per vision frame with the frame's composed transition
@@ -787,8 +786,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, note=None):
     first detection; each frame's time, position, step segments, visible
     features and their rows and noise come from ``_frame_geometry``.  A frame
     yields what it applied (step transitions and Phi_f; H, R and the gain K)
-    and carries no sampled state.  ``note`` sees every raw covariance before
-    re-symmetrization.
+    and the raw covariances it re-symmetrized, and carries no sampled state.
     """
     L = len(scenario.feature_ids)
     n = VEHICLE_DIM + 3 * L
@@ -805,12 +803,14 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, note=None):
 
     frames = _frame_geometry(scenario, trajectory, sensor, count)
     for frame, (t, pos, pattern, visible, obs, noise) in enumerate(frames):
+        raw = ()
         if frame:
             steps = [phis[s] for s in pattern]
             if pattern not in transitions:
                 transitions[pattern] = _frame_transition(steps, q_dt)
             phi_f, q_f = transitions[pattern]
-            P = _propagated(P, phi_f, q_f, note)
+            P_raw, P = _propagated(P, phi_f, q_f)
+            raw = (P_raw,)
         for c in visible:
             if not initialized[c]:
                 P = _stamped(P, c, scenario.feature_prior)
@@ -819,8 +819,9 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count, note=None):
         if visible:
             H, R = _stacked_measurement(visible, obs, noise, n)
             P_prior = P
-            K, P = _joseph(P, H, R, note)
-        yield _Frame(t, pos, steps, phi_f, P, P_prior, H, R, K)
+            K, P_raw, P = _joseph(P, H, R)
+            raw += (P_raw,)
+        yield _Frame(t, pos, steps, phi_f, P, P_prior, H, R, K, raw)
 
 
 def simulate(
@@ -845,10 +846,7 @@ def simulate(
     recorder = _TraceRecorder(scenario.feature_ids, count)
     diag = SimulationDiagnostics() if collect_diagnostics else None
     rng = np.random.default_rng(seed)
-    frames = _filter_frames(
-        scenario, trajectory, sensor, count, note=None if diag is None else diag.note_raw
-    )
-    for k, frame in enumerate(frames):
+    for k, frame in enumerate(_filter_frames(scenario, trajectory, sensor, count)):
         if diag is not None:
             diag.note_frame(frame, rng)
         recorder.record(k, frame)

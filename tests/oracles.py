@@ -387,28 +387,24 @@ def o_state_run(
     return np.array(states), np.array(estimates)
 
 
-def o_diagnostics(filter_frames, rng):
+def o_diagnostics(frames, rng):
     """Covariance-health checks taken one matrix and one frame at a time.
 
-    The per-frame reference for ``SimulationDiagnostics``.  ``filter_frames``
-    is called with a ``note`` hook that sees every raw covariance before
-    re-symmetrization, and yields frames carrying the posterior ``P`` and, at
-    an update, its prior ``P_prior``.  Each raw covariance gives
-    max|P - P^T| / max|P| (a zero max read as 1); each posterior one
-    ``eigvalsh`` call and the ratio of its lowest to its highest eigenvalue
-    (starting from 0); each update draws ``rng.standard_normal((20, n))`` and
-    compares the functionals' variances after and before it, taken with
-    ``einsum``.  Returns (max asymmetry, min eigenvalue ratio, max update
-    growth, updates).
+    The per-frame reference for ``SimulationDiagnostics``.  ``frames`` yields
+    frames carrying the raw covariances ``raw`` they re-symmetrized, the
+    posterior ``P`` and, at an update, its prior ``P_prior``.  Each raw
+    covariance gives max|P - P^T| / max|P| (a zero max read as 1); each
+    posterior one ``eigvalsh`` call and the ratio of its lowest to its
+    highest eigenvalue (starting from 0); each update draws
+    ``rng.standard_normal((20, n))`` and compares the functionals' variances
+    after and before it, taken with ``einsum``.  Returns (max asymmetry, min
+    eigenvalue ratio, max update growth, updates).
     """
-    asymmetry = [0.0]
-
-    def note(P_raw):
-        scale = float(np.max(np.abs(P_raw))) or 1.0
-        asymmetry[0] = max(asymmetry[0], float(np.max(np.abs(P_raw - P_raw.T))) / scale)
-
-    ratio, growth, updates = 0.0, -np.inf, 0
-    for frame in filter_frames(note):
+    asymmetry, ratio, growth, updates = 0.0, 0.0, -np.inf, 0
+    for frame in frames:
+        for P_raw in frame.raw:
+            scale = float(np.max(np.abs(P_raw))) or 1.0
+            asymmetry = max(asymmetry, float(np.max(np.abs(P_raw - P_raw.T))) / scale)
         if frame.P_prior is not None:
             w = rng.standard_normal((20, frame.P.shape[0]))
             before = np.einsum("ij,jk,ik->i", w, frame.P_prior, w)
@@ -417,7 +413,7 @@ def o_diagnostics(filter_frames, rng):
             updates += 1
         eigs = np.linalg.eigvalsh(frame.P)
         ratio = min(ratio, float(eigs[0] / max(eigs[-1], 1e-300)))
-    return asymmetry[0], ratio, growth, updates
+    return asymmetry, ratio, growth, updates
 
 
 #: Two primes just below 2**25.  Residues multiply to less than 2**50, so an

@@ -6,7 +6,7 @@ import pytest
 from oracles import o_aug_f, o_aug_h, o_exact_observability, o_lom, o_standard_candidates
 from randgen import random_scenario, zero_components
 from test_acceptance import scenario_to_oracle_stripes
-from slamobs import analysis
+from slamobs import pwcs
 from slamobs.analysis import (
     MAX_POWER,
     AnalysisOptions,
@@ -66,13 +66,14 @@ class TestAnalyzeLocal:
             analyze_local(case_scenario(2), 2)
 
     def test_local_stripe_matches_oracle(self, monkeypatch):
+        """The one stripe a local report stacks, seen where ``tom`` calls ``pwcs.lom``."""
         stacked = []
 
         def recording_lom(stripe, max_power):
             stacked.append((stripe, lom(stripe, max_power)))
             return stacked[-1][1]
 
-        monkeypatch.setattr(analysis, "lom", recording_lom)
+        monkeypatch.setattr(pwcs, "lom", recording_lom)
         rng = np.random.default_rng(73)
         zeroed = 0
         for _ in range(30):

@@ -162,12 +162,12 @@ class TestTrajectory:
 
 def _propagate(P, F, q, dt):
     """One prediction of length dt: the exact transition of F and q * dt of process noise."""
-    return simulation._propagated(P, state_transition(F, dt, "exact"), q * dt)
+    return simulation._propagated(P, state_transition(F, dt, "exact"), q * dt)[1]
 
 
 def _update(P, H, R):
     """The Joseph-form posterior of P."""
-    return simulation._joseph(P, H, R)[1]
+    return simulation._joseph(P, H, R)[2]
 
 
 class TestPropagate:
@@ -844,10 +844,7 @@ class TestDiagnostics:
             scenario, trajectory, sensor, seed=seed, duration=duration, collect_diagnostics=True
         )
         count = simulation._frame_count(scenario, trajectory, sensor, duration)
-
-        def frames(note):
-            return simulation._filter_frames(scenario, trajectory, sensor, count, note)
-
+        frames = simulation._filter_frames(scenario, trajectory, sensor, count)
         want = o_diagnostics(frames, np.random.default_rng(seed))
         return got.diagnostics, want, count
 
@@ -887,9 +884,12 @@ class TestDiagnostics:
         assert count == 151 and diag.n_updates == 0
         self._assert_equal(diag, want)
 
-    @pytest.mark.parametrize("fault", ["asymmetric", "indefinite", "inflating"])
+    @pytest.mark.parametrize("fault", ["asymmetric", "indefinite", "inflating", "nan"])
     def test_each_check_can_trip(self, fault):
-        """A fault in one frame of 120 pushes its own field past the hygiene bound."""
+        """A fault in one frame of 120 pushes its own field past the hygiene bound.
+
+        A NaN in the frame's raw and posterior covariance pushes all three.
+        """
         n, bad_frame = 6, 77
         assert bad_frame % simulation._DIAGNOSTIC_BLOCK_FRAMES  # inside a block
         rng = np.random.default_rng(11)
@@ -902,16 +902,18 @@ class TestDiagnostics:
                 P[n - 1, n - 1] = -1e-6
             if k == bad_frame and fault == "inflating":
                 P = 2.0 * np.eye(n)
-            diag.note_raw(raw)
-            diag.note_frame(types.SimpleNamespace(P=P, P_prior=P_prior), rng)
-            assert len(diag._posteriors) < simulation._DIAGNOSTIC_BLOCK_FRAMES
+            if k == bad_frame and fault == "nan":
+                raw[0, 0] = P[0, 0] = np.nan
+            diag.note_frame(types.SimpleNamespace(P=P, P_prior=P_prior, raw=(raw,)), rng)
+            assert len(diag._frames) < simulation._DIAGNOSTIC_BLOCK_FRAMES
         diag.flush(rng)
-        tripped = {
-            "asymmetric": diag.max_relative_asymmetry > 1e-9,
-            "indefinite": diag.min_eigenvalue_ratio < -1e-9,
-            "inflating": diag.max_update_variance_growth > 1e-9,
+        # the hygiene bounds as the acceptance suite states them, which a NaN fails
+        within = {
+            "asymmetric": diag.max_relative_asymmetry <= 1e-9,
+            "indefinite": diag.min_eigenvalue_ratio >= -1e-9,
+            "inflating": diag.max_update_variance_growth <= 1e-9,
         }
-        assert tripped == {name: name == fault for name in tripped}
+        assert within == {name: fault not in (name, "nan") for name in within}
         assert diag.n_updates == 120
 
 
