@@ -16,7 +16,8 @@ original states, which is what makes the fixed-dimension embedding sound;
 
 The analysis and the covariance filter both take that layout from here:
 block names, F (``augmented_f``), the rows [-I, 0, skew(r)] of m relative
-positions (``feature_obs_rows``) and their bands in H (``feature_bands``).
+positions (``feature_obs_rows``) and their bands in H (``feature_bands``,
+whose identity entries ``band_offsets`` places).
 """
 
 from __future__ import annotations
@@ -74,13 +75,24 @@ def feature_obs_row(rel_pos) -> np.ndarray:
     return feature_obs_rows(r[None, :])[0]
 
 
+def band_offsets(slots, features, n) -> np.ndarray:
+    """(m, 3) flat offsets, in a row-major H of width n, of the I3 of each band.
+
+    Band ``slots[i]`` (H rows 3 slots[i] .. 3 slots[i] + 2) measures feature
+    ``features[i]``: its identity entries sit on that feature's column block.
+    """
+    axes = np.arange(3)
+    rows = 3 * np.asarray(slots, dtype=np.intp)[:, None] + axes
+    cols = VEHICLE_DIM + 3 * np.asarray(features, dtype=np.intp)[:, None] + axes
+    return rows * n + cols
+
+
 def feature_bands(features, obs, n) -> np.ndarray:
     """(k, 3, n) bands of H: vehicle rows ``obs[i]`` plus I3 on feature ``features[i]``'s block."""
     k = len(features)
     H = np.zeros((k, 3, n))
     H[:, :, 0:VEHICLE_DIM] = obs
-    band = VEHICLE_DIM + 3 * np.asarray(features, dtype=int)[:, None] + np.arange(3)
-    H[np.arange(k)[:, None], np.arange(3), band] = 1.0
+    H.reshape(-1)[band_offsets(np.arange(k), features, n)] = 1.0
     return H
 
 
@@ -162,8 +174,8 @@ class SegmentSpec:
 
     def __post_init__(self):
         self.duration = float(self.duration)
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < np.inf:
+            raise ValueError("duration must be positive and finite")
         self.specific_force = _as_finite_array(
             self.specific_force, "specific_force", (3,)
         )

@@ -53,7 +53,7 @@ class PwcsStripe:
     ----------
     F : (n, n) dynamics matrix, constant over the segment.
     H : (m, n) observation matrix, constant over the segment.  m may be 0.
-    delta : segment duration in seconds, > 0.
+    delta : segment duration in seconds, positive and finite.
     """
 
     F: np.ndarray
@@ -69,8 +69,8 @@ class PwcsStripe:
                 f"got shape {self.H.shape}"
             )
         self.delta = float(self.delta)
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -117,8 +117,8 @@ def state_transition(F, delta: float, mode: str = "exact") -> np.ndarray:
     """
     F = _as_square(F, "F")
     delta = float(delta)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     n = F.shape[0]
     if mode == "first_order":
         return np.eye(n) + F * delta

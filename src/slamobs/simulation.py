@@ -45,15 +45,19 @@ blocks of ``GEOMETRY_BLOCK_FRAMES`` vision frames at the times k * dt of
 and the segments of every IMU step, all under that rule; ``fov_schedule``
 gates those positions and ``_frame_geometry`` turns them into one record per
 frame: its time, position, step segments, visible features (the schedule's
-columns, or one field-of-view gate over frames x features) and their rows
-(``model.feature_obs_rows``) and 3x3 noise blocks (``_noise_blocks``), both
-computed once per block.  An update frame only stacks H and R
-(``_stacked_measurement``).  The batched kernels take dot products and norms
-as stacked 1x3 by 3x1 matrix products, which sum exactly as ``np.dot`` does,
-so every number equals the per-vector computation bit for bit;
-``measurement_noise_cartesian`` and ``fov_schedule`` are the same kernels
-applied to one vector and to a whole flight.  Blocks bound the extra memory
-to one block whatever the run length.
+columns, or one field-of-view gate over frames x features), their rows
+(``model.feature_obs_rows``) and 3x3 noise blocks (``_noise_blocks``), and
+the flat offsets at which those go into the frame's stacked H and
+block-diagonal R, all computed once per block.  An update frame only
+allocates H and R and scatters into them (``_stacked_measurement``); the
+loop builds the identity of the Joseph update once per run, and the step
+transitions with (Phi_f, Q_f) once per step pattern.  The batched kernels
+take dot products and norms as stacked 1x3 by 3x1 matrix products, which
+sum exactly as ``np.dot`` does, so every number equals the per-vector
+computation bit for bit; ``measurement_noise_cartesian`` and
+``fov_schedule`` are the same kernels applied to one vector and to a whole
+flight.  Blocks bound the extra memory to one block whatever the run
+length.
 """
 
 from __future__ import annotations
@@ -113,8 +117,8 @@ class TrajectoryConfig:
         for j, seg in enumerate(self.segments):
             duration, force = seg
             duration = float(duration)
-            if not duration > 0:
-                raise ValueError(f"segment {j}: duration must be positive")
+            if not 0 < duration < np.inf:
+                raise ValueError(f"segment {j}: duration must be positive and finite")
             norm.append((duration, _as_finite_array(force, f"segment {j} force", (3,))))
         if not norm:
             raise ValueError("at least one trajectory segment is required")
@@ -304,11 +308,13 @@ def _propagated(P, phi, q_dt):
     return P_raw, 0.5 * (P_raw + P_raw.T)
 
 
-def _joseph(P, H, R):
+def _joseph(P, H, R, identity):
     """Array-level Joseph-form update; returns (gain, raw P, re-symmetrized P).
 
     The gain is K = (S^-1 H P)^T with S = H P H^T + R, from one solve; a
     Cholesky factorization of S only checks that it is positive definite.
+    ``identity`` is the n x n identity of I - K H, which the caller builds
+    once per run rather than once per update.
     """
     HP = H @ P
     S = HP @ H.T + R
@@ -319,7 +325,7 @@ def _joseph(P, H, R):
             f"innovation covariance is singular or indefinite: {exc}"
         ) from exc
     K = np.linalg.solve(S, HP).T
-    ikh = np.eye(P.shape[0]) - K @ H
+    ikh = identity - K @ H
     P_raw = ikh @ P @ ikh.T + K @ R @ K.T
     return K, P_raw, 0.5 * (P_raw + P_raw.T)
 
@@ -700,14 +706,20 @@ def _frame_blocks(trajectory, sensor, count):
 
 
 def _frame_geometry(scenario: SimScenario, trajectory, sensor, count):
-    """Yield (t, position, step segments, visible features, rows, noise) per frame.
+    """Yield (t, position, step segments, visible features, rows, noise, H at, R at) per frame.
 
     The visible features of a frame are in ascending order (the schedule's
     columns, or the field-of-view gate); ``rows`` and ``noise`` hold their
     3x9 vehicle observation rows (``model.feature_obs_rows``) and 3x3 noise
-    blocks (``_noise_blocks``), computed once per ``_frame_blocks`` block.
+    blocks (``_noise_blocks``).  ``H at`` and ``R at`` place them in the
+    frame's stacked measurement (``_stacked_measurement``): the feature in
+    slot j of the frame's k visible ones has its I3 at the (3,) offsets
+    ``model.band_offsets`` gives in the flattened 3k x n H, and its noise
+    block at the (3, 3) offsets of diagonal block j in the flattened
+    3k x 3k R.  All of it is computed once per ``_frame_blocks`` block.
     """
     features = np.array([scenario.feature_positions[fid] for fid in scenario.feature_ids])
+    n = VEHICLE_DIM + 3 * len(features)
     for times, positions, segments, steps in _frame_blocks(trajectory, sensor, count):
         rel = features - positions[:, None, :]
         if scenario.schedule is None:
@@ -718,19 +730,33 @@ def _frame_geometry(scenario: SimScenario, trajectory, sensor, count):
         rel = rel[frame_of, feature_of]
         obs = model.feature_obs_rows(rel)
         noise = _noise_blocks(rel, sensor) if len(rel) else np.empty((0, 3, 3))
-        bounds = np.searchsorted(frame_of, np.arange(times.size + 1)).tolist()
-        feature_of = feature_of.tolist()
+        bounds = np.searchsorted(frame_of, np.arange(times.size + 1))
+        slot = np.arange(len(frame_of)) - bounds[frame_of]
+        width = 3 * np.diff(bounds)[frame_of]  # 3k of each pair's frame
+        h_at = model.band_offsets(slot, feature_of, n)
+        r_rows = 3 * slot[:, None] + np.arange(3)
+        r_at = (r_rows * width[:, None])[:, :, None] + r_rows[:, None, :]
+        bounds, feature_of = bounds.tolist(), feature_of.tolist()
         for i, (t, pattern) in enumerate(zip(times.tolist(), map(tuple, steps.tolist()))):
             rows = slice(bounds[i], bounds[i + 1])
-            yield t, positions[i], pattern, feature_of[rows], obs[rows], noise[rows]
+            visible = feature_of[rows]
+            yield t, positions[i], pattern, visible, obs[rows], noise[rows], h_at[rows], r_at[rows]
 
 
-def _stacked_measurement(features, obs, noise, n):
-    """Stacked H (3k x n, ``model.feature_bands``) and block-diagonal R of k visible features."""
-    k = len(features)
-    R = np.zeros((k, 3, k, 3))
-    R[np.arange(k), :, np.arange(k), :] = noise
-    return model.feature_bands(features, obs, n).reshape(3 * k, n), R.reshape(3 * k, 3 * k)
+def _stacked_measurement(obs, noise, h_at, r_at, n):
+    """Stacked H (3k x n) and block-diagonal R (3k x 3k) of k visible features.
+
+    ``obs`` and ``noise`` are the features' (k, 3, 9) rows and (k, 3, 3) noise
+    blocks; ``h_at`` and ``r_at`` the flat offsets of H's identities and of
+    R's blocks, from ``_frame_geometry``.
+    """
+    k = len(obs)
+    H = np.zeros((3 * k, n))
+    H[:, :VEHICLE_DIM] = obs.reshape(3 * k, VEHICLE_DIM)
+    H.reshape(-1)[h_at] = 1.0
+    R = np.zeros(9 * k * k)
+    R[r_at] = noise
+    return H, R.reshape(3 * k, 3 * k)
 
 
 class _Frame(NamedTuple):
@@ -740,13 +766,14 @@ class _Frame(NamedTuple):
     ``R`` and ``K`` the update's prior, stacked measurement and gain (None when
     no feature is visible); ``steps`` and ``phi`` the IMU-step transitions from
     the previous frame and their product Phi_f (empty and None at frame 0).
+    ``steps`` is one tuple, shared by every frame with the same step segments.
     ``raw`` holds the covariances the frame re-symmetrized, as computed: the
     propagated one (from frame 1 on), then the updated one (at an update).
     """
 
     t: float
     position: np.ndarray
-    steps: list
+    steps: tuple
     phi: np.ndarray | None
     P: np.ndarray
     P_prior: np.ndarray | None
@@ -796,19 +823,20 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
         state_transition(model.augmented_f(force, n), imu_dt, "exact")
         for _, force in trajectory.segments
     ]
-    transitions = {}  # step segments -> (Phi_f, Q_f)
+    transitions = {}  # step segments -> (step transitions, Phi_f, Q_f)
+    identity = np.eye(n)
     P = np.diag(scenario._prior_variances())
     initialized = [False] * L
-    steps, phi_f = [], None
+    steps, phi_f = (), None
 
     frames = _frame_geometry(scenario, trajectory, sensor, count)
-    for frame, (t, pos, pattern, visible, obs, noise) in enumerate(frames):
+    for frame, (t, pos, pattern, visible, obs, noise, h_at, r_at) in enumerate(frames):
         raw = ()
         if frame:
-            steps = [phis[s] for s in pattern]
             if pattern not in transitions:
-                transitions[pattern] = _frame_transition(steps, q_dt)
-            phi_f, q_f = transitions[pattern]
+                steps = tuple(phis[s] for s in pattern)
+                transitions[pattern] = (steps, *_frame_transition(steps, q_dt))
+            steps, phi_f, q_f = transitions[pattern]
             P_raw, P = _propagated(P, phi_f, q_f)
             raw = (P_raw,)
         for c in visible:
@@ -817,9 +845,9 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
                 initialized[c] = True
         P_prior = H = R = K = None
         if visible:
-            H, R = _stacked_measurement(visible, obs, noise, n)
+            H, R = _stacked_measurement(obs, noise, h_at, r_at, n)
             P_prior = P
-            K, P_raw, P = _joseph(P, H, R)
+            K, P_raw, P = _joseph(P, H, R, identity)
             raw += (P_raw,)
         yield _Frame(t, pos, steps, phi_f, P, P_prior, H, R, K, raw)
 

@@ -280,6 +280,13 @@ class TestEquivalencePad:
 
 
 class TestScenario:
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.inf])
+    def test_non_positive_duration(self, delta):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            SegmentSpec(duration=delta, specific_force=[0, 0, 9.81])
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            case_scenario(2, delta=delta)
+
     def test_validates_on_construction(self):
         scenario = case_scenario(2)
         with pytest.raises(ValueError):

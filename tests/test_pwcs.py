@@ -75,9 +75,9 @@ class TestPwcsStripe:
         with pytest.raises(ValueError):
             PwcsStripe(F=np.zeros((3, 4)), H=np.zeros((1, 4)), delta=1.0)
 
-    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.inf])
     def test_non_positive_delta(self, delta):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive and finite"):
             PwcsStripe(F=np.eye(2), H=np.eye(2), delta=delta)
 
     def test_empty_observation_allowed(self):
@@ -128,8 +128,9 @@ class TestStateTransition:
             state_transition(np.eye(2), 1.0, "approximate")
         with pytest.raises(ValueError):
             state_transition(np.zeros((2, 3)), 1.0)
-        with pytest.raises(ValueError):
-            state_transition(np.eye(2), 0.0)
+        for delta in (0.0, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                state_transition(np.eye(2), delta)
 
 
 class TestLom:

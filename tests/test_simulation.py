@@ -19,7 +19,7 @@ from oracles import (
 )
 from test_golden import SCENARIO as CASE2_FLIGHT
 from test_golden_fov import SCENARIO as FOV_SCENARIO
-from slamobs import analysis, simulation
+from slamobs import analysis, model, simulation
 from slamobs.model import DetectionSchedule, feature_obs_row, ins_error_f
 from slamobs.pwcs import state_transition
 from slamobs.scenario import load_scenario, parse_scenario
@@ -154,8 +154,9 @@ class TestTrajectory:
         np.testing.assert_array_equal(before, trajectory.segments[0][1])
 
     def test_rejects_bad_segments(self):
-        with pytest.raises(ValueError):
-            TrajectoryConfig(p0=[0, 0, 0], v0=[0, 0, 0], segments=[(0.0, [0, 0, G])])
+        for duration in (0.0, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TrajectoryConfig(p0=[0, 0, 0], v0=[0, 0, 0], segments=[(duration, [0, 0, G])])
         with pytest.raises(ValueError):
             TrajectoryConfig(p0=[0, 0, 0], v0=[0, 0, 0], segments=[])
 
@@ -167,7 +168,7 @@ def _propagate(P, F, q, dt):
 
 def _update(P, H, R):
     """The Joseph-form posterior of P."""
-    return simulation._joseph(P, H, R)[2]
+    return simulation._joseph(P, H, R, np.eye(len(P)))[2]
 
 
 class TestPropagate:
@@ -547,10 +548,12 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
 
     Per-vector references (``o_in_fov``, ``o_noise_cartesian``,
     ``o_feature_obs_row``) in place of the batched kernels, ``o_kinematics``
-    for the vehicle position, and a running clock with ``o_segment`` for the
-    IMU steps, yielding the records the filter loop reads.
+    for the vehicle position, a running clock with ``o_segment`` for the
+    IMU steps, and the flat offsets of H's identities and R's blocks written
+    out per feature, yielding the records the filter loop reads.
     """
     ids = scenario.feature_ids
+    n = 9 + 3 * len(ids)
     durations = [duration for duration, _ in trajectory.segments]
     sigmas = (sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad)
     steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
@@ -574,6 +577,12 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
                 features.append(c)
                 obs.append(o_feature_obs_row(rel))
                 noise.append(o_noise_cartesian(rel, sigmas))
+        k = len(features)
+        h_at = [[(3 * j + a) * n + 9 + 3 * c + a for a in range(3)] for j, c in enumerate(features)]
+        r_at = [
+            [[(3 * j + a) * 3 * k + 3 * j + b for b in range(3)] for a in range(3)]
+            for j in range(k)
+        ]
         yield (
             t,
             pos,
@@ -581,7 +590,21 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
             features,
             np.array(obs).reshape(-1, 3, 9),
             np.array(noise).reshape(-1, 3, 3),
+            np.array(h_at, dtype=np.intp).reshape(-1, 3),
+            np.array(r_at, dtype=np.intp).reshape(-1, 3, 3),
         )
+
+
+def _looped_measurement(visible, obs, noise, n):
+    """H and block-diagonal R of one frame, assembled feature by feature."""
+    k = len(visible)
+    H, R = np.zeros((3 * k, n)), np.zeros((3 * k, 3 * k))
+    for j, c in enumerate(visible):
+        rows = slice(3 * j, 3 * j + 3)
+        H[rows, :9] = obs[j]
+        H[rows, 9 + 3 * c : 12 + 3 * c] = np.eye(3)
+        R[rows, rows] = noise[j]
+    return H, R
 
 
 def _gated_flight():
@@ -681,7 +704,7 @@ class TestBatchedGeometry:
         count = simulation._frame_count(scenario, trajectory, sensor, None)
         want = np.zeros((len(features), len(trajectory.segments)), dtype=bool)
         frames = simulation._frame_geometry(scenario, trajectory, sensor, count)
-        for t, _, _, visible, _, _ in frames:
+        for t, _, _, visible, *_ in frames:
             want[visible, trajectory.segment_index(t)] = True
         assert want.sum() > len(features)
         np.testing.assert_array_equal(fov_schedule(features, trajectory, sensor).detected, want)
@@ -705,6 +728,45 @@ class TestBatchedGeometry:
         for label in want.labels():
             np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
         np.testing.assert_array_equal(got_run.estimated_positions, want_run.estimated_positions)
+
+    @pytest.mark.parametrize("flight", ["scheduled", "gated"])
+    def test_stacked_measurement_matches_looped_build(self, flight):
+        """H and R scattered at the per-block offsets equal the layout built feature by feature."""
+        if flight == "scheduled":
+            # k = 1..4 visible features, never the first k of the seven
+            detected = np.zeros((7, 4), dtype=bool)
+            for segment, columns in enumerate([[3], [0, 5], [1, 4, 6], [0, 2, 5, 6]]):
+                detected[columns, segment] = True
+            features = {f"m{c}": [10.0 * c - 30.0, 5.0 * (c % 3) - 5.0, 0.0] for c in range(7)}
+            scenario = SimScenario(features, DetectionSchedule(detected, tuple(features)))
+            trajectory = TrajectoryConfig(
+                p0=[0.0, 0.0, 100.0], v0=[5.0, 0.0, 0.0], segments=[(0.2, [0.0, 0.0, G])] * 4
+            )
+        else:
+            features, trajectory = _gated_flight()
+            scenario = SimScenario(feature_positions=features)
+        sensor = SensorConfig()
+        n = 9 + 3 * len(features)
+        count = simulation._frame_count(scenario, trajectory, sensor, None)
+        sizes = []
+        for _, _, _, visible, obs, noise, h_at, r_at in simulation._frame_geometry(
+            scenario, trajectory, sensor, count
+        ):
+            sizes.append(len(visible))
+            if not visible:
+                continue
+            H, R = simulation._stacked_measurement(obs, noise, h_at, r_at, n)
+            want_H, want_R = _looped_measurement(visible, obs, noise, n)
+            bands = model.feature_bands(visible, obs, n)
+            np.testing.assert_array_equal(bands.reshape(H.shape), want_H)
+            np.testing.assert_array_equal(H, want_H)
+            np.testing.assert_array_equal(R, want_R)
+        if flight == "scheduled":
+            assert set(sizes) == {1, 2, 3, 4}
+        else:
+            # the visible counts differ between the two geometry blocks
+            block = simulation.GEOMETRY_BLOCK_FRAMES
+            assert count > block and set(sizes[:block]) != set(sizes[block:])
 
     def test_zero_range_on_schedule_path_rejected(self):
         scenario = SimScenario(
@@ -750,12 +812,12 @@ class TestFramePropagation:
             F[0:9, 0:9] = ins_error_f(force)
             phis.append(state_transition(F, imu_dt, "exact"))
         measurements = []
-        for _, _, _, visible, obs, noise in _scalar_frame_geometry(
+        for _, _, _, visible, obs, noise, _, _ in _scalar_frame_geometry(
             scenario, trajectory, sensor, count
         ):
             H = R = None
             if visible:
-                H, R = simulation._stacked_measurement(visible, obs, noise, n)
+                H, R = _looped_measurement(visible, obs, noise, n)
             measurements.append((visible, H, R))
         args = (
             AugmentedCovariance.initial(n_features=2).P,
