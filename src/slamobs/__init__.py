@@ -27,7 +27,6 @@ from .model import (
     Scenario,
     SegmentSpec,
     augment,
-    augment_scenario,
     equivalence_pad,
     feature_obs_row,
     ins_error_f,

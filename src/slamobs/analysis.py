@@ -218,9 +218,9 @@ def analyze_local(
 ) -> ObservabilityReport:
     """Observability report for a single segment considered on its own.
 
-    The local system is ``augment`` of the one segment with every feature it
-    detects, and no other: the vehicle states plus those features, so its
-    dimension is 9 + 3 * (detections in the segment).  Its total
+    The local system is ``augment`` of the one-segment scenario of the
+    features the segment detects, and no other: the vehicle states plus
+    those features, so its dimension is 9 + 3 * (detections in the segment).  Its total
     observability matrix is the segment's local one.
     """
     options = options or AnalysisOptions()
@@ -231,8 +231,8 @@ def analyze_local(
         )
     local_ids = [fid for _, fid in scenario.schedule.features_in_segment(segment_index)]
     detected = np.ones((len(local_ids), 1), dtype=bool)
-    system = augment(DetectionSchedule(detected, local_ids), [scenario.segments[segment_index]])
-    return _build_report(system, "local", segment_index, options)
+    local = Scenario(DetectionSchedule(detected, local_ids), [scenario.segments[segment_index]])
+    return _build_report(augment(local), "local", segment_index, options)
 
 
 def analyze_total(
@@ -245,8 +245,7 @@ def analyze_total(
     transition expansion, and classifies the standard candidate functionals.
     """
     options = options or AnalysisOptions()
-    system = augment(scenario.schedule, scenario.segments)
-    return _build_report(system, "total", None, options)
+    return _build_report(augment(scenario), "total", None, options)
 
 
 def case_scenario(

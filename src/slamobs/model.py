@@ -185,46 +185,40 @@ class SegmentSpec:
         }
 
 
-def validate_scenario(schedule: DetectionSchedule, segments) -> None:
-    """Check that segment geometry matches the detection schedule.
-
-    Raises ValueError naming the offending segment/feature when a scheduled
-    feature has no relative position or a relative position is supplied for
-    an unscheduled feature.
-    """
-    segments = list(segments)
-    if len(segments) != schedule.n_segments:
-        raise ValueError(
-            f"schedule covers {schedule.n_segments} segments but "
-            f"{len(segments)} segment specs were given"
-        )
-    for i, seg in enumerate(segments):
-        scheduled = {fid for _, fid in schedule.features_in_segment(i)}
-        supplied = set(seg.feature_rel_pos)
-        missing = scheduled - supplied
-        if missing:
-            raise ValueError(
-                f"segment {i}: no relative position for scheduled "
-                f"feature(s) {sorted(map(repr, missing))}"
-            )
-        extra = supplied - scheduled
-        if extra:
-            raise ValueError(
-                f"segment {i}: relative position supplied for unscheduled "
-                f"feature(s) {sorted(map(repr, extra))}"
-            )
-
-
 @dataclass(eq=False)
 class Scenario:
-    """A detection schedule plus per-segment specs, validated for consistency."""
+    """A detection schedule plus per-segment specs, validated for consistency.
+
+    Raises ValueError naming the offending segment/feature when the segment
+    count or a segment's relative positions disagree with the schedule.
+    """
 
     schedule: DetectionSchedule
     segments: list
 
     def __post_init__(self):
         self.segments = list(self.segments)
-        validate_scenario(self.schedule, self.segments)
+        schedule = self.schedule
+        if len(self.segments) != schedule.n_segments:
+            raise ValueError(
+                f"schedule covers {schedule.n_segments} segments but "
+                f"{len(self.segments)} segment specs were given"
+            )
+        for i, seg in enumerate(self.segments):
+            scheduled = {fid for _, fid in schedule.features_in_segment(i)}
+            supplied = set(seg.feature_rel_pos)
+            missing = scheduled - supplied
+            if missing:
+                raise ValueError(
+                    f"segment {i}: no relative position for scheduled "
+                    f"feature(s) {sorted(map(repr, missing))}"
+                )
+            extra = supplied - scheduled
+            if extra:
+                raise ValueError(
+                    f"segment {i}: relative position supplied for unscheduled "
+                    f"feature(s) {sorted(map(repr, extra))}"
+                )
 
     @property
     def n_segments(self) -> int:
@@ -258,22 +252,22 @@ class AugmentedSystem:
         return self.stripes[0].n
 
 
-def augment(schedule: DetectionSchedule, segments) -> AugmentedSystem:
-    """Embed all segments into one fixed-dimension system of size 9 + 3L.
+def augment(scenario: Scenario) -> AugmentedSystem:
+    """Embed a scenario's segments into one fixed-dimension system of size 9 + 3L.
 
     Each stripe's F carries the inertial block in the top-left corner and
     zero rows for the (static) feature states.  Each stripe's H has one
     3-row band per feature: the vehicle-block observation rows plus an
     identity in the feature's own column block when the feature is detected,
     all zeros otherwise.  Zero bands are retained so row indexing stays
-    aligned with the schedule; they do not affect rank.
+    aligned with the schedule; they do not affect rank.  ``Scenario`` has
+    already checked that schedule and segments agree.
     """
-    segments = list(segments)
-    validate_scenario(schedule, segments)
+    schedule = scenario.schedule
     L = schedule.n_features
     n = VEHICLE_DIM + 3 * L
     stripes = []
-    for i, seg in enumerate(segments):
+    for i, seg in enumerate(scenario.segments):
         pairs = schedule.features_in_segment(i)
         detected = [c for c, _ in pairs]
         rel = np.array([seg.feature_rel_pos[fid] for _, fid in pairs]).reshape(-1, 3)
@@ -286,11 +280,6 @@ def augment(schedule: DetectionSchedule, segments) -> AugmentedSystem:
         state_labels=state_labels(schedule.feature_ids),
         feature_ids=schedule.feature_ids,
     )
-
-
-def augment_scenario(scenario: Scenario) -> AugmentedSystem:
-    """Convenience wrapper over ``augment`` for a validated Scenario."""
-    return augment(scenario.schedule, scenario.segments)
 
 
 def equivalence_pad(stripe: PwcsStripe, extra_states: int) -> PwcsStripe:

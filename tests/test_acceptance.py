@@ -19,7 +19,7 @@ from slamobs.analysis import (
     case_scenario,
 )
 from slamobs.cli import main
-from slamobs.model import augment_scenario, equivalence_pad
+from slamobs.model import augment, equivalence_pad
 from slamobs.pwcs import lom, numerical_rank, tom
 from slamobs.simulation import SensorConfig, SimScenario, TrajectoryConfig, simulate
 
@@ -117,7 +117,7 @@ def test_criterion_5_augmentation_equivalence():
     with criterion(5, "padding an undetected feature keeps rank, adds 3 to nullity"):
         rng = np.random.default_rng(2025)
         for _ in range(100):
-            system = augment_scenario(random_scenario(rng))
+            system = augment(random_scenario(rng))
             base = tom(system.stripes)
             padded = tom([equivalence_pad(s, 3) for s in system.stripes])
             rank_base = numerical_rank(base, RANK_TOL)
@@ -188,7 +188,7 @@ def test_criterion_9_oracle_equivalence():
         rng = np.random.default_rng(2029)
         scenarios += [random_scenario(rng) for _ in range(20)]
         for scenario in scenarios:
-            system = augment_scenario(scenario)
+            system = augment(scenario)
             stripes = scenario_to_oracle_stripes(scenario)
             for mode, first_order in (("exact", False), ("first_order", True)):
                 got = tom(system.stripes, max_power=2, mode=mode)

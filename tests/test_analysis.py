@@ -199,7 +199,7 @@ class TestStandardWeights:
 
 
 def _total_matrix(scenario, options):
-    system = augment(scenario.schedule, scenario.segments)
+    system = augment(scenario)
     return tom(system.stripes, MAX_POWER, options.expansion_mode)
 
 

@@ -11,7 +11,6 @@ from slamobs.model import (
     Scenario,
     SegmentSpec,
     augment,
-    augment_scenario,
     equivalence_pad,
     feature_obs_row,
     feature_obs_rows,
@@ -116,7 +115,7 @@ class TestDetectionSchedule:
 class TestAugment:
     def test_case2_shape_and_zero_band(self):
         scenario = case_scenario(2)
-        system = augment_scenario(scenario)
+        system = augment(scenario)
         assert system.n == 15
         assert [s.H.shape for s in system.stripes] == [(6, 15), (6, 15)]
         # feature 2 is not detected in segment 1: its band is all zero
@@ -130,7 +129,7 @@ class TestAugment:
             specific_force=[0, 0, 9.81],
             feature_rel_pos={"f1": [10, 0, -100]},
         )
-        system = augment(schedule, [seg])
+        system = augment(Scenario(schedule, [seg]))
         assert system.n == 12
         H = system.stripes[0].H
         np.testing.assert_array_equal(H[:, 0:9], feature_obs_row([10, 0, -100]))
@@ -150,7 +149,7 @@ class TestAugment:
             )
             for _ in range(k)
         ]
-        system = augment(schedule, segments)
+        system = augment(Scenario(schedule, segments))
         for stripe in system.stripes:
             for c in range(L):
                 assert stripe.H[3 * c : 3 * c + 3].any()
@@ -162,7 +161,7 @@ class TestAugment:
             scenario = random_scenario(rng)
             zeroed += zero_components(rng, scenario)
             schedule, L = scenario.schedule, scenario.schedule.n_features
-            system = augment_scenario(scenario)
+            system = augment(scenario)
             for i, (seg, stripe) in enumerate(zip(scenario.segments, system.stripes)):
                 rel = {c: seg.feature_rel_pos[fid] for c, fid in schedule.features_in_segment(i)}
                 np.testing.assert_array_equal(stripe.F, o_aug_f(seg.specific_force, L))
@@ -174,7 +173,7 @@ class TestAugment:
     def test_feature_rows_of_dynamics_are_zero(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            system = augment_scenario(random_scenario(rng))
+            system = augment(random_scenario(rng))
             for stripe in system.stripes:
                 assert not stripe.F[9:, :].any()
 
@@ -182,7 +181,7 @@ class TestAugment:
         # the augmented transition equals the inertial transition beside an
         # identity on the feature states
         scenario = case_scenario(2)
-        system = augment_scenario(scenario)
+        system = augment(scenario)
         for stripe, seg in zip(system.stripes, scenario.segments):
             phi = state_transition(stripe.F, stripe.delta, "exact")
             expected = np.eye(15)
@@ -194,7 +193,7 @@ class TestAugment:
     def test_schedule_segment_mismatch(self):
         scenario = case_scenario(2)
         with pytest.raises(ValueError, match="segments"):
-            augment(scenario.schedule, scenario.segments[:1])
+            Scenario(scenario.schedule, scenario.segments[:1])
 
     def test_missing_relative_position(self):
         scenario = case_scenario(2)
@@ -202,7 +201,7 @@ class TestAugment:
             duration=50.0, specific_force=[0, 0, 9.81], feature_rel_pos={}
         )
         with pytest.raises(ValueError, match="no relative position"):
-            augment(scenario.schedule, [broken, scenario.segments[1]])
+            Scenario(scenario.schedule, [broken, scenario.segments[1]])
 
     def test_unscheduled_relative_position(self):
         scenario = case_scenario(2)
@@ -213,7 +212,7 @@ class TestAugment:
             feature_rel_pos={"f1": seg.feature_rel_pos["f1"], "f2": [1, 2, 3]},
         )
         with pytest.raises(ValueError, match="unscheduled"):
-            augment(scenario.schedule, [broken, scenario.segments[1]])
+            Scenario(scenario.schedule, [broken, scenario.segments[1]])
 
     def test_vehicle_only_scenario(self):
         schedule = DetectionSchedule(detected=np.zeros((0, 2), dtype=bool))
@@ -221,7 +220,7 @@ class TestAugment:
             SegmentSpec(duration=1.0, specific_force=[0, 0, 9.81]),
             SegmentSpec(duration=1.0, specific_force=[0, 1, 9.81]),
         ]
-        system = augment(schedule, segments)
+        system = augment(Scenario(schedule, segments))
         assert system.n == 9
         assert all(s.H.shape == (0, 9) for s in system.stripes)
         assert numerical_rank(tom(system.stripes)) == 0
@@ -237,21 +236,21 @@ class TestAugment:
 
 class TestEquivalencePad:
     def test_zero_padding_is_identity(self):
-        stripe = augment_scenario(case_scenario(2)).stripes[0]
+        stripe = augment(case_scenario(2)).stripes[0]
         padded = equivalence_pad(stripe, 0)
         np.testing.assert_array_equal(padded.F, stripe.F)
         np.testing.assert_array_equal(padded.H, stripe.H)
         assert padded.delta == stripe.delta
 
     def test_padding_preserves_lom_rank(self):
-        stripe = augment_scenario(case_scenario(2)).stripes[0]
+        stripe = augment(case_scenario(2)).stripes[0]
         want = numerical_rank(lom(stripe))
         padded = equivalence_pad(stripe, 3)
         assert padded.n == stripe.n + 3
         assert numerical_rank(lom(padded)) == want
 
     def test_case2_padded_with_ghost_feature(self):
-        system = augment_scenario(case_scenario(2))
+        system = augment(case_scenario(2))
         padded = [equivalence_pad(s, 3) for s in system.stripes]
         matrix = tom(padded)
         assert matrix.shape[1] == 18
@@ -262,7 +261,7 @@ class TestEquivalencePad:
         rng = np.random.default_rng(23)
         for _ in range(100):
             scenario = random_scenario(rng)
-            system = augment_scenario(scenario)
+            system = augment(scenario)
             extra = int(rng.integers(1, 4)) * 3
             base_rank = numerical_rank(tom(system.stripes))
             padded_rank = numerical_rank(
@@ -274,7 +273,7 @@ class TestEquivalencePad:
             assert lom_padded == lom_base
 
     def test_negative_padding_rejected(self):
-        stripe = augment_scenario(case_scenario(2)).stripes[0]
+        stripe = augment(case_scenario(2)).stripes[0]
         with pytest.raises(ValueError):
             equivalence_pad(stripe, -1)
 

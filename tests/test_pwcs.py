@@ -6,7 +6,7 @@ import pytest
 from oracles import o_expm, o_null_space, o_rank, o_tom
 from randgen import random_scenario
 from slamobs.analysis import case_scenario
-from slamobs.model import augment_scenario, ins_error_f
+from slamobs.model import augment, ins_error_f
 from slamobs.pwcs import (
     PwcsStripe,
     is_functional_observable,
@@ -20,7 +20,7 @@ from slamobs.pwcs import (
 
 
 def case2_system():
-    return augment_scenario(case_scenario(2))
+    return augment(case_scenario(2))
 
 
 def case2_segment1_stripe():
@@ -273,7 +273,7 @@ class TestNullSpace:
             rows, rank = int(rng.integers(12, 40)), int(rng.integers(1, 12))
             matrices.append(rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, 12)))
         for _ in range(5):
-            system = augment_scenario(random_scenario(rng, n_features=8, n_segments=6))
+            system = augment(random_scenario(rng, n_features=8, n_segments=6))
             matrices.append(tom(system.stripes, 2))
         for M in matrices:
             assert M.shape[0] >= M.shape[1]
