@@ -83,8 +83,8 @@ class AnalysisOptions:
                 "expansion_mode must be 'exact' or 'first_order', "
                 f"got {self.expansion_mode!r}"
             )
-        if not self.rank_tol > 0:
-            raise ValueError("rank_tol must be positive")
+        if not 0 < self.rank_tol < np.inf:
+            raise ValueError("rank_tol must be positive and finite")
 
 
 @dataclass(eq=False)

@@ -205,8 +205,8 @@ def null_space(M, rel_tol: float = DEFAULT_RANK_TOL) -> NullSpaceBasis:
     ||M v|| <= rel_tol * ||M|| * ||v||.
     """
     M = _as_finite_array(M, "M")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
+    if not 0 < rel_tol < np.inf:
+        raise ValueError("rel_tol must be positive and finite")
     if M.ndim != 2:
         raise ValueError("M must be a matrix")
     n = M.shape[1]

@@ -113,6 +113,8 @@ class TrajectoryConfig:
         self.p0 = _as_finite_array(self.p0, "p0", (3,))
         self.v0 = _as_finite_array(self.v0, "v0", (3,))
         self.gravity = float(self.gravity)
+        if not 0 <= self.gravity < np.inf:
+            raise ValueError("gravity must be non-negative and finite")
         norm = []
         for j, seg in enumerate(self.segments):
             duration, force = seg
@@ -202,8 +204,8 @@ class SensorConfig:
 
     def __post_init__(self):
         for name in ("imu_rate_hz", "frame_rate_hz", "fov_deg"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         # noise magnitudes may be zero to exercise degenerate limits
         for name in (
             "accel_noise",
@@ -212,8 +214,8 @@ class SensorConfig:
             "bearing_noise_deg",
             "elevation_noise_deg",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.imu_rate_hz < self.frame_rate_hz:
             raise ValueError("imu_rate_hz must be at least frame_rate_hz")
         ratio = self.imu_rate_hz / self.frame_rate_hz
@@ -483,8 +485,10 @@ class SimScenario:
             self.vehicle_variances, "vehicle_variances", (9,)
         )
         self.feature_prior = float(self.feature_prior)
-        if np.any(self.vehicle_variances < 0) or self.feature_prior < 0:
-            raise ValueError("vehicle variances and feature_prior must be non-negative")
+        if np.any(self.vehicle_variances < 0):
+            raise ValueError("vehicle_variances must be non-negative")
+        if not 0 <= self.feature_prior < np.inf:
+            raise ValueError("feature_prior must be non-negative and finite")
         if self.schedule is not None:
             missing = set(self.schedule.feature_ids) - set(self.feature_positions)
             if missing:

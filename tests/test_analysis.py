@@ -144,6 +144,11 @@ class TestAnalyzeTotal:
             assert exact.rank == first.rank == 12
             assert exact.nullity == first.nullity == 3
 
+    @pytest.mark.parametrize("rank_tol", [0.0, np.inf, np.nan])
+    def test_rank_tol_must_be_positive_and_finite(self, rank_tol):
+        with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
+            AnalysisOptions(rank_tol=rank_tol)
+
 
 class TestAnalyzeCase:
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])

@@ -85,6 +85,11 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "segments[0].duration" in err
 
+    def test_infinite_tolerance_rejected(self, capsys):
+        # it used to exit 0 with rank 0 yet call every functional observable
+        assert main(["analyze", bundled_path("case2.yaml"), "--tol", "inf"]) == 1
+        assert "rank_tol must be positive and finite" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file.yaml"]) == 1
         assert "scenario error" in capsys.readouterr().err

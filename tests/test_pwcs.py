@@ -296,6 +296,12 @@ class TestNullSpace:
                 basis.vectors @ basis.vectors.T, want @ want.T, atol=1e-12
             )
 
+    @pytest.mark.parametrize("rel_tol", [0.0, np.inf, np.nan])
+    def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
+        # an infinite tolerance gave rank 0 yet called every functional observable
+        with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+            null_space(np.eye(3), rel_tol)
+
 
 class TestIsFunctionalObservable:
     def test_full_column_rank_sees_everything(self):

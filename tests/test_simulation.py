@@ -160,6 +160,13 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             TrajectoryConfig(p0=[0, 0, 0], v0=[0, 0, 0], segments=[])
 
+    @pytest.mark.parametrize("gravity", [-1.0, np.inf, np.nan])
+    def test_gravity_must_be_non_negative_and_finite(self, gravity):
+        with pytest.raises(ValueError, match="gravity must be non-negative and finite"):
+            TrajectoryConfig(
+                p0=[0, 0, 0], v0=[0, 0, 0], segments=[(1.0, [0, 0, G])], gravity=gravity
+            )
+
 
 def _propagate(P, F, q, dt):
     """One prediction of length dt: the exact transition of F and q * dt of process noise."""
@@ -531,6 +538,11 @@ class TestStateComparisonRun:
         """The state run draws its initial errors from the prior before the loop starts."""
         with pytest.raises(ValueError, match="non-negative"):
             SimScenario(feature_positions={"f1": [10.0, 0.0, 0.0]}, **prior)
+
+    @pytest.mark.parametrize("prior", [np.inf, np.nan])
+    def test_non_finite_feature_prior_rejected(self, prior):
+        with pytest.raises(ValueError, match="feature_prior must be non-negative and finite"):
+            SimScenario(feature_positions={"f1": [10.0, 0.0, 0.0]}, feature_prior=prior)
 
     def test_deterministic_per_seed(self):
         kwargs = dict(
@@ -1000,3 +1012,22 @@ class TestSensorConfig:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             SensorConfig(accel_noise=-0.1)
+
+    @pytest.mark.parametrize(
+        "name, value, wording",
+        [
+            ("imu_rate_hz", np.inf, "positive"),
+            ("imu_rate_hz", np.nan, "positive"),
+            ("frame_rate_hz", np.inf, "positive"),
+            ("fov_deg", np.inf, "positive"),
+            ("fov_deg", np.nan, "positive"),
+            ("accel_noise", np.nan, "non-negative"),
+            ("gyro_noise_deg", np.inf, "non-negative"),
+            ("range_error_m", np.inf, "non-negative"),
+            ("bearing_noise_deg", np.nan, "non-negative"),
+            ("elevation_noise_deg", np.inf, "non-negative"),
+        ],
+    )
+    def test_non_finite_rejected(self, name, value, wording):
+        with pytest.raises(ValueError, match=f"{name} must be {wording} and finite"):
+            SensorConfig(**{name: value})
