@@ -304,16 +304,41 @@ def _o_stamp(P, visible, seen, prior):
     return P
 
 
+def _o_gauss_solve(A, B):
+    """X with A X = B by Gaussian elimination with partial pivoting, in A's dtype.
+
+    ``np.linalg`` has no ``np.longdouble`` solve; this one works in any
+    floating dtype.
+    """
+    A, X = np.array(A), np.array(B, dtype=A.dtype)
+    m = len(A)
+    for j in range(m):
+        p = j + int(np.argmax(np.abs(A[j:, j])))
+        A[[j, p]], X[[j, p]] = A[[p, j]], X[[p, j]]
+        factors = A[j + 1 :, j] / A[j, j]
+        A[j + 1 :, j:] -= np.outer(factors, A[j, j:])
+        X[j + 1 :] -= np.outer(factors, X[j])
+    for j in reversed(range(m)):
+        X[j] = (X[j] - A[j, j + 1 :] @ X[j + 1 :]) / A[j, j]
+    return X
+
+
 def _o_joseph(P, H, R):
-    """(K, re-symmetrized Joseph posterior) with the gain from one solve against S = H P H^T + R."""
+    """(K, re-symmetrized Joseph posterior) with the gain from one solve against S = H P H^T + R.
+
+    Float64 solves with ``np.linalg.solve``, any other dtype with ``_o_gauss_solve``.
+    """
     HP = H @ P
-    K = np.linalg.solve(HP @ H.T + R, HP).T
-    ikh = np.eye(P.shape[0]) - K @ H
+    solve = np.linalg.solve if P.dtype == np.float64 else _o_gauss_solve
+    K = solve(HP @ H.T + R, HP).T
+    ikh = np.eye(P.shape[0], dtype=P.dtype) - K @ H
     P = ikh @ P @ ikh.T + K @ R @ K.T
     return K, 0.5 * (P + P.T)
 
 
-def o_step_filter(P0, phis, q_dt, durations, frame_dt, steps_per_frame, measurements, prior):
+def o_step_filter(
+    P0, phis, q_dt, durations, frame_dt, steps_per_frame, measurements, prior, dtype=float
+):
     """Covariance filter propagated one IMU step at a time.
 
     The per-step reference for a filter that propagates once per vision
@@ -323,9 +348,14 @@ def o_step_filter(P0, phis, q_dt, durations, frame_dt, steps_per_frame, measurem
     a feature seen for the first time gets the block ``prior * I3`` with its
     cross-covariances zeroed, then a Joseph update takes its gain from one
     solve with S = H P H^T + R.  Returns the posterior covariance of every
-    frame and the tuple of step segments of every propagation.
+    frame and the tuple of step segments of every propagation.  Every input
+    matrix is converted to ``dtype`` and the recursion runs in it:
+    ``np.longdouble`` gives an extended-precision reference for a float64 run
+    over the same float64 inputs.
     """
-    P = np.array(P0, dtype=float)
+    P = np.array(P0, dtype=dtype)
+    phis = [np.asarray(phi, dtype=dtype) for phi in phis]
+    q_dt = np.asarray(q_dt, dtype=dtype)
     seen = set()
     covariances, patterns = [], []
     for f, (visible, H, R) in enumerate(measurements):
@@ -337,7 +367,7 @@ def o_step_filter(P0, phis, q_dt, durations, frame_dt, steps_per_frame, measurem
             patterns.append(tuple(pattern))
         P = _o_stamp(P, visible, seen, prior)
         if len(visible):
-            _, P = _o_joseph(P, H, R)
+            _, P = _o_joseph(P, np.asarray(H, dtype=dtype), np.asarray(R, dtype=dtype))
         covariances.append(P)
     return np.array(covariances), patterns
 

@@ -14,6 +14,7 @@ from oracles import (
     o_kinematics,
     o_noise_cartesian,
     o_segment,
+    o_standard_candidates,
     o_state_run,
     o_step_filter,
 )
@@ -806,6 +807,38 @@ def _straddling_flight(schedule=True):
     return scenario, trajectory
 
 
+def _step_filter_args(scenario, trajectory, sensor, count):
+    """``o_step_filter``'s arguments for the first ``count`` frames of a run."""
+    n = 9 + 3 * len(scenario.feature_ids)
+    frame_dt = 1.0 / sensor.frame_rate_hz
+    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
+    imu_dt = frame_dt / steps_per_frame
+    phis = []
+    for _, force in trajectory.segments:
+        F = np.zeros((n, n))
+        F[0:9, 0:9] = ins_error_f(force)
+        phis.append(state_transition(F, imu_dt, "exact"))
+    measurements = []
+    for _, _, _, visible, obs, noise, _, _ in _scalar_frame_geometry(
+        scenario, trajectory, sensor, count
+    ):
+        H = R = None
+        if visible:
+            H, R = _looped_measurement(visible, obs, noise, n)
+        measurements.append((visible, H, R))
+    prior = np.r_[scenario.vehicle_variances, np.full(n - 9, scenario.feature_prior)]
+    return (
+        np.diag(prior),
+        phis,
+        process_noise_intensity(sensor, n) * imu_dt,
+        [duration for duration, _ in trajectory.segments],
+        frame_dt,
+        steps_per_frame,
+        measurements,
+        scenario.feature_prior,
+    )
+
+
 class TestFramePropagation:
     """One composed propagation per frame against the per-IMU-step recursion."""
 
@@ -814,34 +847,7 @@ class TestFramePropagation:
         """The straddling flight, its frame count and ``o_step_filter``'s arguments."""
         scenario, trajectory = _straddling_flight()
         count = simulation._frame_count(scenario, trajectory, sensor, None)
-        n = 9 + 3 * len(scenario.feature_ids)
-        frame_dt = 1.0 / sensor.frame_rate_hz
-        steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
-        imu_dt = frame_dt / steps_per_frame
-        phis = []
-        for _, force in trajectory.segments:
-            F = np.zeros((n, n))
-            F[0:9, 0:9] = ins_error_f(force)
-            phis.append(state_transition(F, imu_dt, "exact"))
-        measurements = []
-        for _, _, _, visible, obs, noise, _, _ in _scalar_frame_geometry(
-            scenario, trajectory, sensor, count
-        ):
-            H = R = None
-            if visible:
-                H, R = _looped_measurement(visible, obs, noise, n)
-            measurements.append((visible, H, R))
-        args = (
-            AugmentedCovariance.initial(n_features=2).P,
-            phis,
-            process_noise_intensity(sensor, n) * imu_dt,
-            [duration for duration, _ in trajectory.segments],
-            frame_dt,
-            steps_per_frame,
-            measurements,
-            scenario.feature_prior,
-        )
-        return scenario, trajectory, count, args
+        return scenario, trajectory, count, _step_filter_args(scenario, trajectory, sensor, count)
 
     @classmethod
     def _loop_and_oracle(cls, sensor):
@@ -872,6 +878,32 @@ class TestFramePropagation:
         sensor = SensorConfig(imu_rate_hz=25.0, frame_rate_hz=25.0)
         got, want, _, _ = self._loop_and_oracle(sensor)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no wider than float64 on this platform",
+    )
+    def test_float64_run_matches_extended_precision_reference(self):
+        """Every standard candidate's std over 20 s of case2_flight, against long double.
+
+        The reference runs the same float64 inputs one IMU step at a time in
+        ``np.longdouble`` (eps 1.1e-19), so the difference is the float64
+        run's accumulated rounding: about 1e-10 relative at worst.
+        """
+        doc = load_scenario(CASE2_FLIGHT)
+        scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
+        count = simulation._frame_count(scenario, trajectory, sensor, 20.0)
+        args = _step_filter_args(scenario, trajectory, sensor, count)
+        want, _ = o_step_filter(*args, dtype=np.longdouble)
+        assert want.dtype == np.longdouble and count == len(want) == 501
+        labels, weights = o_standard_candidates(scenario.feature_ids)
+        W = np.array(weights, dtype=np.longdouble)
+        reference = np.sqrt(np.einsum("ci,kij,cj->ck", W, want, W))
+        trace = simulate(scenario, trajectory, sensor, duration=20.0)
+        assert trace.labels() == labels
+        got = np.array([trace.series(label) for label in labels])
+        error = np.abs(got - reference) / reference
+        assert float(error.max()) <= 1e-9
 
     @pytest.mark.parametrize("rates", [(25.0, 25.0), (100.0, 25.0), (90.0, 30.0)])
     def test_state_run_matches_step_by_step_oracle(self, rates):
