@@ -220,8 +220,8 @@ def analyze_local(
 
     The local system is ``augment`` of the one-segment scenario of the
     features the segment detects, and no other: the vehicle states plus
-    those features, so its dimension is 9 + 3 * (detections in the segment).  Its total
-    observability matrix is the segment's local one.
+    those features, so its dimension is 9 + 3 * (detections in the segment).
+    Its total observability matrix is the segment's local one.
     """
     options = options or AnalysisOptions()
     if not 0 <= segment_index < scenario.n_segments:

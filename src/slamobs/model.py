@@ -290,7 +290,7 @@ def equivalence_pad(stripe: PwcsStripe, extra_states: int) -> PwcsStripe:
     observability of the original states nor the rank of any local or total
     observability matrix built from the stripe.
     """
-    if int(extra_states) != extra_states or extra_states < 0:
+    if not 0 <= extra_states < np.inf or int(extra_states) != extra_states:
         raise ValueError("extra_states must be a non-negative integer")
     extra = int(extra_states)
     if extra == 0:

@@ -86,7 +86,7 @@ class TestAnalyzeCommand:
         assert "segments[0].duration" in err
 
     def test_infinite_tolerance_rejected(self, capsys):
-        # it used to exit 0 with rank 0 yet call every functional observable
+        # an infinite tolerance would read rank 0 yet call every functional observable
         assert main(["analyze", bundled_path("case2.yaml"), "--tol", "inf"]) == 1
         assert "rank_tol must be positive and finite" in capsys.readouterr().err
 

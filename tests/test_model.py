@@ -277,6 +277,12 @@ class TestEquivalencePad:
         with pytest.raises(ValueError):
             equivalence_pad(stripe, -1)
 
+    @pytest.mark.parametrize("extra", [np.inf, np.nan])
+    def test_non_finite_padding_rejected(self, extra):
+        stripe = augment(case_scenario(2)).stripes[0]
+        with pytest.raises(ValueError, match="extra_states must be a non-negative integer"):
+            equivalence_pad(stripe, extra)
+
 
 class TestScenario:
     @pytest.mark.parametrize("delta", [0.0, -1.0, np.inf])

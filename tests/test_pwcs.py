@@ -298,7 +298,7 @@ class TestNullSpace:
 
     @pytest.mark.parametrize("rel_tol", [0.0, np.inf, np.nan])
     def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
-        # an infinite tolerance gave rank 0 yet called every functional observable
+        # an infinite tolerance would give rank 0 yet call every functional observable
         with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
             null_space(np.eye(3), rel_tol)
 
