@@ -16,8 +16,8 @@ original states, which is what makes the fixed-dimension embedding sound;
 
 The analysis and the covariance filter both take that layout from here:
 block names, F (``augmented_f``), the rows [-I, 0, skew(r)] of m relative
-positions (``feature_obs_rows``) and their bands in H (``feature_bands``,
-whose identity entries ``band_offsets`` places).
+positions (``feature_obs_rows``) and their bands in H (``feature_bands``):
+every H of ``augment`` and of the filter's update frames is built from them.
 """
 
 from __future__ import annotations
@@ -75,24 +75,14 @@ def feature_obs_row(rel_pos) -> np.ndarray:
     return feature_obs_rows(r[None, :])[0]
 
 
-def band_offsets(slots, features, n) -> np.ndarray:
-    """(m, 3) flat offsets, in a row-major H of width n, of the I3 of each band.
-
-    Band ``slots[i]`` (H rows 3 slots[i] .. 3 slots[i] + 2) measures feature
-    ``features[i]``: its identity entries sit on that feature's column block.
-    """
-    axes = np.arange(3)
-    rows = 3 * np.asarray(slots, dtype=np.intp)[:, None] + axes
-    cols = VEHICLE_DIM + 3 * np.asarray(features, dtype=np.intp)[:, None] + axes
-    return rows * n + cols
-
-
 def feature_bands(features, obs, n) -> np.ndarray:
     """(k, 3, n) bands of H: vehicle rows ``obs[i]`` plus I3 on feature ``features[i]``'s block."""
     k = len(features)
     H = np.zeros((k, 3, n))
     H[:, :, 0:VEHICLE_DIM] = obs
-    H.reshape(-1)[band_offsets(np.arange(k), features, n)] = 1.0
+    axes = np.arange(3)
+    cols = VEHICLE_DIM + 3 * np.asarray(features, dtype=np.intp)[:, None] + axes
+    H[np.arange(k)[:, None], axes, cols] = 1.0
     return H
 
 

@@ -45,11 +45,11 @@ blocks of ``GEOMETRY_BLOCK_FRAMES`` vision frames at the times k * dt of
 and the segments of every IMU step, all under that rule; ``fov_schedule``
 gates those positions and ``_frame_geometry`` turns them into one record per
 frame: its time, position, step segments, visible features (the schedule's
-columns, or one field-of-view gate over frames x features), their rows
-(``model.feature_obs_rows``) and 3x3 noise blocks (``_noise_blocks``), and
-the flat offsets at which those go into the frame's stacked H and
-block-diagonal R, all computed once per block.  An update frame only
-allocates H and R and scatters into them (``_stacked_measurement``); the
+columns, or one field-of-view gate over frames x features), their bands of H
+(``model.feature_bands``, the function ``augment`` builds the analysis's H
+with) and 3x3 noise blocks (``_noise_blocks``), all computed once per block.
+Each update frame's H is a row slice of its block's ``feature_bands``, and
+``_stacked_measurement`` only places the noise blocks on R's diagonal; the
 loop builds the identity of the Joseph update once per run, and the step
 transitions with (Phi_f, Q_f) once per step pattern.  The batched kernels
 take dot products and norms as stacked 1x3 by 3x1 matrix products, which
@@ -145,7 +145,10 @@ class TrajectoryConfig:
         Segment j is active from ``_SLACK`` before the end of segment j - 1
         until ``_SLACK`` before its own end, the ends accumulated in segment
         order; the last segment also at and beyond the end of the trajectory.
+        A NaN or infinite time raises ValueError.
         """
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         ends = np.cumsum([duration for duration, _ in self.segments]) - _SLACK
         return np.minimum(np.searchsorted(ends, times, side="right"), len(self.segments) - 1)
 
@@ -710,17 +713,13 @@ def _frame_blocks(trajectory, sensor, count):
 
 
 def _frame_geometry(scenario: SimScenario, trajectory, sensor, count):
-    """Yield (t, position, step segments, visible features, rows, noise, H at, R at) per frame.
+    """Yield (t, position, step segments, visible features, bands, noise) per frame.
 
     The visible features of a frame are in ascending order (the schedule's
-    columns, or the field-of-view gate); ``rows`` and ``noise`` hold their
-    3x9 vehicle observation rows (``model.feature_obs_rows``) and 3x3 noise
-    blocks (``_noise_blocks``).  ``H at`` and ``R at`` place them in the
-    frame's stacked measurement (``_stacked_measurement``): the feature in
-    slot j of the frame's k visible ones has its I3 at the (3,) offsets
-    ``model.band_offsets`` gives in the flattened 3k x n H, and its noise
-    block at the (3, 3) offsets of diagonal block j in the flattened
-    3k x 3k R.  All of it is computed once per ``_frame_blocks`` block.
+    columns, or the field-of-view gate); ``bands`` and ``noise`` hold their
+    (k, 3, n) bands of H, a slice of the block's ``model.feature_bands``, and
+    their (k, 3, 3) noise blocks (``_noise_blocks``), both computed once per
+    ``_frame_blocks`` block.
     """
     features = np.array([scenario.feature_positions[fid] for fid in scenario.feature_ids])
     n = VEHICLE_DIM + 3 * len(features)
@@ -732,35 +731,27 @@ def _frame_geometry(scenario: SimScenario, trajectory, sensor, count):
             visible = scenario.schedule.detected[:, segments].T
         frame_of, feature_of = np.nonzero(visible)
         rel = rel[frame_of, feature_of]
-        obs = model.feature_obs_rows(rel)
+        bands = model.feature_bands(feature_of, model.feature_obs_rows(rel), n)
         noise = _noise_blocks(rel, sensor) if len(rel) else np.empty((0, 3, 3))
-        bounds = np.searchsorted(frame_of, np.arange(times.size + 1))
-        slot = np.arange(len(frame_of)) - bounds[frame_of]
-        width = 3 * np.diff(bounds)[frame_of]  # 3k of each pair's frame
-        h_at = model.band_offsets(slot, feature_of, n)
-        r_rows = 3 * slot[:, None] + np.arange(3)
-        r_at = (r_rows * width[:, None])[:, :, None] + r_rows[:, None, :]
-        bounds, feature_of = bounds.tolist(), feature_of.tolist()
+        bounds = np.searchsorted(frame_of, np.arange(times.size + 1)).tolist()
+        feature_of = feature_of.tolist()
         for i, (t, pattern) in enumerate(zip(times.tolist(), map(tuple, steps.tolist()))):
             rows = slice(bounds[i], bounds[i + 1])
-            visible = feature_of[rows]
-            yield t, positions[i], pattern, visible, obs[rows], noise[rows], h_at[rows], r_at[rows]
+            yield t, positions[i], pattern, feature_of[rows], bands[rows], noise[rows]
 
 
-def _stacked_measurement(obs, noise, h_at, r_at, n):
+def _stacked_measurement(bands, noise):
     """Stacked H (3k x n) and block-diagonal R (3k x 3k) of k visible features.
 
-    ``obs`` and ``noise`` are the features' (k, 3, 9) rows and (k, 3, 3) noise
-    blocks; ``h_at`` and ``r_at`` the flat offsets of H's identities and of
-    R's blocks, from ``_frame_geometry``.
+    ``bands`` and ``noise`` are the features' (k, 3, n) bands of H and
+    (k, 3, 3) noise blocks, from ``_frame_geometry``.  H is a view of the
+    bands, so it keeps its geometry block's bands alive.
     """
-    k = len(obs)
-    H = np.zeros((3 * k, n))
-    H[:, :VEHICLE_DIM] = obs.reshape(3 * k, VEHICLE_DIM)
-    H.reshape(-1)[h_at] = 1.0
-    R = np.zeros(9 * k * k)
-    R[r_at] = noise
-    return H, R.reshape(3 * k, 3 * k)
+    k, _, n = bands.shape
+    R = np.zeros((3 * k, 3 * k))
+    for row, block in zip(range(0, 3 * k, 3), noise):
+        R[row : row + 3, row : row + 3] = block
+    return bands.reshape(3 * k, n), R
 
 
 class _Frame(NamedTuple):
@@ -815,7 +806,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
     Then it applies one stacked Joseph update per vision frame covering every
     currently-detected feature, stamping each feature's prior block at its
     first detection; each frame's time, position, step segments, visible
-    features and their rows and noise come from ``_frame_geometry``.  A frame
+    features and their bands and noise come from ``_frame_geometry``.  A frame
     yields what it applied (step transitions and Phi_f; H, R and the gain K)
     and the raw covariances it re-symmetrized, and carries no sampled state.
     """
@@ -834,7 +825,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
     steps, phi_f = (), None
 
     frames = _frame_geometry(scenario, trajectory, sensor, count)
-    for frame, (t, pos, pattern, visible, obs, noise, h_at, r_at) in enumerate(frames):
+    for frame, (t, pos, pattern, visible, bands, noise) in enumerate(frames):
         raw = ()
         if frame:
             if pattern not in transitions:
@@ -849,7 +840,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
                 initialized[c] = True
         P_prior = H = R = K = None
         if visible:
-            H, R = _stacked_measurement(obs, noise, h_at, r_at, n)
+            H, R = _stacked_measurement(bands, noise)
             P_prior = P
             K, P_raw, P = _joseph(P, H, R, identity)
             raw += (P_raw,)

@@ -10,6 +10,12 @@ the visibility gate or of the measurement geometry cannot drift silently.  A
 change that alters these numbers on purpose re-records the fixture with
 
     PYTHONPATH=src python tests/test_golden_fov.py --record
+
+Every recorded standard deviation is also held within ``RTOL`` (1e-9)
+relative of an ``np.longdouble`` run of the same inputs
+(``test_simulation._extended_precision_stds``); the worst measured
+deviation is 1.5e-10 (on ``dv_U``).  So a fixture re-recorded under that
+rule cannot bake in more than float64 rounding.
 """
 
 import json
@@ -107,6 +113,21 @@ def test_std_series(current, golden, group):
         np.testing.assert_allclose(
             current[group][label], want, rtol=RTOL, atol=ATOL, err_msg=label
         )
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 on this platform",
+)
+def test_std_series_within_extended_precision_bound(golden):
+    """Every recorded std is within RTOL of a long-double run of the same inputs."""
+    from test_simulation import _extended_precision_stds  # here: test_simulation imports this module
+
+    labels, reference = _extended_precision_stds(parse_scenario(SCENARIO), DURATION)
+    recorded = {**golden["std"], **golden["derived_std"]}
+    assert list(recorded) == labels
+    got = np.array([recorded[label] for label in labels])
+    assert float((np.abs(got - reference) / reference).max()) <= RTOL
 
 
 @pytest.mark.parametrize("name", STATE_SERIES)

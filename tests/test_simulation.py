@@ -115,6 +115,13 @@ class TestTrajectory:
             np.testing.assert_array_equal(np.concatenate(got), np.concatenate([p, v, f]))
             assert config.segment_index(t) == s
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("lookup", ["segment_index", "state_at", "positions_at", "segments_at"])
+    def test_non_finite_time_rejected(self, lookup, t):
+        query = t if lookup in ("segment_index", "state_at") else [t]
+        with pytest.raises(ValueError, match="times must be finite"):
+            getattr(flight_trajectory(), lookup)(query)
+
     def test_motion_is_continuous_past_a_segment_end(self):
         """A time just past an end moves on the next segment, not held at the end point."""
         trajectory = TrajectoryConfig(
@@ -562,8 +569,8 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
     Per-vector references (``o_in_fov``, ``o_noise_cartesian``,
     ``o_feature_obs_row``) in place of the batched kernels, ``o_kinematics``
     for the vehicle position, a running clock with ``o_segment`` for the
-    IMU steps, and the flat offsets of H's identities and R's blocks written
-    out per feature, yielding the records the filter loop reads.
+    IMU steps, and each visible feature's band of H written out on its own,
+    yielding the records the filter loop reads.
     """
     ids = scenario.feature_ids
     n = 9 + 3 * len(ids)
@@ -579,7 +586,7 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
             clock += imu_dt
         t = frame * (1.0 / sensor.frame_rate_hz)
         pos = o_trajectory(trajectory, t)[0]
-        features, obs, noise = [], [], []
+        features, bands, noise = [], [], []
         for c, fid in enumerate(ids):
             rel = scenario.feature_positions[fid] - pos
             if scenario.schedule is None:
@@ -587,24 +594,19 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
             else:
                 visible = scenario.schedule.detected[c, o_segment(durations, t)]
             if visible:
+                band = np.zeros((3, n))
+                band[:, :9] = o_feature_obs_row(rel)
+                band[:, 9 + 3 * c : 12 + 3 * c] = np.eye(3)
                 features.append(c)
-                obs.append(o_feature_obs_row(rel))
+                bands.append(band)
                 noise.append(o_noise_cartesian(rel, sigmas))
-        k = len(features)
-        h_at = [[(3 * j + a) * n + 9 + 3 * c + a for a in range(3)] for j, c in enumerate(features)]
-        r_at = [
-            [[(3 * j + a) * 3 * k + 3 * j + b for b in range(3)] for a in range(3)]
-            for j in range(k)
-        ]
         yield (
             t,
             pos,
             tuple(pattern),
             features,
-            np.array(obs).reshape(-1, 3, 9),
+            np.array(bands).reshape(-1, 3, n),
             np.array(noise).reshape(-1, 3, 3),
-            np.array(h_at, dtype=np.intp).reshape(-1, 3),
-            np.array(r_at, dtype=np.intp).reshape(-1, 3, 3),
         )
 
 
@@ -744,7 +746,7 @@ class TestBatchedGeometry:
 
     @pytest.mark.parametrize("flight", ["scheduled", "gated"])
     def test_stacked_measurement_matches_looped_build(self, flight):
-        """H and R scattered at the per-block offsets equal the layout built feature by feature."""
+        """H sliced from the per-block bands and R equal the layout built feature by feature."""
         if flight == "scheduled":
             # k = 1..4 visible features, never the first k of the seven
             detected = np.zeros((7, 4), dtype=bool)
@@ -762,16 +764,14 @@ class TestBatchedGeometry:
         n = 9 + 3 * len(features)
         count = simulation._frame_count(scenario, trajectory, sensor, None)
         sizes = []
-        for _, _, _, visible, obs, noise, h_at, r_at in simulation._frame_geometry(
+        for _, _, _, visible, bands, noise in simulation._frame_geometry(
             scenario, trajectory, sensor, count
         ):
             sizes.append(len(visible))
             if not visible:
                 continue
-            H, R = simulation._stacked_measurement(obs, noise, h_at, r_at, n)
-            want_H, want_R = _looped_measurement(visible, obs, noise, n)
-            bands = model.feature_bands(visible, obs, n)
-            np.testing.assert_array_equal(bands.reshape(H.shape), want_H)
+            H, R = simulation._stacked_measurement(bands, noise)
+            want_H, want_R = _looped_measurement(visible, bands[:, :, :9], noise, n)
             np.testing.assert_array_equal(H, want_H)
             np.testing.assert_array_equal(R, want_R)
         if flight == "scheduled":
@@ -780,6 +780,25 @@ class TestBatchedGeometry:
             # the visible counts differ between the two geometry blocks
             block = simulation.GEOMETRY_BLOCK_FRAMES
             assert count > block and set(sizes[:block]) != set(sizes[block:])
+
+    def test_filter_measures_the_rows_the_analysis_ranks(self):
+        """At each segment start of case2_flight the filter's H is ``augment``'s detected bands.
+
+        The parser derives each segment's relative positions from the
+        trajectory at the segment start, so the frames at t = 0 and t = 50 s
+        (frame 1250) measure exactly the rows of stripes 0 and 1, bit for bit.
+        """
+        doc = load_scenario(CASE2_FLIGHT)
+        schedule = doc.scenario.schedule
+        stripes = model.augment(doc.scenario).stripes
+        frames = list(
+            simulation._filter_frames(doc.sim_scenario(), doc.trajectory, doc.sensor, 1251)
+        )
+        for segment, frame in enumerate((frames[0], frames[1250])):
+            assert frame.t == 50.0 * segment
+            bands = stripes[segment].H.reshape(schedule.n_features, 3, -1)
+            want = bands[schedule.detected[:, segment]].reshape(-1, bands.shape[2])
+            np.testing.assert_array_equal(frame.H, want)
 
     def test_zero_range_on_schedule_path_rejected(self):
         scenario = SimScenario(
@@ -807,6 +826,22 @@ def _straddling_flight(schedule=True):
     return scenario, trajectory
 
 
+def _extended_precision_stds(doc, duration):
+    """Labels and ``np.longdouble`` stds of every standard candidate of a scenario document.
+
+    ``o_step_filter`` runs the first ``duration`` s of ``doc``'s flight one
+    IMU step at a time in ``np.longdouble`` on the float64 inputs of
+    ``_step_filter_args``; the result is (labels, stds), one row a label.
+    """
+    scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
+    count = simulation._frame_count(scenario, trajectory, sensor, duration)
+    args = _step_filter_args(scenario, trajectory, sensor, count)
+    want, _ = o_step_filter(*args, dtype=np.longdouble)
+    labels, weights = o_standard_candidates(scenario.feature_ids)
+    W = np.array(weights, dtype=np.longdouble)
+    return labels, np.sqrt(np.einsum("ci,kij,cj->ck", W, want, W))
+
+
 def _step_filter_args(scenario, trajectory, sensor, count):
     """``o_step_filter``'s arguments for the first ``count`` frames of a run."""
     n = 9 + 3 * len(scenario.feature_ids)
@@ -819,12 +854,12 @@ def _step_filter_args(scenario, trajectory, sensor, count):
         F[0:9, 0:9] = ins_error_f(force)
         phis.append(state_transition(F, imu_dt, "exact"))
     measurements = []
-    for _, _, _, visible, obs, noise, _, _ in _scalar_frame_geometry(
+    for _, _, _, visible, bands, noise in _scalar_frame_geometry(
         scenario, trajectory, sensor, count
     ):
         H = R = None
         if visible:
-            H, R = _looped_measurement(visible, obs, noise, n)
+            H, R = _looped_measurement(visible, bands[:, :, :9], noise, n)
         measurements.append((visible, H, R))
     prior = np.r_[scenario.vehicle_variances, np.full(n - 9, scenario.feature_prior)]
     return (
@@ -891,15 +926,9 @@ class TestFramePropagation:
         run's accumulated rounding: about 1e-10 relative at worst.
         """
         doc = load_scenario(CASE2_FLIGHT)
-        scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
-        count = simulation._frame_count(scenario, trajectory, sensor, 20.0)
-        args = _step_filter_args(scenario, trajectory, sensor, count)
-        want, _ = o_step_filter(*args, dtype=np.longdouble)
-        assert want.dtype == np.longdouble and count == len(want) == 501
-        labels, weights = o_standard_candidates(scenario.feature_ids)
-        W = np.array(weights, dtype=np.longdouble)
-        reference = np.sqrt(np.einsum("ci,kij,cj->ck", W, want, W))
-        trace = simulate(scenario, trajectory, sensor, duration=20.0)
+        labels, reference = _extended_precision_stds(doc, 20.0)
+        assert reference.dtype == np.longdouble and reference.shape[1] == 501
+        trace = simulate(doc.sim_scenario(), doc.trajectory, doc.sensor, duration=20.0)
         assert trace.labels() == labels
         got = np.array([trace.series(label) for label in labels])
         error = np.abs(got - reference) / reference
