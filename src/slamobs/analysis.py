@@ -126,16 +126,27 @@ class ObservabilityReport:
     def observable_modes(self) -> list:
         """Base labels whose three axis functionals are all observable."""
         by_base: dict = {}
-        order = []
         for v in self.mode_results:
-            base, _, axis = v.label.rpartition("_")
-            if axis not in AXES or not base:
-                base = v.label
-            if base not in by_base:
-                by_base[base] = []
-                order.append(base)
-            by_base[base].append(v.observable)
-        return [base for base in order if all(by_base[base])]
+            by_base.setdefault(_mode_base(v.label), []).append(v.observable)
+        return [base for base, flags in by_base.items() if all(flags)]
+
+
+def _mode_base(label: str) -> str:
+    """The mode ``observable_modes`` counts ``label`` toward: the label less its axis suffix."""
+    base, _, axis = label.rpartition("_")
+    return base if axis in AXES and base else label
+
+
+def _check_extra_label(label: str, standard_labels, earlier_labels) -> None:
+    """Raise ValueError if ``label`` repeats an earlier extra label or falls in a standard mode.
+
+    Standard labels come in axis triples, so a mode is standard when its first-axis label is.
+    """
+    base = _mode_base(label)
+    if f"{base}_{AXES[0]}" in standard_labels:
+        raise ValueError(f"candidate label {label!r} falls in the standard mode {base!r}")
+    if label in earlier_labels:
+        raise ValueError(f"candidate label {label!r} is repeated")
 
 
 def standard_weights(features):
@@ -188,6 +199,8 @@ def _build_report(system, scope, segment_index, options):
     labels, weights = standard_weights(system.feature_ids)
     extra = [cand for cand in options.extra_candidates if cand.weights.shape[0] == n]
     if extra:
+        for k, cand in enumerate(extra):
+            _check_extra_label(cand.label, labels, [c.label for c in extra[:k]])
         labels += [cand.label for cand in extra]
         weights = np.vstack([weights] + [cand.weights for cand in extra])
     # every candidate's projection onto the kernel, as rows (W N) N^T

@@ -24,8 +24,8 @@ from .model import AXES, VEHICLE_DIM
 from .pwcs import DEFAULT_RANK_TOL
 from .scenario import ScenarioError, load_scenario
 
-#: One CSV per vehicle block, in state order, then one for every feature.
-_CSV_GROUPS = ("position", "velocity", "attitude", "features")
+#: One CSV per vehicle block, in state order, then one of the features and one of the differences.
+_CSV_GROUPS = ("position", "velocity", "attitude", "features", "relative")
 
 
 def report_to_dict(report, scenario_name: str) -> dict:
@@ -95,7 +95,6 @@ def _write_csv(path: Path, labels, times, columns) -> None:
 
 def cmd_simulate(args) -> int:
     doc = load_scenario(args.scenario)
-    doc.require_simulation_sections()
     inputs = (doc.sim_scenario(), doc.trajectory, doc.sensor)
     if args.state_run:
         # the state run records the trace of its own filter pass
@@ -103,34 +102,24 @@ def cmd_simulate(args) -> int:
         trace = run.trace
     else:
         run, trace = None, simulation.simulate(*inputs, seed=args.seed, duration=args.duration)
+    state = list(trace.std)
+    groups = [state[k : k + 3] for k in range(0, VEHICLE_DIM, 3)]
+    groups += [state[VEHICLE_DIM:], list(trace.derived_std)]
+    tables = [
+        (name, labels, trace.times, [trace.series(lab) for lab in labels])
+        for name, labels in zip(_CSV_GROUPS, groups)
+    ]
+    if run is not None:
+        series = (run.true_positions, run.ins_positions, run.estimated_positions)
+        labels = [f"{kind}_{axis}" for kind in ("true", "ins", "est") for axis in AXES]
+        columns = [positions[:, a] for positions in series for a in range(3)]
+        tables.append(("state_run", labels, run.times, columns))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    state = list(trace.std)
-    groups = [state[k : k + 3] for k in range(0, VEHICLE_DIM, 3)] + [state[VEHICLE_DIM:]]
-    for group, labels in zip(_CSV_GROUPS, groups):
-        path = out_dir / f"{group}.csv"
-        _write_csv(path, labels, trace.times, [trace.std[lab] for lab in labels])
-        written.append(path)
-    rel_labels = list(trace.derived_std)
-    rel_path = out_dir / "relative.csv"
-    _write_csv(
-        rel_path, rel_labels, trace.times, [trace.derived_std[lab] for lab in rel_labels]
-    )
-    written.append(rel_path)
-    if run is not None:
-        path = out_dir / "state_run.csv"
-        series = (run.true_positions, run.ins_positions, run.estimated_positions)
-        _write_csv(
-            path,
-            [f"{kind}_{axis}" for kind in ("true", "ins", "est") for axis in AXES],
-            run.times,
-            [positions[:, a] for positions in series for a in range(3)],
-        )
-        written.append(path)
-    rows = trace.times.size
-    print(f"simulated {doc.name}: {rows} rows per trace (seed {args.seed})")
-    for path in written:
+    print(f"simulated {doc.name}: {trace.times.size} rows per trace (seed {args.seed})")
+    for name, labels, times, columns in tables:
+        path = out_dir / f"{name}.csv"
+        _write_csv(path, labels, times, columns)
         print(f"wrote {path}")
     return 0
 

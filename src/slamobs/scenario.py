@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
-from .analysis import AnalysisOptions, CandidateFunctional
+from .analysis import AnalysisOptions, CandidateFunctional, _check_extra_label, standard_weights
 from .model import DetectionSchedule, Scenario, SegmentSpec, state_blocks
 from .pwcs import DEFAULT_RANK_TOL
 from .simulation import (
@@ -68,9 +68,13 @@ class ScenarioDoc:
     gravity: float
 
     def sim_scenario(self) -> SimScenario:
-        """Simulation-side view; requires feature positions."""
+        """Simulation-side view; raises at a missing trajectory, sensor or features section."""
+        if self.trajectory is None:
+            raise ScenarioError("trajectory", "section required for simulation")
+        if self.sensor is None:
+            raise ScenarioError("sensor", "section required for simulation")
         if not self.feature_positions:
-            raise ScenarioError("features", "required for simulation")
+            raise ScenarioError("features", "section required for simulation")
         schedule = None if self.schedule_mode == "auto" else self.scenario.schedule
         return SimScenario(
             feature_positions=dict(self.feature_positions),
@@ -78,14 +82,6 @@ class ScenarioDoc:
             vehicle_variances=self.vehicle_variances,
             feature_prior=self.feature_prior,
         )
-
-    def require_simulation_sections(self) -> None:
-        if self.trajectory is None:
-            raise ScenarioError("trajectory", "section required for simulation")
-        if self.sensor is None:
-            raise ScenarioError("sensor", "section required for simulation")
-        if not self.feature_positions:
-            raise ScenarioError("features", "section required for simulation")
 
     def to_dict(self) -> dict:
         """Canonical dictionary form; re-parsing it reproduces this document.
@@ -389,12 +385,15 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     extra = []
     blocks = state_blocks(schedule.feature_ids)
     block_offsets = {block: 3 * k for k, block in enumerate(blocks)}
+    standard = standard_weights(schedule.feature_ids)[0] if candidates_raw else []
     for k, cand in enumerate(candidates_raw):
         cand_path = f"candidates[{k}]"
         _mapping(cand, cand_path, ("label", "weights"))
         label = _require(cand, "label", cand_path)
         if not isinstance(label, str):
             raise ScenarioError(f"{cand_path}.label", "must be a string")
+        with _located(f"{cand_path}.label"):
+            _check_extra_label(label, standard, [c.label for c in extra])
         weights_raw = _mapping(_require(cand, "weights", cand_path), f"{cand_path}.weights")
         w = np.zeros(3 * len(blocks))
         for block, vec in weights_raw.items():

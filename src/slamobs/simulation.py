@@ -510,11 +510,6 @@ class SimScenario:
         return np.r_[self.vehicle_variances, np.full(3 * len(self.feature_ids), self.feature_prior)]
 
 
-def _running(pick, old, new) -> float:
-    """``pick(old, new)`` (``max`` or ``min``) keeping a NaN ``new``; ``pick`` keeps a NaN ``old``."""
-    return float(new) if np.isnan(new) else pick(old, float(new))
-
-
 @dataclass(eq=False)
 class SimulationDiagnostics:
     """Numerical health of a covariance run, checked on every frame.
@@ -567,14 +562,14 @@ class SimulationDiagnostics:
             scale = np.abs(raw).max(axis=(1, 2))
             scale[scale == 0.0] = 1.0
             asym = np.abs(raw - raw.transpose(0, 2, 1)).max(axis=(1, 2)) / scale
-            self.max_relative_asymmetry = _running(max, self.max_relative_asymmetry, asym.max())
+            self.max_relative_asymmetry = float(np.maximum(self.max_relative_asymmetry, asym.max()))
         if frames:
             posteriors = np.stack([frame.P for frame in frames])
             eigs = np.linalg.eigvalsh(posteriors)
             ratio = eigs[:, 0] / np.maximum(eigs[:, -1], 1e-300)
             # eigvalsh can return finite eigenvalues for a matrix holding a NaN
             ratio[~np.isfinite(posteriors).all(axis=(1, 2))] = np.nan
-            self.min_eigenvalue_ratio = _running(min, self.min_eigenvalue_ratio, ratio.min())
+            self.min_eigenvalue_ratio = float(np.minimum(self.min_eigenvalue_ratio, ratio.min()))
         updates = [(frame.P_prior, frame.P) for frame in frames if frame.P_prior is not None]
         if updates:
             priors, posteriors = map(np.stack, zip(*updates))
@@ -582,7 +577,8 @@ class SimulationDiagnostics:
             before = ((w @ priors) * w).sum(axis=2)
             after = ((w @ posteriors) * w).sum(axis=2)
             growth = ((after - before) / np.maximum(before, 1e-300)).max()
-            self.max_update_variance_growth = _running(max, self.max_update_variance_growth, growth)
+            growth = np.maximum(self.max_update_variance_growth, growth)
+            self.max_update_variance_growth = float(growth)
             self.n_updates += len(priors)
 
 
@@ -612,6 +608,8 @@ class CovarianceTrace:
         raise KeyError(label)
 
     def value_at(self, label: str, t: float) -> float:
+        if not np.isfinite(t):
+            raise ValueError("t must be finite")
         if self.times.size == 0:
             raise ValueError("trace is empty")
         k = int(np.argmin(np.abs(self.times - t)))

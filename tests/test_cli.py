@@ -194,6 +194,14 @@ class TestSimulateCommand:
             assert len(plain.splitlines()) == 502
         assert (tmp_path / "state" / "state_run.csv").exists()
 
+    def test_state_run_reports_every_file_in_order(self, tmp_path, capsys):
+        argv = ["simulate", bundled_path("case2_flight.yaml"), "--duration", "1", "--state-run"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "simulated case2-flight: 26 rows per trace (seed 0)"
+        names = EXPECTED_TRACE_FILES + ("state_run.csv",)
+        assert lines[1:] == [f"wrote {tmp_path / name}" for name in names]
+
     def test_requires_simulation_sections(self, capsys):
         assert main(["simulate", bundled_path("case2.yaml")]) == 1
         assert "trajectory" in capsys.readouterr().err

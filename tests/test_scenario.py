@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from slamobs.analysis import analyze_total
+from slamobs.analysis import AnalysisOptions, CandidateFunctional, analyze_local, analyze_total
 from slamobs.scenario import ScenarioError, dump_scenario, load_scenario, parse_scenario
 
 BUNDLED = ("case2.yaml", "case2_segment1.yaml", "case2_flight.yaml")
@@ -50,7 +50,7 @@ class TestBundledScenarios:
 
     def test_flight_has_simulation_sections(self):
         doc = load_scenario(bundled_path("case2_flight.yaml"))
-        doc.require_simulation_sections()
+        doc.sim_scenario()
         assert doc.sensor.frame_rate_hz == 25.0
         assert doc.trajectory.total_duration == 100.0
         np.testing.assert_array_equal(
@@ -323,5 +323,55 @@ class TestValidationErrors:
     def test_simulation_sections_enforced(self):
         doc = parse_scenario(MINIMAL)
         with pytest.raises(ScenarioError) as err:
-            doc.require_simulation_sections()
+            doc.sim_scenario()
         assert err.value.field == "trajectory"
+
+    @pytest.mark.parametrize("section", ["trajectory", "sensor", "features"])
+    def test_sim_scenario_names_the_missing_section(self, section):
+        """``sim_scenario`` alone checks a simulation's inputs, with the CLI's message."""
+        if section == "trajectory":
+            doc = load_scenario(bundled_path("case2.yaml"))
+        else:
+            # to_dict writes the derived rel vectors, so the document parses without features
+            data = load_scenario(bundled_path("case2_flight.yaml")).to_dict()
+            del data[section]
+            doc = parse_scenario(yaml.safe_dump(data, sort_keys=False))
+        with pytest.raises(ScenarioError) as err:
+            doc.sim_scenario()
+        assert err.value.field == section
+        assert str(err.value) == f"{section}: section required for simulation"
+
+
+class TestCandidateLabels:
+    @pytest.mark.parametrize(
+        "labels",
+        [["dv"], ["dv_N"], ["psi_U"], ["dp-dm_f1"], ["twice", "twice"]],
+        ids=["dv", "dv_N", "psi_U", "dp-dm_f1", "repeated"],
+    )
+    def test_colliding_label_rejected(self, labels):
+        """An extra label a report could not tell apart fails in the parser and the analysis."""
+        data = load_scenario(bundled_path("case2.yaml")).to_dict()
+        data["candidates"] = [{"label": label, "weights": {"dp": [1, 0, 0]}} for label in labels]
+        with pytest.raises(ScenarioError, match=repr(labels[-1])) as err:
+            parse_scenario(yaml.safe_dump(data, sort_keys=False))
+        assert err.value.field == f"candidates[{len(labels) - 1}].label"
+
+        scenario = load_scenario(bundled_path("case2.yaml")).scenario
+        weights = np.eye(15)[0]
+        extra = tuple(CandidateFunctional(label, weights) for label in labels)
+        options = AnalysisOptions(extra_candidates=extra)
+        with pytest.raises(ValueError, match=repr(labels[-1])):
+            analyze_total(scenario, options)
+        # segment 1 sees both features, so its system takes the full-state extras
+        with pytest.raises(ValueError, match=repr(labels[-1])):
+            analyze_local(scenario, 1, options)
+
+    def test_non_standard_labels_accepted(self):
+        data = load_scenario(bundled_path("case2.yaml")).to_dict()
+        data["candidates"] = [
+            {"label": f"rigid_{axis}", "weights": {"dp": [1, 0, 0]}} for axis in "NEU"
+        ] + [{"label": "dv_x", "weights": {"dv": [1, 0, 0]}}]
+        doc = parse_scenario(yaml.safe_dump(data, sort_keys=False))
+        report = analyze_total(doc.scenario, doc.options)
+        labels = [v.label for v in report.mode_results[-4:]]
+        assert labels == ["rigid_N", "rigid_E", "rigid_U", "dv_x"]

@@ -439,6 +439,13 @@ class TestSimulate:
         assert trace.value_at("dm_f1_N", 4.0) < 1e3
         assert trace.value_at("dm_f2_N", 4.0) == pytest.approx(np.sqrt(1e9), rel=1e-6)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_value_at_rejects_non_finite_time(self, t):
+        doc = load_scenario(CASE2_FLIGHT)
+        trace = simulate(doc.sim_scenario(), doc.trajectory, doc.sensor, duration=2.0)
+        with pytest.raises(ValueError, match="t must be finite"):
+            trace.value_at("dv_N", t)
+
     @pytest.mark.parametrize(
         "run", [simulate, state_comparison_run], ids=["simulate", "state_run"]
     )
