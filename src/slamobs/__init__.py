@@ -15,7 +15,6 @@ from .analysis import (
     CandidateFunctional,
     FunctionalVerdict,
     ObservabilityReport,
-    analyze_case,
     analyze_local,
     analyze_total,
     case_scenario,

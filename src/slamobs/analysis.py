@@ -6,7 +6,10 @@ and classifies a family of candidate linear functionals as observable or
 not.  Candidates are classified by row-space membership: a functional is
 observable exactly when its projection onto the unobservable subspace is
 negligible.  A report projects all of its candidates in one matrix product,
-as the rows of a weight matrix.
+as the rows of a weight matrix: one unit row per state axis, then the
+relative modes of ``model.standard_differences``, then the extra candidates.
+A report is asked for with ``analyze_total`` or ``analyze_local`` of a
+``Scenario``; ``case_scenario`` builds the four benchmark patterns.
 
 Modes are reported per axis.  A 3-vector quantity such as the velocity error
 counts as an observable mode only when all three of its axes are observable;
@@ -149,46 +152,27 @@ def _check_extra_label(label: str, standard_labels, earlier_labels) -> None:
         raise ValueError(f"candidate label {label!r} is repeated")
 
 
-def standard_weights(features):
+def standard_weights(feature_ids):
     """Labels and (count, n) weight matrix of the standard candidate functionals.
 
-    ``features`` is either a feature count or a sequence of feature ids.
-    Rows are one functional per axis for the vehicle position, velocity and
-    attitude errors, each feature error, each position-minus-feature
-    difference, and each pairwise feature difference, in that order; every
-    row is a unit vector or a difference of two.
+    Rows are one unit functional per state axis (``model.state_labels``),
+    then the position-minus-feature and feature-minus-feature differences
+    e_plus - e_minus of ``model.standard_differences``, in that order.
     """
-    if isinstance(features, (int, np.integer)):
-        ids = [str(c + 1) for c in range(int(features))]
-    else:
-        ids = list(features)
-    L = len(ids)
-    n = model.VEHICLE_DIM + 3 * L
-    first, second = np.triu_indices(L, 1)
-    position = model.VEHICLE_BLOCKS[0]
-    blocks = model.state_blocks(ids)[len(model.VEHICLE_BLOCKS) :]
-    labels = model.state_labels(ids)
-    labels += [f"{position}-{block}_{axis}" for block in blocks for axis in AXES]
-    labels += [
-        f"{blocks[c]}-{blocks[d]}_{axis}"
-        for c, d in zip(first.tolist(), second.tolist())
-        for axis in AXES
-    ]
-    # the differences: e_plus - e_minus, axis by axis
-    feature = model.VEHICLE_DIM + 3 * np.arange(L)[:, None] + np.arange(3)
-    plus = np.concatenate([np.tile(np.arange(3), L), feature[first].ravel()])
-    minus = np.concatenate([feature.ravel(), feature[second].ravel()])
-    weights = np.zeros((len(labels), n))
+    labels = model.state_labels(feature_ids)
+    differences, plus, minus = model.standard_differences(feature_ids)
+    n = len(labels)
+    weights = np.zeros((n + len(differences), n))
     weights[:n] = np.eye(n)
-    rows = np.arange(n, len(labels))
+    rows = np.arange(n, len(weights))
     weights[rows, plus] = 1.0
     weights[rows, minus] = -1.0
-    return labels, weights
+    return labels + differences, weights
 
 
-def standard_candidates(features) -> list:
+def standard_candidates(feature_ids) -> list:
     """The standard candidate functionals of ``standard_weights`` as objects."""
-    labels, weights = standard_weights(features)
+    labels, weights = standard_weights(feature_ids)
     return [CandidateFunctional(label, w) for label, w in zip(labels, weights)]
 
 
@@ -262,29 +246,21 @@ def analyze_total(
 
 
 def case_scenario(
-    case_id: int,
-    feature_positions=DEFAULT_FEATURE_POSITIONS,
-    vehicle_position=DEFAULT_VEHICLE_POSITION,
-    forces=DEFAULT_FORCES,
-    delta: float = DEFAULT_SEGMENT_DURATION,
+    case_id: int, forces=DEFAULT_FORCES, delta: float = DEFAULT_SEGMENT_DURATION
 ) -> Scenario:
     """Two-feature / two-segment scenario for one of the benchmark cases.
 
-    All segments share the same vehicle vantage point, so each feature keeps
-    one relative position throughout; the per-segment specific forces default
-    to a vertical force followed by a slightly tilted one.
+    Every segment sees ``DEFAULT_FEATURE_POSITIONS`` from the vantage point
+    ``DEFAULT_VEHICLE_POSITION``, so each feature keeps one relative position;
+    the specific forces default to a vertical then a slightly tilted one.
     """
     if case_id not in CASE_SCHEDULES:
         raise ValueError(f"case_id must be one of {sorted(CASE_SCHEDULES)}, got {case_id}")
-    positions = [_as_finite_array(p, "feature_positions", (3,)) for p in feature_positions]
-    if len(positions) != 2:
-        raise ValueError("exactly two feature positions are required")
-    vantage = _as_finite_array(vehicle_position, "vehicle_position", (3,))
     force_list = [_as_finite_array(f, "forces", (3,)) for f in forces]
     if len(force_list) != 2:
         raise ValueError("exactly two segment forces are required")
     ids = ("f1", "f2")
-    rel = {fid: pos - vantage for fid, pos in zip(ids, positions)}
+    rel = dict(zip(ids, np.subtract(DEFAULT_FEATURE_POSITIONS, DEFAULT_VEHICLE_POSITION)))
     pattern = np.array(CASE_SCHEDULES[case_id], dtype=bool)
     schedule = DetectionSchedule(detected=pattern, feature_ids=ids)
     segments = []
@@ -299,16 +275,3 @@ def case_scenario(
             )
         )
     return Scenario(schedule=schedule, segments=segments)
-
-
-def analyze_case(
-    case_id: int,
-    feature_positions=DEFAULT_FEATURE_POSITIONS,
-    vehicle_position=DEFAULT_VEHICLE_POSITION,
-    forces=DEFAULT_FORCES,
-    delta: float = DEFAULT_SEGMENT_DURATION,
-    options: AnalysisOptions = None,
-) -> ObservabilityReport:
-    """Total-observability report for one benchmark detection pattern."""
-    scenario = case_scenario(case_id, feature_positions, vehicle_position, forces, delta)
-    return analyze_total(scenario, options)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, simulation
-from .analysis import AnalysisOptions, analyze_case, analyze_local, analyze_total
+from .analysis import AnalysisOptions, analyze_local, analyze_total, case_scenario
 from .model import AXES, VEHICLE_DIM
 from .pwcs import DEFAULT_RANK_TOL
 from .scenario import ScenarioError, load_scenario
@@ -129,9 +129,12 @@ def _parse_force(text: str, flag: str) -> np.ndarray:
     if len(parts) != 3:
         raise ScenarioError(flag, "expected three comma-separated numbers")
     try:
-        return np.array([float(p) for p in parts])
+        force = np.array([float(p) for p in parts])
     except ValueError:
         raise ScenarioError(flag, "entries must be numbers") from None
+    if not np.all(np.isfinite(force)):
+        raise ScenarioError(flag, "entries must be finite")
+    return force
 
 
 def _cases_table(forces, delta, options) -> str:
@@ -140,7 +143,7 @@ def _cases_table(forces, delta, options) -> str:
         f"{'case':<6}{'schedule':<22}{'rank':<7}{'nullity':<9}observable modes",
     ]
     for case_id in sorted(analysis.CASE_SCHEDULES):
-        report = analyze_case(case_id, forces=forces, delta=delta, options=options)
+        report = analyze_total(case_scenario(case_id, forces, delta), options)
         pattern = analysis.CASE_SCHEDULES[case_id]
         seg_sets = []
         for i in range(2):
@@ -156,6 +159,8 @@ def _cases_table(forces, delta, options) -> str:
 
 
 def cmd_cases(args) -> int:
+    if not 0 < args.dt < np.inf:
+        raise ScenarioError("--dt", "must be positive and finite")
     forces = analysis.DEFAULT_FORCES
     if args.forces:
         forces = tuple(_parse_force(f, "--forces") for f in args.forces)

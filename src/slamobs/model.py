@@ -18,6 +18,9 @@ The analysis and the covariance filter both take that layout from here:
 block names, F (``augmented_f``), the rows [-I, 0, skew(r)] of m relative
 positions (``feature_obs_rows``) and their bands in H (``feature_bands``):
 every H of ``augment`` and of the filter's update frames is built from them.
+So do the relative modes, the position-minus-feature and feature-minus-feature
+differences e_plus - e_minus (``standard_differences``): the analysis
+classifies them and the filter records their standard deviations.
 """
 
 from __future__ import annotations
@@ -227,6 +230,29 @@ def state_blocks(feature_ids=()) -> list:
 def state_labels(feature_ids=()) -> list:
     """Per-axis names of the augmented state, in state order."""
     return [f"{block}_{axis}" for block in state_blocks(feature_ids) for axis in AXES]
+
+
+def standard_differences(feature_ids):
+    """Labels and state indices (plus, minus) of the standard differences e_plus - e_minus.
+
+    One difference per axis of the vehicle position minus each feature, then
+    of feature c minus feature d for each pair c < d, in that order.
+    """
+    ids = list(feature_ids)
+    L = len(ids)
+    first, second = np.triu_indices(L, 1)
+    position = VEHICLE_BLOCKS[0]
+    blocks = state_blocks(ids)[len(VEHICLE_BLOCKS) :]
+    labels = [f"{position}-{block}_{axis}" for block in blocks for axis in AXES]
+    labels += [
+        f"{blocks[c]}-{blocks[d]}_{axis}"
+        for c, d in zip(first.tolist(), second.tolist())
+        for axis in AXES
+    ]
+    feature = VEHICLE_DIM + 3 * np.arange(L)[:, None] + np.arange(3)
+    plus = np.concatenate([np.tile(np.arange(3), L), feature[first].ravel()])
+    minus = np.concatenate([feature.ravel(), feature[second].ravel()])
+    return labels, plus, minus
 
 
 @dataclass(eq=False)

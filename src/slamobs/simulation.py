@@ -25,7 +25,9 @@ straddles a segment boundary gets its own pair.  Each frame yields what it
 applied (step transitions, Phi_f, and H, R and the gain K at an update) and
 the raw covariances it re-symmetrized.  ``simulate`` and
 ``state_comparison_run`` each run the loop once and record its variances
-through ``_TraceRecorder``, taking standard deviations once per run;
+through ``_TraceRecorder``, taking standard deviations once per run: those
+of the states and of the relative modes that ``model.standard_differences``
+enumerates for the analysis too, read from P by their index pairs;
 ``state_comparison_run`` also replays the frames on a state sampled outside
 the loop, so one pass gives both the trace and the state run.  With
 ``collect_diagnostics``, ``simulate`` also hands every frame to
@@ -68,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, model
+from . import model
 from .model import DetectionSchedule, VEHICLE_DIM
 from .model import feature_obs_row  # noqa: F401  (perfbench/tracer.py counts calls through this name)
 from .pwcs import _as_finite_array, state_transition
@@ -129,10 +131,6 @@ class TrajectoryConfig:
     @property
     def total_duration(self) -> float:
         return float(sum(d for d, _ in self.segments))
-
-    def segment_index(self, t: float) -> int:
-        """Segment active at time t: ``segments_at`` of one time."""
-        return int(self.segments_at([t])[0])
 
     def state_at(self, t: float):
         """(position, velocity, specific_force) at time t: one row of ``_kinematics``."""
@@ -608,10 +606,14 @@ class CovarianceTrace:
         raise KeyError(label)
 
     def value_at(self, label: str, t: float) -> float:
+        """``label`` at the frame nearest ``t``; ValueError unless t is finite and in the trace."""
         if not np.isfinite(t):
             raise ValueError("t must be finite")
         if self.times.size == 0:
             raise ValueError("trace is empty")
+        first, last = self.times[0], self.times[-1]
+        if not first - _SLACK <= t <= last + _SLACK:
+            raise ValueError(f"t = {t} lies outside the trace [{first}, {last}]")
         k = int(np.argmin(np.abs(self.times - t)))
         return float(self.series(label)[k])
 
@@ -621,18 +623,17 @@ class _TraceRecorder:
 
     A frame costs one strided read of the diagonal of its P and one gather of
     the four entries P[a, b], a, b in {plus, minus}, of every standard
-    difference e_plus - e_minus; ``trace`` takes standard deviations once.
+    difference e_plus - e_minus (``model.standard_differences``); ``trace``
+    takes standard deviations once.
     """
 
     def __init__(self, feature_ids, count):
         n = VEHICLE_DIM + 3 * len(feature_ids)
-        # the candidates after the n single-state ones are the unit differences
-        labels, weights = analysis.standard_weights(feature_ids)
-        plus, minus = weights[n:].argmax(axis=1), weights[n:].argmin(axis=1)
+        labels, plus, minus = model.standard_differences(feature_ids)
         rows, cols = np.stack([plus, minus, plus, minus]), np.stack([plus, plus, minus, minus])
         self._pairs = np.ravel_multi_index((rows, cols), (n, n))
         self._diagonal = slice(None, None, n + 1)  # of the flattened P
-        self._ids, self._derived_labels = tuple(feature_ids), labels[n:]
+        self._ids, self._derived_labels = tuple(feature_ids), labels
         self.times = np.empty(count)
         self.variances = np.empty((n, count))
         self.derived = np.empty((len(plus), count))

@@ -14,7 +14,6 @@ from slamobs.analysis import (
     MAX_POWER,
     AnalysisOptions,
     CandidateFunctional,
-    analyze_case,
     analyze_local,
     analyze_total,
     case_scenario,
@@ -148,10 +147,9 @@ class TestAnalyzeTotal:
 
     def test_first_order_matches_exact_rank_on_cases(self):
         for case_id in (1, 2, 3, 4):
-            exact = analyze_case(case_id, options=AnalysisOptions(expansion_mode="exact"))
-            first = analyze_case(
-                case_id, options=AnalysisOptions(expansion_mode="first_order")
-            )
+            scenario = case_scenario(case_id)
+            exact = analyze_total(scenario, AnalysisOptions(expansion_mode="exact"))
+            first = analyze_total(scenario, AnalysisOptions(expansion_mode="first_order"))
             assert exact.rank == first.rank == 12
             assert exact.nullity == first.nullity == 3
 
@@ -164,7 +162,7 @@ class TestAnalyzeTotal:
 class TestAnalyzeCase:
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
     def test_all_cases_rank_twelve(self, case_id):
-        report = analyze_case(case_id)
+        report = analyze_total(case_scenario(case_id))
         assert (report.rank, report.matrix_cols, report.nullity) == (12, 15, 3)
 
     def test_case1_schedule_pattern(self):
@@ -175,17 +173,17 @@ class TestAnalyzeCase:
 
     def test_invalid_case_id(self):
         with pytest.raises(ValueError):
-            analyze_case(5)
+            case_scenario(5)
 
 
 class TestStandardCandidates:
     def test_counts(self):
-        assert len(standard_candidates(0)) == 9
-        assert len(standard_candidates(2)) == 24
-        assert len(standard_candidates(3)) == 9 + 9 + 9 + 9
+        assert len(standard_candidates(())) == 9
+        assert len(standard_candidates(("1", "2"))) == 24
+        assert len(standard_candidates(("1", "2", "3"))) == 9 + 9 + 9 + 9
 
     def test_single_feature_difference_present(self):
-        labels = [c.label for c in standard_candidates(1)]
+        labels = [c.label for c in standard_candidates(("1",))]
         for axis in ("N", "E", "U"):
             assert f"dp-dm_1_{axis}" in labels
 
@@ -194,13 +192,17 @@ class TestStandardCandidates:
         assert "dm_a-dm_b_N" in labels
 
     def test_weights_are_unit_differences(self):
-        for cand in standard_candidates(2):
+        for cand in standard_candidates(("1", "2")):
             assert cand.weights.any()
             assert set(np.unique(cand.weights)) <= {-1.0, 0.0, 1.0}
 
 
 class TestStandardWeights:
-    @pytest.mark.parametrize("features", [0, 1, 2, 5, ("a", "b", "c")])
+    @pytest.mark.parametrize(
+        "features",
+        [(), ("1",), ("1", "2"), ("1", "2", "3", "4", "5"), ("a", "b", "c")],
+        ids=["0", "1", "2", "5", "features4"],
+    )
     def test_matches_loop_reference(self, features):
         labels, weights = standard_weights(features)
         want_labels, want_weights = o_standard_candidates(features)

@@ -236,3 +236,12 @@ class TestCasesCommand:
     def test_bad_forces(self, capsys):
         assert main(["cases", "--forces", "1,2", "0,0,9.81"]) == 1
         assert "--forces" in capsys.readouterr().err
+
+    def test_non_finite_force_names_the_flag(self, capsys):
+        assert main(["cases", "--forces", "0,0,nan", "0,0,9.81"]) == 1
+        assert "--forces: entries must be finite" in capsys.readouterr().err
+
+    def test_bad_duration_names_the_flag(self, capsys):
+        for dt in ("nan", "0", "-5", "inf"):
+            assert main(["cases", "--dt", dt]) == 1
+            assert "--dt: must be positive and finite" in capsys.readouterr().err

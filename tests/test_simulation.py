@@ -113,12 +113,12 @@ class TestTrajectory:
         for t, (p, v, f), s in zip(times.tolist(), want, want_segments):
             got = config.state_at(t)
             np.testing.assert_array_equal(np.concatenate(got), np.concatenate([p, v, f]))
-            assert config.segment_index(t) == s
+            assert config.segments_at([t])[0] == s
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("lookup", ["segment_index", "state_at", "positions_at", "segments_at"])
+    @pytest.mark.parametrize("lookup", ["state_at", "positions_at", "segments_at"])
     def test_non_finite_time_rejected(self, lookup, t):
-        query = t if lookup in ("segment_index", "state_at") else [t]
+        query = t if lookup == "state_at" else [t]
         with pytest.raises(ValueError, match="times must be finite"):
             getattr(flight_trajectory(), lookup)(query)
 
@@ -133,7 +133,7 @@ class TestTrajectory:
         assert pos[0] == 2000.0000000000998
         np.testing.assert_array_equal(trajectory.positions_at([10.0 + 5e-13])[0][0], pos)
         for t in (10.0 - 5e-13, 10.0, 10.0 + 5e-13):
-            assert trajectory.segment_index(t) == o_segment([10.0, 10.0], t) == 1
+            assert trajectory.segments_at([t])[0] == o_segment([10.0, 10.0], t) == 1
             got = trajectory.state_at(t)
             for g, w in zip(got, o_trajectory(trajectory, t)):
                 np.testing.assert_array_equal(g, w)
@@ -155,9 +155,8 @@ class TestTrajectory:
         """At a segment end the force is the next segment's, as the filter's Phi is."""
         trajectory = load_scenario(CASE2_FLIGHT).trajectory
         t = 50.0 + offset
-        assert trajectory.segment_index(t) == 1
-        np.testing.assert_array_equal(trajectory.state_at(t)[2], trajectory.segments[1][1])
         assert trajectory.segments_at([t])[0] == 1
+        np.testing.assert_array_equal(trajectory.state_at(t)[2], trajectory.segments[1][1])
         before = trajectory.state_at(50.0 - 2e-12)[2]
         np.testing.assert_array_equal(before, trajectory.segments[0][1])
 
@@ -446,6 +445,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="t must be finite"):
             trace.value_at("dv_N", t)
 
+    def test_value_at_reads_only_inside_the_trace(self):
+        """A finite time outside the recorded frames raises; one inside reads the nearest frame."""
+        doc = load_scenario(CASE2_FLIGHT)
+        trace = simulate(doc.sim_scenario(), doc.trajectory, doc.sensor, duration=2.0)
+        for t in (1e9, -1e9, 2.001):
+            with pytest.raises(ValueError, match="outside the trace"):
+                trace.value_at("dv_N", t)
+        series = trace.series("dv_N")
+        for t, k in ((0.0, 0), (2.0, 50), (1.01, 25)):
+            assert trace.value_at("dv_N", t) == series[k]
+
     @pytest.mark.parametrize(
         "run", [simulate, state_comparison_run], ids=["simulate", "state_run"]
     )
@@ -727,7 +737,7 @@ class TestBatchedGeometry:
         want = np.zeros((len(features), len(trajectory.segments)), dtype=bool)
         frames = simulation._frame_geometry(scenario, trajectory, sensor, count)
         for t, _, _, visible, *_ in frames:
-            want[visible, trajectory.segment_index(t)] = True
+            want[visible, trajectory.segments_at([t])[0]] = True
         assert want.sum() > len(features)
         np.testing.assert_array_equal(fov_schedule(features, trajectory, sensor).detected, want)
 
@@ -963,12 +973,12 @@ class TestFramePropagation:
     @pytest.mark.parametrize("schedule", [True, False], ids=["schedule", "fov"])
     def test_runs_without_per_step_segment_lookup(self, schedule, monkeypatch):
         def refuse(self, t):
-            raise AssertionError("segment_index called")
+            raise AssertionError("state_at called")
 
         scenario, trajectory = _straddling_flight(schedule)
         want = simulate(scenario, trajectory, SensorConfig())
         want_run = state_comparison_run(scenario, trajectory, SensorConfig(), seed=4)
-        monkeypatch.setattr(TrajectoryConfig, "segment_index", refuse)
+        monkeypatch.setattr(TrajectoryConfig, "state_at", refuse)
         got = simulate(scenario, trajectory, SensorConfig())
         got_run = state_comparison_run(scenario, trajectory, SensorConfig(), seed=4)
         assert got.times.size == got_run.times.size == 75
