@@ -16,13 +16,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, simulation
 from .analysis import AnalysisOptions, analyze_local, analyze_total, case_scenario
 from .model import AXES, VEHICLE_DIM
-from .pwcs import DEFAULT_RANK_TOL
-from .scenario import ScenarioError, load_scenario
+from .scenario import _number, _vec3, load_scenario
 
 #: One CSV per vehicle block, in state order, then one of the features and one of the differences.
 _CSV_GROUPS = ("position", "velocity", "attitude", "features", "relative")
@@ -41,10 +38,7 @@ def report_to_dict(report, scenario_name: str) -> dict:
         "matrix_cols": report.matrix_cols,
         "rank": report.rank,
         "nullity": report.nullity,
-        "null_basis": [
-            [float(v) for v in report.null_basis.vectors[:, k]]
-            for k in range(report.null_basis.dim)
-        ],
+        "null_basis": report.null_basis.vectors.T.tolist(),
         "functionals": [
             {
                 "label": v.label,
@@ -58,12 +52,13 @@ def report_to_dict(report, scenario_name: str) -> dict:
 
 
 def _analysis_options(doc_options: AnalysisOptions, args) -> AnalysisOptions:
+    """`doc_options` with the command's expansion and `--tol` flags applied."""
     expansion = doc_options.expansion_mode
     if args.first_order:
         expansion = "first_order"
     elif args.exact:
         expansion = "exact"
-    rank_tol = args.tol if args.tol is not None else doc_options.rank_tol
+    rank_tol = doc_options.rank_tol if args.tol is None else _number(args.tol, "--tol", 0.0, True)
     return dataclasses.replace(doc_options, expansion_mode=expansion, rank_tol=rank_tol)
 
 
@@ -94,6 +89,9 @@ def _write_csv(path: Path, labels, times, columns) -> None:
 
 
 def cmd_simulate(args) -> int:
+    _number(args.seed, "--seed", minimum=0)
+    if args.duration is not None:
+        _number(args.duration, "--duration", minimum=0.0)
     doc = load_scenario(args.scenario)
     inputs = (doc.sim_scenario(), doc.trajectory, doc.sensor)
     if args.state_run:
@@ -124,19 +122,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_force(text: str, flag: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ScenarioError(flag, "expected three comma-separated numbers")
-    try:
-        force = np.array([float(p) for p in parts])
-    except ValueError:
-        raise ScenarioError(flag, "entries must be numbers") from None
-    if not np.all(np.isfinite(force)):
-        raise ScenarioError(flag, "entries must be finite")
-    return force
-
-
 def _cases_table(forces, delta, options) -> str:
     lines = [
         f"expansion: {options.expansion_mode}   rank tolerance: {options.rank_tol:g}",
@@ -159,21 +144,21 @@ def _cases_table(forces, delta, options) -> str:
 
 
 def cmd_cases(args) -> int:
-    if not 0 < args.dt < np.inf:
-        raise ScenarioError("--dt", "must be positive and finite")
+    # each flag follows the rule of the scenario field that carries the same quantity
+    delta = _number(args.dt, "--dt", 0.0, strict=True)
     forces = analysis.DEFAULT_FORCES
     if args.forces:
-        forces = tuple(_parse_force(f, "--forces") for f in args.forces)
+        forces = tuple(_vec3(f.split(","), "--forces") for f in args.forces)
+    options = _analysis_options(AnalysisOptions(), args)
     modes = []
     if args.exact or not args.first_order:
         modes.append("exact")
     if args.first_order:
         modes.append("first_order")
-    tol = args.tol if args.tol is not None else DEFAULT_RANK_TOL
     blocks = []
     for mode in modes:
-        options = AnalysisOptions(expansion_mode=mode, rank_tol=tol)
-        blocks.append(_cases_table(forces, args.dt, options))
+        options = dataclasses.replace(options, expansion_mode=mode)
+        blocks.append(_cases_table(forces, delta, options))
     print("\n\n".join(blocks))
     return 0
 
@@ -210,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="covariance simulation, CSV traces")
     p_sim.add_argument("scenario", help="path to a scenario YAML file")
-    p_sim.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_sim.add_argument(
+        "--seed", type=int, default=0, help="seed of the --state-run noise draws (default 0)"
+    )
     p_sim.add_argument("--out", default=".", help="output directory for CSV traces")
     p_sim.add_argument(
         "--duration", type=float, default=None, help="truncate the run to this many seconds"
@@ -252,10 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

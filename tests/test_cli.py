@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from slamobs import simulation
 from slamobs.cli import main
 
@@ -21,6 +23,63 @@ EXPECTED_TRACE_FILES = (
 
 def bundled_path(name):
     return str(importlib.resources.files("slamobs") / "scenarios" / name)
+
+
+ANALYZE = ["analyze", bundled_path("case2.yaml")]
+SIMULATE = ["simulate", bundled_path("case2_flight.yaml")]
+
+# (command, flag, value, rule): every numeric flag is checked by the rule of
+# the scenario field that carries the same quantity
+BAD_FLAG_VALUES = [
+    (ANALYZE, "--tol", "nan", "must be finite"),
+    (ANALYZE, "--tol", "inf", "must be finite"),
+    (ANALYZE, "--tol", "-1", "must be > 0.0"),
+    (["cases"], "--tol", "nan", "must be finite"),
+    (["cases"], "--tol", "inf", "must be finite"),
+    (["cases"], "--tol", "-1", "must be > 0.0"),
+    (["cases"], "--dt", "nan", "must be finite"),
+    (["cases"], "--dt", "inf", "must be finite"),
+    (["cases"], "--dt", "-5", "must be > 0.0"),
+    (SIMULATE, "--duration", "nan", "must be finite"),
+    (SIMULATE, "--duration", "inf", "must be finite"),
+    (SIMULATE, "--duration", "-1", "must be >= 0.0"),
+    (SIMULATE, "--seed", "-1", "must be >= 0"),
+]
+# a negative force component is a valid specific force
+BAD_FORCES = [
+    ("0,0,nan", "entries must be finite"),
+    ("0,0,inf", "entries must be finite"),
+    ("1,2", "expected a list of 3 numbers"),
+    ("0,x,9.81", "entries must be numbers"),
+]
+BAD_FLAG_VALUES += [(["cases"], "--forces", f"{v} 0,0,9.81", rule) for v, rule in BAD_FORCES]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, rule", BAD_FLAG_VALUES,
+    ids=[f"{c[0]} {f} {v}" for c, f, v, _ in BAD_FLAG_VALUES],
+)
+def test_bad_flag_value_names_the_flag(command, flag, value, rule, tmp_path, capsys):
+    argv = command + [flag, *value.split(" ")]
+    if command is SIMULATE:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag}: {rule}\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5"])
+def test_non_integer_seed_is_a_usage_error(value, capsys):
+    # argparse's int conversion refuses it before any command runs, as it
+    # refuses `--tol abc`
+    with pytest.raises(SystemExit) as exc:
+        main(SIMULATE + ["--seed", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: invalid int value: '{value}'" in err
+    assert "Traceback" not in err
 
 
 class TestAnalyzeCommand:
@@ -88,11 +147,11 @@ class TestAnalyzeCommand:
     def test_infinite_tolerance_rejected(self, capsys):
         # an infinite tolerance would read rank 0 yet call every functional observable
         assert main(["analyze", bundled_path("case2.yaml"), "--tol", "inf"]) == 1
-        assert "rank_tol must be positive and finite" in capsys.readouterr().err
+        assert "error: --tol: must be finite" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file.yaml"]) == 1
-        assert "scenario error" in capsys.readouterr().err
+        assert "error: /no/such/file.yaml: cannot read file" in capsys.readouterr().err
 
     def test_local_out_of_range(self, capsys):
         assert main(["analyze", bundled_path("case2.yaml"), "--local", "9"]) == 1
@@ -123,10 +182,11 @@ class TestSimulateCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_zero_duration_header_only(self, tmp_path):
+        # the lowest accepted --duration and --seed
         assert main(
             [
                 "simulate", bundled_path("case2_flight.yaml"),
-                "--duration", "0", "--out", str(tmp_path),
+                "--duration", "0", "--seed", "0", "--out", str(tmp_path),
             ]
         ) == 0
         for name in EXPECTED_TRACE_FILES:
@@ -136,7 +196,21 @@ class TestSimulateCommand:
     def test_nan_duration_rejected(self, tmp_path, capsys):
         argv = ["simulate", bundled_path("case2_flight.yaml"), "--duration", "nan"]
         assert main(argv + ["--out", str(tmp_path)]) == 1
-        assert "duration must be non-negative" in capsys.readouterr().err
+        assert "error: --duration: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--state-run"]], ids=["trace", "state-run"])
+    def test_flight_too_long_to_record(self, extra, tmp_path, capsys):
+        # 1e13 s at 25 Hz is a 3.55 PiB trace column: the allocation is
+        # refused at once, before any memory is touched or file written
+        text = Path(bundled_path("case2_flight.yaml")).read_text()
+        long_flight = tmp_path / "long.yaml"
+        long_flight.write_text(text.replace("duration: 50.0", "duration: 1.0e+13"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(long_flight), "--out", str(out)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_simulate_never_imports_scipy(self, tmp_path):
         # the model's dynamics are nilpotent, so scipy's expm is never reached
@@ -242,6 +316,6 @@ class TestCasesCommand:
         assert "--forces: entries must be finite" in capsys.readouterr().err
 
     def test_bad_duration_names_the_flag(self, capsys):
-        for dt in ("nan", "0", "-5", "inf"):
+        for dt, rule in (("nan", "finite"), ("0", "> 0.0"), ("-5", "> 0.0"), ("inf", "finite")):
             assert main(["cases", "--dt", dt]) == 1
-            assert "--dt: must be positive and finite" in capsys.readouterr().err
+            assert f"error: --dt: must be {rule}" in capsys.readouterr().err
