@@ -21,7 +21,6 @@ from .analysis import (
     standard_candidates,
 )
 from .model import (
-    AugmentedSystem,
     DetectionSchedule,
     Scenario,
     SegmentSpec,
@@ -32,7 +31,6 @@ from .model import (
     state_labels,
 )
 from .pwcs import (
-    NullSpaceBasis,
     PwcsStripe,
     is_functional_observable,
     lom,

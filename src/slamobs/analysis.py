@@ -26,7 +26,7 @@ import numpy as np
 
 from . import model
 from .model import AXES, DetectionSchedule, Scenario, SegmentSpec, augment
-from .pwcs import DEFAULT_RANK_TOL, NullSpaceBasis, _as_finite_array, null_space, tom
+from .pwcs import DEFAULT_RANK_TOL, _as_finite_array, null_projections, null_space, tom
 from .pwcs import lom  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 #: Highest dynamics power stacked per segment: F**3 == 0, so higher powers add
@@ -117,7 +117,7 @@ class ObservabilityReport:
     matrix_cols: int
     rank: int
     nullity: int
-    null_basis: NullSpaceBasis
+    null_basis: np.ndarray
     mode_results: list
 
     def verdict(self, label: str) -> FunctionalVerdict:
@@ -176,35 +176,31 @@ def standard_candidates(feature_ids) -> list:
     return [CandidateFunctional(label, w) for label, w in zip(labels, weights)]
 
 
-def _build_report(system, scope, segment_index, options):
-    matrix = tom(system.stripes, MAX_POWER, options.expansion_mode)
+def _build_report(stripes, feature_ids, scope, segment_index, options):
+    matrix = tom(stripes, MAX_POWER, options.expansion_mode)
     basis = null_space(matrix, options.rank_tol)
-    n = system.n
-    labels, weights = standard_weights(system.feature_ids)
+    n, nullity = basis.shape
+    labels, weights = standard_weights(feature_ids)
     extra = [cand for cand in options.extra_candidates if cand.weights.shape[0] == n]
     if extra:
         for k, cand in enumerate(extra):
             _check_extra_label(cand.label, labels, [c.label for c in extra[:k]])
         labels += [cand.label for cand in extra]
         weights = np.vstack([weights] + [cand.weights for cand in extra])
-    # every candidate's projection onto the kernel, as rows (W N) N^T
-    N = basis.vectors
-    projections = (weights @ N) @ N.T
-    relative = np.linalg.norm(projections, axis=1) / np.linalg.norm(weights, axis=1)
     results = [
         FunctionalVerdict(label=label, observable=rel <= options.rank_tol, null_projection=rel)
-        for label, rel in zip(labels, relative.tolist())
+        for label, rel in zip(labels, null_projections(basis, weights).tolist())
     ]
     return ObservabilityReport(
         scope=scope,
         segment_index=segment_index,
         expansion_mode=options.expansion_mode,
         rank_tol=options.rank_tol,
-        state_labels=system.state_labels,
+        state_labels=labels[:n],
         matrix_rows=matrix.shape[0],
         matrix_cols=n,
-        rank=n - basis.dim,
-        nullity=basis.dim,
+        rank=n - nullity,
+        nullity=nullity,
         null_basis=basis,
         mode_results=results,
     )
@@ -229,7 +225,7 @@ def analyze_local(
     local_ids = [fid for _, fid in scenario.schedule.features_in_segment(segment_index)]
     detected = np.ones((len(local_ids), 1), dtype=bool)
     local = Scenario(DetectionSchedule(detected, local_ids), [scenario.segments[segment_index]])
-    return _build_report(augment(local), "local", segment_index, options)
+    return _build_report(augment(local), local_ids, "local", segment_index, options)
 
 
 def analyze_total(
@@ -242,7 +238,7 @@ def analyze_total(
     transition expansion, and classifies the standard candidate functionals.
     """
     options = options or AnalysisOptions()
-    return _build_report(augment(scenario), "total", None, options)
+    return _build_report(augment(scenario), scenario.feature_ids, "total", None, options)
 
 
 def case_scenario(

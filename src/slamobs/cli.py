@@ -19,7 +19,7 @@ from pathlib import Path
 from . import analysis, simulation
 from .analysis import AnalysisOptions, analyze_local, analyze_total, case_scenario
 from .model import AXES, VEHICLE_DIM
-from .scenario import _number, _vec3, load_scenario
+from .scenario import ScenarioError, _number, _vec3, load_scenario
 
 #: One CSV per vehicle block, in state order, then one of the features and one of the differences.
 _CSV_GROUPS = ("position", "velocity", "attitude", "features", "relative")
@@ -38,7 +38,7 @@ def report_to_dict(report, scenario_name: str) -> dict:
         "matrix_cols": report.matrix_cols,
         "rank": report.rank,
         "nullity": report.nullity,
-        "null_basis": report.null_basis.vectors.T.tolist(),
+        "null_basis": report.null_basis.T.tolist(),
         "functionals": [
             {
                 "label": v.label,
@@ -66,6 +66,9 @@ def cmd_analyze(args) -> int:
     doc = load_scenario(args.scenario)
     options = _analysis_options(doc.options, args)
     if args.local is not None:
+        n = doc.scenario.n_segments
+        if _number(args.local, "--local", minimum=0) >= n:
+            raise ScenarioError("--local", f"must be < {n} (the scenario has {n} segments)")
         report = analyze_local(doc.scenario, args.local, options)
     else:
         report = analyze_total(doc.scenario, options)
@@ -128,13 +131,12 @@ def _cases_table(forces, delta, options) -> str:
         f"{'case':<6}{'schedule':<22}{'rank':<7}{'nullity':<9}observable modes",
     ]
     for case_id in sorted(analysis.CASE_SCHEDULES):
-        report = analyze_total(case_scenario(case_id, forces, delta), options)
-        pattern = analysis.CASE_SCHEDULES[case_id]
-        seg_sets = []
-        for i in range(2):
-            members = [f"f{c + 1}" for c in range(2) if pattern[c][i]]
-            seg_sets.append("{" + ",".join(members) + "}")
-        schedule = " / ".join(seg_sets)
+        scenario = case_scenario(case_id, forces, delta)
+        report = analyze_total(scenario, options)
+        schedule = " / ".join(
+            "{" + ",".join(fid for _, fid in scenario.schedule.features_in_segment(i)) + "}"
+            for i in range(scenario.n_segments)
+        )
         modes = ", ".join(report.observable_modes()) or "-"
         lines.append(
             f"{case_id:<6}{schedule:<22}"
@@ -143,12 +145,20 @@ def _cases_table(forces, delta, options) -> str:
     return "\n".join(lines)
 
 
+def _floats(text, flag) -> list:
+    """The comma-separated numbers of ``text``; a non-number fails at ``flag``."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ScenarioError(flag, "entries must be numbers") from None
+
+
 def cmd_cases(args) -> int:
     # each flag follows the rule of the scenario field that carries the same quantity
     delta = _number(args.dt, "--dt", 0.0, strict=True)
     forces = analysis.DEFAULT_FORCES
     if args.forces:
-        forces = tuple(_vec3(f.split(","), "--forces") for f in args.forces)
+        forces = tuple(_vec3(_floats(f, "--forces"), "--forces") for f in args.forces)
     options = _analysis_options(AnalysisOptions(), args)
     modes = []
     if args.exact or not args.first_order:

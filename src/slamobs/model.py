@@ -255,21 +255,8 @@ def standard_differences(feature_ids):
     return labels, plus, minus
 
 
-@dataclass(eq=False)
-class AugmentedSystem:
-    """Fixed-dimension piece-wise constant system for a whole scenario."""
-
-    stripes: list
-    state_labels: list
-    feature_ids: tuple
-
-    @property
-    def n(self) -> int:
-        return self.stripes[0].n
-
-
-def augment(scenario: Scenario) -> AugmentedSystem:
-    """Embed a scenario's segments into one fixed-dimension system of size 9 + 3L.
+def augment(scenario: Scenario) -> list:
+    """One ``PwcsStripe`` per segment, embedding all into one system of size 9 + 3L.
 
     Each stripe's F carries the inertial block in the top-left corner and
     zero rows for the (static) feature states.  Each stripe's H has one
@@ -291,11 +278,7 @@ def augment(scenario: Scenario) -> AugmentedSystem:
         H[detected] = feature_bands(detected, feature_obs_rows(rel), n)
         F = augmented_f(seg.specific_force, n)
         stripes.append(PwcsStripe(F=F, H=H.reshape(3 * L, n), delta=seg.duration))
-    return AugmentedSystem(
-        stripes=stripes,
-        state_labels=state_labels(schedule.feature_ids),
-        feature_ids=schedule.feature_ids,
-    )
+    return stripes
 
 
 def equivalence_pad(stripe: PwcsStripe, extra_states: int) -> PwcsStripe:

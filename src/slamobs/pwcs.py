@@ -78,24 +78,6 @@ class PwcsStripe:
         return self.F.shape[0]
 
 
-@dataclass(eq=False)
-class NullSpaceBasis:
-    """Orthonormal basis of a matrix kernel.
-
-    ``vectors`` has shape (n, dim) with the basis vectors as columns.
-    """
-
-    dim: int
-    vectors: np.ndarray
-
-    def projection(self, w) -> np.ndarray:
-        """Orthogonal projection of w onto the spanned subspace."""
-        w = np.asarray(w, dtype=float)
-        if self.dim == 0:
-            return np.zeros_like(w)
-        return self.vectors @ (self.vectors.T @ w)
-
-
 def _nilpotency_index(F: np.ndarray):
     """Smallest p with F**p == 0 exactly, or None if F is not nilpotent."""
     n = F.shape[0]
@@ -194,15 +176,14 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
 
     Returns 0 for empty and all-zero matrices.
     """
-    kernel = null_space(M, rel_tol)
-    return np.shape(M)[1] - kernel.dim
+    return np.shape(M)[1] - null_space(M, rel_tol).shape[1]
 
 
-def null_space(M, rel_tol: float = DEFAULT_RANK_TOL) -> NullSpaceBasis:
-    """Orthonormal basis of the kernel of M.
+def null_space(M, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the kernel of M, as the columns of an (n, k) array.
 
-    dim equals M.shape[1] - numerical_rank(M); each basis vector v satisfies
-    ||M v|| <= rel_tol * ||M|| * ||v||.
+    k equals M.shape[1] - numerical_rank(M); each column v satisfies
+    ||M v|| <= rel_tol * ||M|| * ||v||.  An empty or all-zero M gives I_n.
     """
     M = _as_finite_array(M, "M")
     if not 0 < rel_tol < np.inf:
@@ -211,18 +192,30 @@ def null_space(M, rel_tol: float = DEFAULT_RANK_TOL) -> NullSpaceBasis:
         raise ValueError("M must be a matrix")
     n = M.shape[1]
     if M.shape[0] == 0 or not M.any():
-        return NullSpaceBasis(dim=n, vectors=np.eye(n))
+        return np.eye(n)
     # V is n x n either way unless M is wide; U is never read
     _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     rank = int(np.count_nonzero(s > rel_tol * s[0]))
-    return NullSpaceBasis(dim=n - rank, vectors=vt[rank:].T.copy())
+    return vt[rank:].T.copy()
+
+
+def null_projections(N: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Norm of each row of W projected onto the span of N's columns, over the row's norm.
+
+    N is the orthonormal kernel basis of a matrix M (``null_space``); a row
+    w lies in the row space of M exactly when its value is negligible.  A
+    zero row gives 0: it lies in every row space.
+    """
+    norms = np.linalg.norm(W, axis=1)
+    projected = np.linalg.norm((W @ N) @ N.T, axis=1)
+    return np.divide(projected, norms, out=np.zeros_like(projected), where=norms > 0)
 
 
 def is_functional_observable(M, w, rel_tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether the linear functional w.T @ x is determined by measurements.
 
     True iff w lies in the row space of M, tested as: the projection of w
-    onto the kernel of M has norm <= rel_tol * ||w||.
+    onto the kernel of M has norm <= rel_tol * ||w|| (``null_projections``).
     """
     M = _as_finite_array(M, "M")
     w = _as_finite_array(w, "w")
@@ -230,8 +223,4 @@ def is_functional_observable(M, w, rel_tol: float = DEFAULT_RANK_TOL) -> bool:
         raise ValueError(
             f"w must be a vector of length {M.shape[1]}, got shape {w.shape}"
         )
-    basis = null_space(M, rel_tol)
-    if basis.dim == 0:
-        return True
-    proj = basis.projection(w)
-    return float(np.linalg.norm(proj)) <= rel_tol * float(np.linalg.norm(w))
+    return bool(null_projections(null_space(M, rel_tol), w[None, :])[0] <= rel_tol)

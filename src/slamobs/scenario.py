@@ -46,6 +46,8 @@ class ScenarioError(ValueError):
 
 
 _SENSOR_FIELDS = tuple(f.name for f in fields(SensorConfig))
+# sensor fields that must be > 0; the noise magnitudes may be zero
+_POSITIVE_SENSOR_FIELDS = ("imu_rate_hz", "frame_rate_hz", "fov_deg")
 _TOP_FIELDS = (
     "name", "gravity", "options", "features", "segments", "schedule", "trajectory", "sensor",
     "initial_covariance", "candidates",
@@ -182,20 +184,24 @@ def _feature_id(key, feature_positions, path):
     return fid
 
 
+def _is_number(value) -> bool:
+    """An int or float, and not a bool (YAML reads yes/no/on/off as bools)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _vec3(value, path):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScenarioError(path, "expected a list of 3 numbers")
-    try:
-        arr = np.array([float(v) for v in value])
-    except (TypeError, ValueError):
-        raise ScenarioError(path, "entries must be numbers") from None
+    if not all(map(_is_number, value)):
+        raise ScenarioError(path, "entries must be numbers")
+    arr = np.array([float(v) for v in value])
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(path, "entries must be finite")
     return arr
 
 
 def _number(value, path, minimum=None, strict=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ScenarioError(path, f"expected a number, got {type(value).__name__}")
     value = float(value)
     if not math.isfinite(value):
@@ -290,7 +296,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
             if key == "boresight":
                 kwargs[key] = tuple(_vec3(value, "sensor.boresight"))
             else:
-                kwargs[key] = _number(value, f"sensor.{key}", minimum=0.0)
+                kwargs[key] = _number(value, f"sensor.{key}", 0.0, key in _POSITIVE_SENSOR_FIELDS)
         with _located("sensor"):
             sensor = SensorConfig(**kwargs)
 

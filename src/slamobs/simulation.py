@@ -681,7 +681,8 @@ def _frame_clock(sensor: SensorConfig, duration=0.0):
 
     Frame k is at k * dt everywhere (k / frame_rate_hz differs by an ulp on
     some k), and the frames counted are those with k * dt <= duration, with
-    the ``_SLACK`` of the segment lookups.
+    the ``_SLACK`` of the segment lookups; a zero duration counts none, not
+    frame 0.
     """
     frame_dt = 1.0 / sensor.frame_rate_hz
     steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
@@ -860,7 +861,8 @@ def simulate(
     one stacked measurement update per vision frame covering every
     currently-detected feature, initializing each feature's prior block at
     its first detection.  ``duration`` truncates the run; the trace holds
-    floor(duration * frame_rate) + 1 rows.  The run itself is deterministic;
+    floor(duration * frame_rate) + 1 rows for a positive duration and none
+    for a zero one.  The run itself is deterministic;
     the seed only drives the random functionals sampled for the optional
     diagnostics.
     """

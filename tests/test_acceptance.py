@@ -117,9 +117,9 @@ def test_criterion_5_augmentation_equivalence():
     with criterion(5, "padding an undetected feature keeps rank, adds 3 to nullity"):
         rng = np.random.default_rng(2025)
         for _ in range(100):
-            system = augment(random_scenario(rng))
-            base = tom(system.stripes)
-            padded = tom([equivalence_pad(s, 3) for s in system.stripes])
+            stripes = augment(random_scenario(rng))
+            base = tom(stripes)
+            padded = tom([equivalence_pad(s, 3) for s in stripes])
             rank_base = numerical_rank(base, RANK_TOL)
             rank_padded = numerical_rank(padded, RANK_TOL)
             assert rank_padded == rank_base
@@ -188,14 +188,14 @@ def test_criterion_9_oracle_equivalence():
         rng = np.random.default_rng(2029)
         scenarios += [random_scenario(rng) for _ in range(20)]
         for scenario in scenarios:
-            system = augment(scenario)
-            stripes = scenario_to_oracle_stripes(scenario)
+            stripes = augment(scenario)
+            oracle = scenario_to_oracle_stripes(scenario)
             for mode, first_order in (("exact", False), ("first_order", True)):
-                got = tom(system.stripes, max_power=2, mode=mode)
-                want = np.array(o_tom(stripes, max_power=2, first_order=first_order))
+                got = tom(stripes, max_power=2, mode=mode)
+                want = np.array(o_tom(oracle, max_power=2, first_order=first_order))
                 scale = max(1.0, float(np.abs(want).max()))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
-            for stripe, (F, H, _) in zip(system.stripes, stripes):
+            for stripe, (F, H, _) in zip(stripes, oracle):
                 got = lom(stripe, max_power=2)
                 want = np.array(o_lom(H, F, max_power=2))
                 scale = max(1.0, float(np.abs(want).max()))

@@ -217,8 +217,8 @@ class TestStandardWeights:
 
 
 def _total_matrix(scenario, options):
-    system = augment(scenario)
-    return tom(system.stripes, MAX_POWER, options.expansion_mode)
+    stripes = augment(scenario)
+    return tom(stripes, MAX_POWER, options.expansion_mode)
 
 
 def _random_reports(seed, count):
@@ -247,7 +247,7 @@ class TestBatchedClassification:
 
     def test_null_projection_matches_per_vector(self):
         for report, _, weights in _random_reports(61, 25):
-            N = report.null_basis.vectors
+            N = report.null_basis
             for verdict, w in zip(report.mode_results, weights):
                 want = np.linalg.norm(N @ (N.T @ w)) / np.linalg.norm(w)
                 assert abs(verdict.null_projection - want) <= 1e-15

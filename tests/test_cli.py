@@ -34,6 +34,8 @@ BAD_FLAG_VALUES = [
     (ANALYZE, "--tol", "nan", "must be finite"),
     (ANALYZE, "--tol", "inf", "must be finite"),
     (ANALYZE, "--tol", "-1", "must be > 0.0"),
+    (ANALYZE, "--local", "-1", "must be >= 0"),
+    (ANALYZE, "--local", "2", "must be < 2 (the scenario has 2 segments)"),
     (["cases"], "--tol", "nan", "must be finite"),
     (["cases"], "--tol", "inf", "must be finite"),
     (["cases"], "--tol", "-1", "must be > 0.0"),

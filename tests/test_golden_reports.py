@@ -1,7 +1,9 @@
 """Golden outputs of ``slamobs analyze`` and ``slamobs cases``.
 
-The fixtures pin the analyze JSON of the bundled case2 scenario (total and
-``--local 0``) and the ``cases --exact --first-order`` table.  Integers,
+The fixtures pin the analyze JSON of the bundled case2 scenario (total,
+``--local 0`` and ``--first-order``) and of case2_flight (its
+``north_baseline`` extra candidate and the relative positions derived from
+its trajectory), and the ``cases --exact --first-order`` table.  Integers,
 labels and verdicts must match exactly; null projections and the null space
 match at rtol 1e-9.  Null-space basis vectors carry arbitrary signs (and any
 rotation within the space), so the space is compared through its projector
@@ -26,8 +28,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-9
 ATOL = 1e-12
 ANALYZE = {
-    "case2_analyze.json": [],
-    "case2_analyze_local0.json": ["--local", "0"],
+    "case2_analyze.json": ["case2.yaml"],
+    "case2_analyze_local0.json": ["case2.yaml", "--local", "0"],
+    "case2_analyze_first_order.json": ["case2.yaml", "--first-order"],
+    "case2_flight_analyze.json": ["case2_flight.yaml"],
 }
 CASES = ("cases_exact_first_order.txt", ["cases", "--exact", "--first-order"])
 
@@ -40,9 +44,10 @@ def cli_output(argv) -> str:
     return buffer.getvalue()
 
 
-def analyze_argv(extra) -> list:
-    scenario = importlib.resources.files("slamobs") / "scenarios" / "case2.yaml"
-    return ["analyze", str(scenario)] + extra
+def analyze_argv(args) -> list:
+    """``analyze`` of the bundled scenario ``args[0]`` with the flags ``args[1:]``."""
+    scenario = importlib.resources.files("slamobs") / "scenarios" / args[0]
+    return ["analyze", str(scenario)] + args[1:]
 
 
 def projector(basis) -> np.ndarray:
@@ -81,7 +86,7 @@ if __name__ == "__main__":
     if "--record" not in sys.argv:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_reports.py --record")
     GOLDEN.mkdir(exist_ok=True)
-    for fixture, extra in ANALYZE.items():
-        (GOLDEN / fixture).write_text(cli_output(analyze_argv(extra)))
+    for fixture, args in ANALYZE.items():
+        (GOLDEN / fixture).write_text(cli_output(analyze_argv(args)))
     (GOLDEN / CASES[0]).write_text(cli_output(CASES[1]))
     print(f"wrote {len(ANALYZE) + 1} fixtures to {GOLDEN}")

@@ -115,12 +115,12 @@ class TestDetectionSchedule:
 class TestAugment:
     def test_case2_shape_and_zero_band(self):
         scenario = case_scenario(2)
-        system = augment(scenario)
-        assert system.n == 15
-        assert [s.H.shape for s in system.stripes] == [(6, 15), (6, 15)]
+        stripes = augment(scenario)
+        assert stripes[0].n == 15
+        assert [s.H.shape for s in stripes] == [(6, 15), (6, 15)]
         # feature 2 is not detected in segment 1: its band is all zero
-        assert not system.stripes[0].H[3:6, :].any()
-        assert system.stripes[0].H[0:3, :].any()
+        assert not stripes[0].H[3:6, :].any()
+        assert stripes[0].H[0:3, :].any()
 
     def test_single_segment_single_feature(self):
         schedule = DetectionSchedule(detected=np.ones((1, 1), dtype=bool), feature_ids=("f1",))
@@ -129,9 +129,9 @@ class TestAugment:
             specific_force=[0, 0, 9.81],
             feature_rel_pos={"f1": [10, 0, -100]},
         )
-        system = augment(Scenario(schedule, [seg]))
-        assert system.n == 12
-        H = system.stripes[0].H
+        stripes = augment(Scenario(schedule, [seg]))
+        assert stripes[0].n == 12
+        H = stripes[0].H
         np.testing.assert_array_equal(H[:, 0:9], feature_obs_row([10, 0, -100]))
         np.testing.assert_array_equal(H[:, 9:12], np.eye(3))
 
@@ -149,8 +149,8 @@ class TestAugment:
             )
             for _ in range(k)
         ]
-        system = augment(Scenario(schedule, segments))
-        for stripe in system.stripes:
+        stripes = augment(Scenario(schedule, segments))
+        for stripe in stripes:
             for c in range(L):
                 assert stripe.H[3 * c : 3 * c + 3].any()
 
@@ -161,8 +161,8 @@ class TestAugment:
             scenario = random_scenario(rng)
             zeroed += zero_components(rng, scenario)
             schedule, L = scenario.schedule, scenario.schedule.n_features
-            system = augment(scenario)
-            for i, (seg, stripe) in enumerate(zip(scenario.segments, system.stripes)):
+            stripes = augment(scenario)
+            for i, (seg, stripe) in enumerate(zip(scenario.segments, stripes)):
                 rel = {c: seg.feature_rel_pos[fid] for c, fid in schedule.features_in_segment(i)}
                 np.testing.assert_array_equal(stripe.F, o_aug_f(seg.specific_force, L))
                 np.testing.assert_array_equal(
@@ -173,16 +173,16 @@ class TestAugment:
     def test_feature_rows_of_dynamics_are_zero(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            system = augment(random_scenario(rng))
-            for stripe in system.stripes:
+            stripes = augment(random_scenario(rng))
+            for stripe in stripes:
                 assert not stripe.F[9:, :].any()
 
     def test_transition_is_block_diagonal(self):
         # the augmented transition equals the inertial transition beside an
         # identity on the feature states
         scenario = case_scenario(2)
-        system = augment(scenario)
-        for stripe, seg in zip(system.stripes, scenario.segments):
+        stripes = augment(scenario)
+        for stripe, seg in zip(stripes, scenario.segments):
             phi = state_transition(stripe.F, stripe.delta, "exact")
             expected = np.eye(15)
             expected[0:9, 0:9] = state_transition(
@@ -220,10 +220,10 @@ class TestAugment:
             SegmentSpec(duration=1.0, specific_force=[0, 0, 9.81]),
             SegmentSpec(duration=1.0, specific_force=[0, 1, 9.81]),
         ]
-        system = augment(Scenario(schedule, segments))
-        assert system.n == 9
-        assert all(s.H.shape == (0, 9) for s in system.stripes)
-        assert numerical_rank(tom(system.stripes)) == 0
+        stripes = augment(Scenario(schedule, segments))
+        assert stripes[0].n == 9
+        assert all(s.H.shape == (0, 9) for s in stripes)
+        assert numerical_rank(tom(stripes)) == 0
 
     def test_state_labels(self):
         labels = state_labels(("f1", "f2"))
@@ -236,22 +236,22 @@ class TestAugment:
 
 class TestEquivalencePad:
     def test_zero_padding_is_identity(self):
-        stripe = augment(case_scenario(2)).stripes[0]
+        stripe = augment(case_scenario(2))[0]
         padded = equivalence_pad(stripe, 0)
         np.testing.assert_array_equal(padded.F, stripe.F)
         np.testing.assert_array_equal(padded.H, stripe.H)
         assert padded.delta == stripe.delta
 
     def test_padding_preserves_lom_rank(self):
-        stripe = augment(case_scenario(2)).stripes[0]
+        stripe = augment(case_scenario(2))[0]
         want = numerical_rank(lom(stripe))
         padded = equivalence_pad(stripe, 3)
         assert padded.n == stripe.n + 3
         assert numerical_rank(lom(padded)) == want
 
     def test_case2_padded_with_ghost_feature(self):
-        system = augment(case_scenario(2))
-        padded = [equivalence_pad(s, 3) for s in system.stripes]
+        stripes = augment(case_scenario(2))
+        padded = [equivalence_pad(s, 3) for s in stripes]
         matrix = tom(padded)
         assert matrix.shape[1] == 18
         assert numerical_rank(matrix) == 12
@@ -261,25 +261,25 @@ class TestEquivalencePad:
         rng = np.random.default_rng(23)
         for _ in range(100):
             scenario = random_scenario(rng)
-            system = augment(scenario)
+            stripes = augment(scenario)
             extra = int(rng.integers(1, 4)) * 3
-            base_rank = numerical_rank(tom(system.stripes))
+            base_rank = numerical_rank(tom(stripes))
             padded_rank = numerical_rank(
-                tom([equivalence_pad(s, extra) for s in system.stripes])
+                tom([equivalence_pad(s, extra) for s in stripes])
             )
             assert padded_rank == base_rank
-            lom_base = numerical_rank(lom(system.stripes[0]))
-            lom_padded = numerical_rank(lom(equivalence_pad(system.stripes[0], extra)))
+            lom_base = numerical_rank(lom(stripes[0]))
+            lom_padded = numerical_rank(lom(equivalence_pad(stripes[0], extra)))
             assert lom_padded == lom_base
 
     def test_negative_padding_rejected(self):
-        stripe = augment(case_scenario(2)).stripes[0]
+        stripe = augment(case_scenario(2))[0]
         with pytest.raises(ValueError):
             equivalence_pad(stripe, -1)
 
     @pytest.mark.parametrize("extra", [np.inf, np.nan])
     def test_non_finite_padding_rejected(self, extra):
-        stripe = augment(case_scenario(2)).stripes[0]
+        stripe = augment(case_scenario(2))[0]
         with pytest.raises(ValueError, match="extra_states must be a non-negative integer"):
             equivalence_pad(stripe, extra)
 

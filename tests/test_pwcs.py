@@ -1,5 +1,7 @@
 """Core piece-wise constant system machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from slamobs.pwcs import (
 )
 
 
-def case2_system():
+def case2_stripes():
     return augment(case_scenario(2))
 
 
@@ -173,8 +175,7 @@ class TestTom:
         np.testing.assert_array_equal(tom([stripe]), lom(stripe))
 
     def test_case2_rank_twelve_of_fifteen(self):
-        system = case2_system()
-        matrix = tom(system.stripes)
+        matrix = tom(case2_stripes())
         assert matrix.shape[1] == 15
         assert numerical_rank(matrix) == 12
 
@@ -212,7 +213,7 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((4, 6))) == 0
 
     def test_case2_total_matrix(self):
-        assert numerical_rank(tom(case2_system().stripes)) == 12
+        assert numerical_rank(tom(case2_stripes())) == 12
 
     def test_rank_plus_nullity_equals_cols(self):
         rng = np.random.default_rng(11)
@@ -226,11 +227,11 @@ class TestNumericalRank:
             )
             rank = numerical_rank(M)
             basis = null_space(M)
-            assert rank + basis.dim == cols
+            assert rank + basis.shape[1] == cols
 
     def test_rank_invariant_under_row_permutation_and_scaling(self):
         rng = np.random.default_rng(13)
-        base = tom(case2_system().stripes)
+        base = tom(case2_stripes())
         want = numerical_rank(base)
         for _ in range(100):
             perm = rng.permutation(base.shape[0])
@@ -243,41 +244,41 @@ class TestNumericalRank:
 class TestNullSpace:
     def test_identity_has_trivial_kernel(self):
         basis = null_space(np.eye(6))
-        assert basis.dim == 0
-        assert basis.vectors.shape == (6, 0)
+        assert basis.shape[1] == 0
+        assert basis.shape == (6, 0)
 
     def test_zero_matrix_full_kernel(self):
         basis = null_space(np.zeros((4, 3)))
-        assert basis.dim == 3
-        np.testing.assert_allclose(basis.vectors.T @ basis.vectors, np.eye(3), atol=1e-12)
+        assert basis.shape[1] == 3
+        np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
 
     def test_case2_kernel_dimension_and_annihilation(self):
-        matrix = tom(case2_system().stripes)
+        matrix = tom(case2_stripes())
         basis = null_space(matrix)
-        assert basis.dim == 3
+        assert basis.shape[1] == 3
         scale = np.linalg.norm(matrix)
-        for k in range(basis.dim):
-            assert np.linalg.norm(matrix @ basis.vectors[:, k]) <= 1e-10 * scale
-        gram = basis.vectors.T @ basis.vectors
+        for k in range(basis.shape[1]):
+            assert np.linalg.norm(matrix @ basis[:, k]) <= 1e-10 * scale
+        gram = basis.T @ basis
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
 
     def test_empty_row_matrix(self):
         basis = null_space(np.zeros((0, 9)))
-        assert basis.dim == 9
+        assert basis.shape[1] == 9
 
     def test_tall_basis_equals_full_svd(self):
         # a tall or square M takes the thin SVD; its V^T is the full one's
         rng = np.random.default_rng(17)
-        matrices = [tom(case2_system().stripes), np.eye(6)]
+        matrices = [tom(case2_stripes()), np.eye(6)]
         for _ in range(10):
             rows, rank = int(rng.integers(12, 40)), int(rng.integers(1, 12))
             matrices.append(rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, 12)))
         for _ in range(5):
-            system = augment(random_scenario(rng, n_features=8, n_segments=6))
-            matrices.append(tom(system.stripes, 2))
+            stripes = augment(random_scenario(rng, n_features=8, n_segments=6))
+            matrices.append(tom(stripes, 2))
         for M in matrices:
             assert M.shape[0] >= M.shape[1]
-            np.testing.assert_array_equal(null_space(M).vectors, o_null_space(M))
+            np.testing.assert_array_equal(null_space(M), o_null_space(M))
 
     def test_wide_kernel_matches_reference(self):
         rng = np.random.default_rng(19)
@@ -289,11 +290,11 @@ class TestNullSpace:
             assert M.shape[0] < M.shape[1]
             basis = null_space(M)
             want = o_null_space(M)
-            assert basis.dim == want.shape[1] == M.shape[1] - o_rank(M)
-            assert np.linalg.norm(M @ basis.vectors) <= 1e-10 * np.linalg.norm(M)
-            np.testing.assert_allclose(basis.vectors.T @ basis.vectors, np.eye(basis.dim), atol=1e-12)
+            assert basis.shape[1] == want.shape[1] == M.shape[1] - o_rank(M)
+            assert np.linalg.norm(M @ basis) <= 1e-10 * np.linalg.norm(M)
+            np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
             np.testing.assert_allclose(
-                basis.vectors @ basis.vectors.T, want @ want.T, atol=1e-12
+                basis @ basis.T, want @ want.T, atol=1e-12
             )
 
     @pytest.mark.parametrize("rel_tol", [0.0, np.inf, np.nan])
@@ -314,7 +315,7 @@ class TestIsFunctionalObservable:
         assert not is_functional_observable(np.zeros((3, 5)), np.ones(5))
 
     def test_case2_position_minus_feature2_observable(self):
-        matrix = tom(case2_system().stripes)
+        matrix = tom(case2_stripes())
         w = np.zeros(15)
         w[0], w[12] = 1.0, -1.0  # north position error minus feature-2 north error
         assert is_functional_observable(matrix, w)
@@ -323,10 +324,17 @@ class TestIsFunctionalObservable:
         assert not is_functional_observable(matrix, alone)
 
     def test_every_row_is_observable(self):
-        matrix = tom(case2_system().stripes)
+        matrix = tom(case2_stripes())
         for row in matrix:
             if row.any():
                 assert is_functional_observable(matrix, row)
+
+    @pytest.mark.parametrize("M", [np.eye(4), np.diag([1.0, 1.0, 0.0, 0.0])])
+    def test_zero_functional_is_observable(self, M):
+        # a zero w is in every row space, rank-deficient or not, with no 0/0 warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_functional_observable(M, np.zeros(4)) is True
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -334,5 +342,5 @@ class TestIsFunctionalObservable:
 
 
 def test_oracle_rank_agrees_on_case2():
-    matrix = tom(case2_system().stripes)
+    matrix = tom(case2_stripes())
     assert numerical_rank(matrix) == o_rank(matrix)

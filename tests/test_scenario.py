@@ -178,6 +178,16 @@ class TestValidationErrors:
                 id="force-entry-string",
             ),
             pytest.param(
+                lambda d: d["segments"][0].update(specific_force=[True, 0.0, 9.81]),
+                "segments[0].specific_force",
+                id="force-entry-bool",
+            ),
+            pytest.param(
+                lambda d: d["segments"][0].update(specific_force=["0.0", 0.0, 9.81]),
+                "segments[0].specific_force",
+                id="force-entry-quoted-number",
+            ),
+            pytest.param(
                 lambda d: d["segments"][0].update(rel=[[5.0, 0.0, -50.0]]),
                 "segments[0].rel",
                 id="rel-list",
@@ -194,6 +204,17 @@ class TestValidationErrors:
                 lambda d: d.update(trajectory=[0.0, 0.0, 100.0]), "trajectory", id="trajectory-list"
             ),
             pytest.param(lambda d: d.update(sensor=25.0), "sensor", id="sensor-number"),
+            pytest.param(
+                lambda d: d.update(sensor={"imu_rate_hz": 0}), "sensor.imu_rate_hz", id="imu-rate-zero"
+            ),
+            pytest.param(
+                lambda d: d.update(sensor={"frame_rate_hz": 0.0}),
+                "sensor.frame_rate_hz",
+                id="frame-rate-zero",
+            ),
+            pytest.param(
+                lambda d: d.update(sensor={"fov_deg": -15.0}), "sensor.fov_deg", id="fov-negative"
+            ),
             pytest.param(
                 lambda d: (d.pop("features"), d.update(schedule="auto")),
                 "schedule",

@@ -807,7 +807,7 @@ class TestBatchedGeometry:
         """
         doc = load_scenario(CASE2_FLIGHT)
         schedule = doc.scenario.schedule
-        stripes = model.augment(doc.scenario).stripes
+        stripes = model.augment(doc.scenario)
         frames = list(
             simulation._filter_frames(doc.sim_scenario(), doc.trajectory, doc.sensor, 1251)
         )
