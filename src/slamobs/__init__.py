@@ -18,7 +18,6 @@ from .analysis import (
     analyze_local,
     analyze_total,
     case_scenario,
-    standard_candidates,
 )
 from .model import (
     DetectionSchedule,
@@ -35,22 +34,18 @@ from .pwcs import (
     is_functional_observable,
     lom,
     null_space,
-    numerical_rank,
     skew,
     state_transition,
     tom,
 )
-from .scenario import ScenarioDoc, ScenarioError, dump_scenario, load_scenario, parse_scenario
+from .scenario import ScenarioDoc, ScenarioError, load_scenario, parse_scenario
 from .simulation import (
-    AugmentedCovariance,
     CovarianceTrace,
     SensorConfig,
     SimScenario,
     TrajectoryConfig,
     fov_schedule,
-    initialize_feature,
     measurement_noise_cartesian,
-    process_noise_intensity,
     simulate,
     state_comparison_run,
 )

@@ -292,8 +292,6 @@ def equivalence_pad(stripe: PwcsStripe, extra_states: int) -> PwcsStripe:
     if not 0 <= extra_states < np.inf or int(extra_states) != extra_states:
         raise ValueError("extra_states must be a non-negative integer")
     extra = int(extra_states)
-    if extra == 0:
-        return PwcsStripe(F=stripe.F.copy(), H=stripe.H.copy(), delta=stripe.delta)
     n = stripe.n
     F = np.zeros((n + extra, n + extra))
     F[:n, :n] = stripe.F

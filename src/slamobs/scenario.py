@@ -30,6 +30,7 @@ from .simulation import (
     DEFAULT_VEHICLE_VARIANCES,
     FEATURE_PRIOR_DEFAULT,
     GRAVITY,
+    _POSITIVE_SENSOR_FIELDS,
     SensorConfig,
     SimScenario,
     TrajectoryConfig,
@@ -46,8 +47,6 @@ class ScenarioError(ValueError):
 
 
 _SENSOR_FIELDS = tuple(f.name for f in fields(SensorConfig))
-# sensor fields that must be > 0; the noise magnitudes may be zero
-_POSITIVE_SENSOR_FIELDS = ("imu_rate_hz", "frame_rate_hz", "fov_deg")
 _TOP_FIELDS = (
     "name", "gravity", "options", "features", "segments", "schedule", "trajectory", "sensor",
     "initial_covariance", "candidates",
@@ -67,7 +66,6 @@ class ScenarioDoc:
     sensor: SensorConfig | None
     vehicle_variances: np.ndarray
     feature_prior: float
-    gravity: float
 
     def sim_scenario(self) -> SimScenario:
         """Simulation-side view; raises at a missing trajectory, sensor or features section."""
@@ -84,64 +82,6 @@ class ScenarioDoc:
             vehicle_variances=self.vehicle_variances,
             feature_prior=self.feature_prior,
         )
-
-    def to_dict(self) -> dict:
-        """Canonical dictionary form; re-parsing it reproduces this document.
-
-        It is rebuilt from the parsed objects, so it also writes the relative
-        positions the parser derived from the trajectory and the initial
-        covariance (as variances), defaults included.
-        """
-        doc: dict = {"name": self.name, "gravity": self.gravity}
-        doc["options"] = {
-            "expansion": self.options.expansion_mode,
-            "rank_tol": self.options.rank_tol,
-        }
-        if self.feature_positions:
-            doc["features"] = {fid: _floats(pos) for fid, pos in self.feature_positions.items()}
-        schedule = self.scenario.schedule
-        if self.schedule_mode == "auto":
-            doc["schedule"] = "auto"
-        else:
-            detected = zip(schedule.feature_ids, schedule.detected)
-            doc["schedule"] = {"detected": {fid: [int(v) for v in row] for fid, row in detected}}
-        doc["segments"] = []
-        for seg in self.scenario.segments:
-            entry = {"duration": seg.duration, "specific_force": _floats(seg.specific_force)}
-            if seg.feature_rel_pos:
-                entry["rel"] = {fid: _floats(rel) for fid, rel in seg.feature_rel_pos.items()}
-            doc["segments"].append(entry)
-        if self.trajectory is not None:
-            doc["trajectory"] = {
-                "p0": _floats(self.trajectory.p0),
-                "v0": _floats(self.trajectory.v0),
-            }
-        if self.sensor is not None:
-            doc["sensor"] = {name: getattr(self.sensor, name) for name in _SENSOR_FIELDS}
-            # YAML writes lists, not the tuple the config holds
-            doc["sensor"]["boresight"] = _floats(self.sensor.boresight)
-        doc["initial_covariance"] = {
-            "vehicle_diag": _floats(self.vehicle_variances),
-            "feature_prior": self.feature_prior,
-        }
-        if self.options.extra_candidates:
-            blocks = state_blocks(schedule.feature_ids)
-            doc["candidates"] = [
-                {
-                    "label": cand.label,
-                    "weights": {
-                        block: _floats(cand.weights[3 * k : 3 * k + 3])
-                        for k, block in enumerate(blocks)
-                        if cand.weights[3 * k : 3 * k + 3].any()
-                    },
-                }
-                for cand in self.options.extra_candidates
-            ]
-        return doc
-
-
-def _floats(values) -> list:
-    return [float(v) for v in values]
 
 
 def _require(mapping, key, path):
@@ -194,7 +134,10 @@ def _vec3(value, path):
         raise ScenarioError(path, "expected a list of 3 numbers")
     if not all(map(_is_number, value)):
         raise ScenarioError(path, "entries must be numbers")
-    arr = np.array([float(v) for v in value])
+    try:
+        arr = np.array([float(v) for v in value])
+    except OverflowError:  # an int too large for a double
+        raise ScenarioError(path, "entries must be finite") from None
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(path, "entries must be finite")
     return arr
@@ -203,7 +146,10 @@ def _vec3(value, path):
 def _number(value, path, minimum=None, strict=False):
     if not _is_number(value):
         raise ScenarioError(path, f"expected a number, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a double
+        raise ScenarioError(path, "must be finite") from None
     if not math.isfinite(value):
         raise ScenarioError(path, "must be finite")
     if minimum is not None:
@@ -233,11 +179,6 @@ def parse_scenario(text: str, name_hint: str = "<scenario>") -> ScenarioDoc:
     if not isinstance(raw, dict):
         raise ScenarioError(name_hint, "document must be a mapping")
     return _build_doc(raw)
-
-
-def dump_scenario(doc: ScenarioDoc) -> str:
-    """Serialize a parsed scenario back to YAML text."""
-    return yaml.safe_dump(doc.to_dict(), sort_keys=False)
 
 
 def _build_doc(raw: dict) -> ScenarioDoc:
@@ -428,5 +369,4 @@ def _build_doc(raw: dict) -> ScenarioDoc:
         sensor=sensor,
         vehicle_variances=vehicle,
         feature_prior=feature_prior,
-        gravity=gravity,
     )

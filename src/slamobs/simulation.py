@@ -181,6 +181,10 @@ class TrajectoryConfig:
         return positions, velocities, segments
 
 
+# sensor fields that must be > 0; the noise magnitudes may be zero
+_POSITIVE_SENSOR_FIELDS = ("imu_rate_hz", "frame_rate_hz", "fov_deg")
+
+
 @dataclass(frozen=True)
 class SensorConfig:
     """IMU and vision sensor noise model.
@@ -204,7 +208,7 @@ class SensorConfig:
     boresight: tuple = (0.0, 0.0, -1.0)
 
     def __post_init__(self):
-        for name in ("imu_rate_hz", "frame_rate_hz", "fov_deg"):
+        for name in _POSITIVE_SENSOR_FIELDS:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         # noise magnitudes may be zero to exercise degenerate limits

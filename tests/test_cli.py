@@ -28,6 +28,9 @@ def bundled_path(name):
 ANALYZE = ["analyze", bundled_path("case2.yaml")]
 SIMULATE = ["simulate", bundled_path("case2_flight.yaml")]
 
+#: An integer too large for a double.
+HUGE_INT = "1" + "0" * 400
+
 # (command, flag, value, rule): every numeric flag is checked by the rule of
 # the scenario field that carries the same quantity
 BAD_FLAG_VALUES = [
@@ -36,6 +39,7 @@ BAD_FLAG_VALUES = [
     (ANALYZE, "--tol", "-1", "must be > 0.0"),
     (ANALYZE, "--local", "-1", "must be >= 0"),
     (ANALYZE, "--local", "2", "must be < 2 (the scenario has 2 segments)"),
+    (ANALYZE, "--local", HUGE_INT, "must be finite"),
     (["cases"], "--tol", "nan", "must be finite"),
     (["cases"], "--tol", "inf", "must be finite"),
     (["cases"], "--tol", "-1", "must be > 0.0"),
@@ -46,6 +50,7 @@ BAD_FLAG_VALUES = [
     (SIMULATE, "--duration", "inf", "must be finite"),
     (SIMULATE, "--duration", "-1", "must be >= 0.0"),
     (SIMULATE, "--seed", "-1", "must be >= 0"),
+    (SIMULATE, "--seed", HUGE_INT, "must be finite"),
 ]
 # a negative force component is a valid specific force
 BAD_FORCES = [
@@ -59,7 +64,7 @@ BAD_FLAG_VALUES += [(["cases"], "--forces", f"{v} 0,0,9.81", rule) for v, rule i
 
 @pytest.mark.parametrize(
     "command, flag, value, rule", BAD_FLAG_VALUES,
-    ids=[f"{c[0]} {f} {v}" for c, f, v, _ in BAD_FLAG_VALUES],
+    ids=[f"{c[0]} {f} {v.replace(HUGE_INT, 'HUGE_INT')}" for c, f, v, _ in BAD_FLAG_VALUES],
 )
 def test_bad_flag_value_names_the_flag(command, flag, value, rule, tmp_path, capsys):
     argv = command + [flag, *value.split(" ")]

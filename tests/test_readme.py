@@ -1,5 +1,8 @@
-"""The README's library example runs as written and prints what its comments say."""
+"""The README's examples hold: the library example runs as written and prints
+what its comments say, the schema block sets every field the parser knows, and
+the package's top-level names are the ones listed here."""
 
+import inspect
 import math
 import os
 import re
@@ -7,18 +10,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+import yaml
+
+import slamobs
+from slamobs.scenario import ScenarioError, parse_scenario
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def library_example():
-    """The ``python`` block under the README's "Library example" heading."""
+def readme_block(heading, language):
+    """The first ``language`` code block under the README's ``heading``."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split("## Library example", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text.split(f"## {heading}", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
 def test_library_example_prints_its_comments():
-    code = library_example()
+    code = readme_block("Library example", "python")
     prints = [line for line in code.splitlines() if line.startswith("print(")]
     comments = [line.split("#", 1)[1].strip() for line in prints]
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
@@ -36,3 +45,50 @@ def test_library_example_prints_its_comments():
     modes = ["dv", "psi", "dp-dm_f1", "dp-dm_f2", "dm_f1-dm_f2"]
     assert printed[:2] == comments[:2] == ["12 3", str(modes)]
     assert math.isfinite(float(printed[2]))
+
+
+#: Every section whose keys the parser checks, as a path into the document.
+SCHEMA_SECTIONS = [
+    (), ("options",), ("schedule",), ("segments", 0), ("trajectory",), ("sensor",),
+    ("initial_covariance",), ("candidates", 0),
+]
+
+
+@pytest.mark.parametrize("path", SCHEMA_SECTIONS, ids=lambda p: ".".join(map(str, p)) or "top")
+def test_schema_block_sets_every_field(path):
+    """The schema block parses and sets each key the parser accepts in ``path``.
+
+    No writer emits scenario files, so this block is the one complete
+    reference.  The parser names the keys it knows when it rejects an
+    unknown one, and the block must set exactly those.
+    """
+    text = readme_block("Scenario file schema (YAML)", "yaml")
+    parse_scenario(text)
+    data = yaml.safe_load(text)
+    section = data
+    for key in path:
+        section = section[key]
+    section["not_a_field"] = 0
+    with pytest.raises(ScenarioError, match="unknown field") as err:
+        parse_scenario(yaml.safe_dump(data, sort_keys=False))
+    known = re.search(r"\(known: (.*)\)$", str(err.value)).group(1).split(", ")
+    del section["not_a_field"]
+    assert sorted(section) == sorted(known)
+
+
+def test_top_level_names():
+    """``import slamobs`` re-exports exactly these; a new export is a deliberate edit here."""
+    public = {
+        name
+        for name, value in vars(slamobs).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == {
+        "AnalysisOptions", "CandidateFunctional", "CovarianceTrace", "DetectionSchedule",
+        "FunctionalVerdict", "ObservabilityReport", "PwcsStripe", "Scenario", "ScenarioDoc",
+        "ScenarioError", "SegmentSpec", "SensorConfig", "SimScenario", "TrajectoryConfig",
+        "analyze_local", "analyze_total", "augment", "case_scenario", "equivalence_pad",
+        "feature_obs_row", "fov_schedule", "ins_error_f", "is_functional_observable",
+        "load_scenario", "lom", "measurement_noise_cartesian", "null_space", "parse_scenario",
+        "simulate", "skew", "state_comparison_run", "state_labels", "state_transition", "tom",
+    }

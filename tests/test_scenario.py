@@ -1,4 +1,4 @@
-"""Scenario file parsing, validation and round-tripping."""
+"""Scenario file parsing and validation."""
 
 import importlib.resources
 
@@ -7,13 +7,19 @@ import pytest
 import yaml
 
 from slamobs.analysis import AnalysisOptions, CandidateFunctional, analyze_local, analyze_total
-from slamobs.scenario import ScenarioError, dump_scenario, load_scenario, parse_scenario
+from slamobs.scenario import ScenarioError, load_scenario, parse_scenario
 
 BUNDLED = ("case2.yaml", "case2_segment1.yaml", "case2_flight.yaml")
 
 
 def bundled_path(name):
     return str(importlib.resources.files("slamobs") / "scenarios" / name)
+
+
+def bundled_data(name):
+    """The bundled scenario file ``name`` as plain YAML data, to edit into variants."""
+    with open(bundled_path(name), encoding="utf-8") as handle:
+        return yaml.safe_load(handle)
 
 
 MINIMAL = """
@@ -34,14 +40,6 @@ class TestBundledScenarios:
     def test_parses(self, name):
         doc = load_scenario(bundled_path(name))
         assert doc.scenario.n_segments >= 1
-
-    @pytest.mark.parametrize("name", BUNDLED)
-    def test_round_trip(self, name):
-        doc = load_scenario(bundled_path(name))
-        text = dump_scenario(doc)
-        again = parse_scenario(text)
-        assert doc.to_dict() == again.to_dict()
-        assert dump_scenario(again) == text
 
     def test_case2_analysis_values(self):
         doc = load_scenario(bundled_path("case2.yaml"))
@@ -84,12 +82,9 @@ class TestParsing:
         np.testing.assert_allclose(doc.vehicle_variances[6], 0.0873**2)
 
     def test_auto_schedule_from_fov(self):
-        doc = load_scenario(bundled_path("case2_flight.yaml"))
-        text = dump_scenario(doc).replace(
-            "schedule:\n  detected:\n    f1:\n    - 1\n    - 1\n    f2:\n    - 0\n    - 1",
-            "schedule: auto",
-        )
-        auto = parse_scenario(text)
+        data = bundled_data("case2_flight.yaml")
+        data["schedule"] = "auto"
+        auto = parse_scenario(yaml.safe_dump(data, sort_keys=False))
         assert auto.schedule_mode == "auto"
         np.testing.assert_array_equal(
             auto.scenario.schedule.detected, np.array([[True, True], [False, True]])
@@ -186,6 +181,16 @@ class TestValidationErrors:
                 lambda d: d["segments"][0].update(specific_force=["0.0", 0.0, 9.81]),
                 "segments[0].specific_force",
                 id="force-entry-quoted-number",
+            ),
+            pytest.param(
+                lambda d: d["segments"][0].update(duration=10**400),
+                "segments[0].duration",
+                id="duration-int-overflow",
+            ),
+            pytest.param(
+                lambda d: d["segments"][0].update(specific_force=[10**400, 0, 0]),
+                "segments[0].specific_force",
+                id="force-entry-int-overflow",
             ),
             pytest.param(
                 lambda d: d["segments"][0].update(rel=[[5.0, 0.0, -50.0]]),
@@ -305,7 +310,7 @@ class TestValidationErrors:
     @pytest.mark.parametrize("mutation, field", UNKNOWN_FIELDS, ids=[f for _, f in UNKNOWN_FIELDS])
     def test_unknown_field_is_named(self, mutation, field):
         """A misspelt key in any section fails at its path instead of taking a default."""
-        data = load_scenario(bundled_path("case2_flight.yaml")).to_dict()
+        data = bundled_data("case2_flight.yaml")
         parse_scenario(yaml.safe_dump(data, sort_keys=False))
         mutation(data)
         with pytest.raises(ScenarioError, match="unknown field") as err:
@@ -314,7 +319,7 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("rates", [(110.0, 25.0), (100.0, 30.0)])
     def test_imu_rate_not_a_whole_multiple_of_frame_rate(self, rates):
-        data = load_scenario(bundled_path("case2_flight.yaml")).to_dict()
+        data = bundled_data("case2_flight.yaml")
         data["sensor"].update(imu_rate_hz=rates[0], frame_rate_hz=rates[1])
         with pytest.raises(ScenarioError, match="whole multiple") as err:
             parse_scenario(yaml.safe_dump(data, sort_keys=False))
@@ -353,8 +358,12 @@ class TestValidationErrors:
         if section == "trajectory":
             doc = load_scenario(bundled_path("case2.yaml"))
         else:
-            # to_dict writes the derived rel vectors, so the document parses without features
-            data = load_scenario(bundled_path("case2_flight.yaml")).to_dict()
+            data = bundled_data("case2_flight.yaml")
+            if section == "features":
+                # without features the parser cannot derive rel, so write the derived vectors
+                segments = load_scenario(bundled_path("case2_flight.yaml")).scenario.segments
+                for entry, seg in zip(data["segments"], segments):
+                    entry["rel"] = {fid: rel.tolist() for fid, rel in seg.feature_rel_pos.items()}
             del data[section]
             doc = parse_scenario(yaml.safe_dump(data, sort_keys=False))
         with pytest.raises(ScenarioError) as err:
@@ -371,7 +380,7 @@ class TestCandidateLabels:
     )
     def test_colliding_label_rejected(self, labels):
         """An extra label a report could not tell apart fails in the parser and the analysis."""
-        data = load_scenario(bundled_path("case2.yaml")).to_dict()
+        data = bundled_data("case2.yaml")
         data["candidates"] = [{"label": label, "weights": {"dp": [1, 0, 0]}} for label in labels]
         with pytest.raises(ScenarioError, match=repr(labels[-1])) as err:
             parse_scenario(yaml.safe_dump(data, sort_keys=False))
@@ -388,7 +397,7 @@ class TestCandidateLabels:
             analyze_local(scenario, 1, options)
 
     def test_non_standard_labels_accepted(self):
-        data = load_scenario(bundled_path("case2.yaml")).to_dict()
+        data = bundled_data("case2.yaml")
         data["candidates"] = [
             {"label": f"rigid_{axis}", "weights": {"dp": [1, 0, 0]}} for axis in "NEU"
         ] + [{"label": "dv_x", "weights": {"dv": [1, 0, 0]}}]
