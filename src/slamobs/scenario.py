@@ -165,7 +165,7 @@ def load_scenario(path) -> ScenarioDoc:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(str(path), f"cannot read file: {exc}") from exc
     return parse_scenario(text, name_hint=str(path))
 
@@ -174,7 +174,9 @@ def parse_scenario(text: str, name_hint: str = "<scenario>") -> ScenarioDoc:
     """Parse a scenario document from YAML text."""
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    # PyYAML's constructors raise a plain ValueError for a scalar they cannot
+    # convert: a date out of range, an int over Python's digit limit, !!float abc
+    except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioError(name_hint, f"invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(name_hint, "document must be a mapping")
@@ -319,7 +321,13 @@ def _build_doc(raw: dict) -> ScenarioDoc:
             "initial_covariance.interpretation", "must be 'variance' or 'stddev'"
         )
     if interpretation == "stddev":
-        vehicle = vehicle**2
+        with np.errstate(over="ignore"):
+            vehicle = vehicle**2
+        overflow = np.flatnonzero(np.isinf(vehicle))
+        if overflow.size:
+            raise ScenarioError(
+                f"initial_covariance.vehicle_diag[{overflow[0]}]", "must be finite once squared"
+            )
     feature_prior = _number(
         initial_raw.get("feature_prior", FEATURE_PRIOR_DEFAULT),
         "initial_covariance.feature_prior",

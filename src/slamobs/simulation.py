@@ -8,9 +8,10 @@ deviations collapse, unobservable ones should stay at prior level or grow.
 
 The state layout, F and the measurement rows are ``slamobs.model``'s: the
 system the analysis ranks, in the North / East / Up navigation frame.
-Feature covariance blocks are carried from the start at a large prior so the
-state dimension never changes; a feature is "initialized" the first time it
-is detected, which stamps its prior block and zeroes its cross-covariances.
+Every feature is carried from the start at a large prior, uncorrelated, so
+the state dimension never changes.  Features have no dynamics and no process
+noise, and an update's H is zero on an unmeasured feature, so each feature's
+block stays at its prior until the feature is first measured.
 
 There is one filter loop, ``_filter_frames``, built on one Joseph-form update
 (``_joseph``, which takes the gain from one solve against the innovation
@@ -52,13 +53,12 @@ columns, or one field-of-view gate over frames x features), their bands of H
 with) and 3x3 noise blocks (``_noise_blocks``), all computed once per block.
 Each update frame's H is a row slice of its block's ``feature_bands``, and
 ``_stacked_measurement`` only places the noise blocks on R's diagonal; the
-loop builds the identity of the Joseph update once per run, and the step
-transitions with (Phi_f, Q_f) once per step pattern.  The batched kernels
-take dot products and norms as stacked 1x3 by 3x1 matrix products, which
-sum exactly as ``np.dot`` does, so every number equals the per-vector
-computation bit for bit; ``measurement_noise_cartesian`` and
-``fov_schedule`` are the same kernels applied to one vector and to a whole
-flight.  Blocks bound the extra memory to one block whatever the run
+loop builds the step transitions with (Phi_f, Q_f) once per step pattern.
+The batched kernels take dot products and norms as stacked 1x3 by 3x1
+matrix products, which sum exactly as ``np.dot`` does, so every number
+equals the per-vector computation bit for bit; ``measurement_noise_cartesian``
+and ``fov_schedule`` are the same kernels applied to one vector and to a
+whole flight.  Blocks bound the extra memory to one block whatever the run
 length.
 """
 
@@ -315,13 +315,11 @@ def _propagated(P, phi, q_dt):
     return P_raw, 0.5 * (P_raw + P_raw.T)
 
 
-def _joseph(P, H, R, identity):
+def _joseph(P, H, R):
     """Array-level Joseph-form update; returns (gain, raw P, re-symmetrized P).
 
     The gain is K = (S^-1 H P)^T with S = H P H^T + R, from one solve; a
     Cholesky factorization of S only checks that it is positive definite.
-    ``identity`` is the n x n identity of I - K H, which the caller builds
-    once per run rather than once per update.
     """
     HP = H @ P
     S = HP @ H.T + R
@@ -332,7 +330,8 @@ def _joseph(P, H, R, identity):
             f"innovation covariance is singular or indefinite: {exc}"
         ) from exc
     K = np.linalg.solve(S, HP).T
-    ikh = identity - K @ H
+    ikh = -(K @ H)
+    ikh.flat[:: len(ikh) + 1] += 1.0
     P_raw = ikh @ P @ ikh.T + K @ R @ K.T
     return K, P_raw, 0.5 * (P_raw + P_raw.T)
 
@@ -353,16 +352,6 @@ def _frame_transition(phis, q_dt):
     return phi_f, q_f
 
 
-def _stamped(P, c: int, u_m_value: float):
-    """Copy of P with feature c's block set to u_m_value * I3, uncorrelated."""
-    P = P.copy()
-    block = slice(VEHICLE_DIM + 3 * c, VEHICLE_DIM + 3 * c + 3)
-    P[block, :] = 0.0
-    P[:, block] = 0.0
-    P[block, block] = u_m_value * np.eye(3)
-    return P
-
-
 def initialize_feature(
     cov: AugmentedCovariance, feature_index: int, u_m_value: float = FEATURE_PRIOR_DEFAULT
 ) -> AugmentedCovariance:
@@ -378,9 +367,14 @@ def initialize_feature(
         raise ValueError(f"feature {c} is already initialized")
     if u_m_value < 0:
         raise ValueError("u_m_value must be non-negative")
+    P = cov.P.copy()
+    block = slice(VEHICLE_DIM + 3 * c, VEHICLE_DIM + 3 * c + 3)
+    P[block, :] = 0.0
+    P[:, block] = 0.0
+    P[block, block] = u_m_value * np.eye(3)
     flags = list(cov.feature_initialized)
     flags[c] = True
-    return AugmentedCovariance(P=_stamped(cov.P, c, u_m_value), feature_initialized=flags)
+    return AugmentedCovariance(P=P, feature_initialized=flags)
 
 
 def _row_dots(a, b) -> np.ndarray:
@@ -808,14 +802,13 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
     (Phi_f, Q_f) once per distinct tuple of step segments: a frame inside
     one segment, or one of the few frames that straddle a segment boundary.
     Then it applies one stacked Joseph update per vision frame covering every
-    currently-detected feature, stamping each feature's prior block at its
-    first detection; each frame's time, position, step segments, visible
+    currently-detected feature; a feature not yet measured keeps its prior
+    block, uncorrelated.  Each frame's time, position, step segments, visible
     features and their bands and noise come from ``_frame_geometry``.  A frame
     yields what it applied (step transitions and Phi_f; H, R and the gain K)
     and the raw covariances it re-symmetrized, and carries no sampled state.
     """
-    L = len(scenario.feature_ids)
-    n = VEHICLE_DIM + 3 * L
+    n = VEHICLE_DIM + 3 * len(scenario.feature_ids)
     imu_dt = _frame_clock(sensor)[3]
     q_dt = process_noise_intensity(sensor, n) * imu_dt
     phis = [
@@ -823,9 +816,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
         for _, force in trajectory.segments
     ]
     transitions = {}  # step segments -> (step transitions, Phi_f, Q_f)
-    identity = np.eye(n)
     P = np.diag(scenario._prior_variances())
-    initialized = [False] * L
     steps, phi_f = (), None
 
     frames = _frame_geometry(scenario, trajectory, sensor, count)
@@ -838,15 +829,11 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
             steps, phi_f, q_f = transitions[pattern]
             P_raw, P = _propagated(P, phi_f, q_f)
             raw = (P_raw,)
-        for c in visible:
-            if not initialized[c]:
-                P = _stamped(P, c, scenario.feature_prior)
-                initialized[c] = True
         P_prior = H = R = K = None
         if visible:
             H, R = _stacked_measurement(bands, noise)
             P_prior = P
-            K, P_raw, P = _joseph(P, H, R, identity)
+            K, P_raw, P = _joseph(P, H, R)
             raw += (P_raw,)
         yield _Frame(t, pos, steps, phi_f, P, P_prior, H, R, K, raw)
 
@@ -863,8 +850,8 @@ def simulate(
 
     Propagates once per vision frame over the frame's IMU steps and applies
     one stacked measurement update per vision frame covering every
-    currently-detected feature, initializing each feature's prior block at
-    its first detection.  ``duration`` truncates the run; the trace holds
+    currently-detected feature; every feature starts at its prior and keeps
+    it until first measured.  ``duration`` truncates the run; the trace holds
     floor(duration * frame_rate) + 1 rows for a positive duration and none
     for a zero one.  The run itself is deterministic;
     the seed only drives the random functionals sampled for the optional

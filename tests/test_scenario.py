@@ -266,6 +266,16 @@ class TestValidationErrors:
                 id="vehicle-variance-negative",
             ),
             pytest.param(
+                lambda d: d.update(
+                    initial_covariance={
+                        "interpretation": "stddev",
+                        "vehicle_diag": [1.0e200] + [1.0] * 8,
+                    }
+                ),
+                "initial_covariance.vehicle_diag[0]",
+                id="vehicle-stddev-square-overflow",
+            ),
+            pytest.param(
                 lambda d: d.update(initial_covariance={"feature_prior": float("inf")}),
                 "initial_covariance.feature_prior",
                 id="feature-prior-inf",
@@ -301,11 +311,28 @@ class TestValidationErrors:
             parse_scenario(yaml.safe_dump(data, sort_keys=False))
         assert err.value.field == field
 
-    @pytest.mark.parametrize("text", ["schedule: [1\n", "- 1\n- 2\n"], ids=["yaml", "list"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "schedule: [1\n",
+            "- 1\n- 2\n",
+            "name: 2020-13-45\n",
+            "duration: " + "1" * 5001 + "\n",
+            "a: !!float abc\n",
+        ],
+        ids=["yaml", "list", "date-out-of-range", "int-over-digit-limit", "float-tag-not-a-number"],
+    )
     def test_unreadable_document_names_the_source(self, text):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(text, name_hint="flight.yaml")
         assert err.value.field == "flight.yaml"
+
+    def test_file_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("name: caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ScenarioError, match="cannot read file") as err:
+            load_scenario(path)
+        assert err.value.field == str(path)
 
     @pytest.mark.parametrize("mutation, field", UNKNOWN_FIELDS, ids=[f for _, f in UNKNOWN_FIELDS])
     def test_unknown_field_is_named(self, mutation, field):

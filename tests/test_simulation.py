@@ -182,7 +182,7 @@ def _propagate(P, F, q, dt):
 
 def _update(P, H, R):
     """The Joseph-form posterior of P."""
-    return simulation._joseph(P, H, R, np.eye(len(P)))[2]
+    return simulation._joseph(P, H, R)[2]
 
 
 class TestPropagate:
@@ -299,6 +299,57 @@ class TestInitializeFeature:
         cov = initialize_feature(AugmentedCovariance.initial(n_features=1), 0)
         with pytest.raises(ValueError, match="already initialized"):
             initialize_feature(cov, 0)
+
+
+class TestUnseenFeature:
+    """A feature keeps its prior block, uncorrelated, until the filter first measures it.
+
+    Features have no dynamics and no process noise, and an update's H is zero
+    on an unmeasured feature, so the filter loop does nothing at a feature's
+    first detection.
+    """
+
+    @staticmethod
+    def _at_prior(P, c, prior):
+        """Feature c's block of P is ``prior`` * I3 and the rest of its rows are zero."""
+        block = slice(9 + 3 * c, 12 + 3 * c)
+        rows = P[block].copy()
+        at_prior = np.array_equal(rows[:, block], prior * np.eye(3))
+        rows[:, block] = 0.0
+        return at_prior and not rows.any()
+
+    @pytest.mark.parametrize(
+        "flight", ["case2_flight", "two_segment", "two_segment_unit_prior", "gated"]
+    )
+    def test_block_stays_at_prior_until_first_update(self, flight):
+        if flight == "case2_flight":
+            doc = load_scenario(CASE2_FLIGHT)
+            scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
+        elif flight.startswith("two_segment"):
+            scenario, trajectory, sensor = flight_scenario(), flight_trajectory(), SensorConfig()
+            if flight == "two_segment_unit_prior":  # small feature noise would not round away
+                scenario.feature_prior = 1.0
+        else:
+            features, trajectory = _gated_flight()
+            scenario = SimScenario(feature_positions=features)
+            sensor = SensorConfig(frame_rate_hz=30.0, imu_rate_hz=90.0)
+        L = len(scenario.feature_ids)
+        first_update = [None] * L
+        count = simulation._frame_count(scenario, trajectory, sensor, None)
+        for k, frame in enumerate(simulation._filter_frames(scenario, trajectory, sensor, count)):
+            H = np.zeros((0, 9 + 3 * L)) if frame.H is None else frame.H
+            for c in range(L):
+                if first_update[c] is not None:
+                    continue
+                if H[:, 9 + 3 * c : 12 + 3 * c].any():
+                    first_update[c] = k
+                    states = [frame.P_prior]
+                else:
+                    states = [frame.P] if frame.P_prior is None else [frame.P_prior, frame.P]
+                for P in states:
+                    assert self._at_prior(P, c, scenario.feature_prior), (k, c)
+        assert None not in first_update  # every feature is measured
+        assert max(first_update) > 0  # and one only after the run has started
 
 
 class TestMeasurementNoise:
