@@ -305,6 +305,9 @@ def _build_doc(raw: dict) -> ScenarioDoc:
 
     with _located("segments"):
         scenario = Scenario(schedule=schedule, segments=segment_specs)
+    for fid in feature_positions:
+        if fid not in schedule.feature_ids:
+            raise ScenarioError(f"schedule.detected.{fid}", "missing (every feature needs a row)")
 
     initial_fields = ("vehicle_diag", "interpretation", "feature_prior")
     initial_raw = _mapping(raw.get("initial_covariance", {}), "initial_covariance", initial_fields)

@@ -263,29 +263,8 @@ class AugmentedCovariance:
             raise ValueError("one initialization flag per feature is required")
 
     @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
-    @property
     def n_features(self) -> int:
-        return (self.n - VEHICLE_DIM) // 3
-
-    @classmethod
-    def initial(
-        cls,
-        vehicle_variances=DEFAULT_VEHICLE_VARIANCES,
-        n_features: int = 0,
-        feature_prior: float = FEATURE_PRIOR_DEFAULT,
-    ) -> "AugmentedCovariance":
-        """Diagonal prior: given vehicle variances, a large prior per feature."""
-        variances = _as_finite_array(vehicle_variances, "vehicle_variances", (9,))
-        if np.any(variances < 0):
-            raise ValueError("vehicle variances must be non-negative")
-        if feature_prior < 0:
-            raise ValueError("feature_prior must be non-negative")
-        features = np.full(3 * int(n_features), float(feature_prior))
-        P = np.diag(np.concatenate([variances, features]))
-        return cls(P=P, feature_initialized=[False] * int(n_features))
+        return (self.P.shape[0] - VEHICLE_DIM) // 3
 
     def stds(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.P), 0.0, None))
@@ -429,18 +408,15 @@ def _noise_blocks(rel, sensor: SensorConfig) -> np.ndarray:
 def measurement_noise_cartesian(rel_pos, sensor: SensorConfig) -> np.ndarray:
     """3x3 Cartesian noise covariance of a range/bearing/elevation fix.
 
-    ``rel_pos`` is the feature-relative-to-vehicle vector (or a bare positive
-    range, taken along North).  The range error acts along the line of sight,
-    the two angular errors act tangentially with lever arm equal to the
-    range, so R = J diag(sig_r^2, sig_b^2, sig_e^2) J^T with J the Jacobian
-    of the polar-to-Cartesian map at the current geometry.  If any noise
-    term is exactly zero the result is rank deficient; it is then floored to
-    stay invertible and a warning is emitted.
+    ``rel_pos`` is the feature-relative-to-vehicle 3-vector.  The range error
+    acts along the line of sight, the two angular errors act tangentially
+    with lever arm equal to the range, so R = J diag(sig_r^2, sig_b^2,
+    sig_e^2) J^T with J the Jacobian of the polar-to-Cartesian map at the
+    current geometry.  If any noise term is exactly zero the result is rank
+    deficient; it is then floored to stay invertible and a warning is
+    emitted.
     """
-    rel = np.asarray(rel_pos, dtype=float)
-    if rel.ndim == 0:
-        rel = np.array([float(rel), 0.0, 0.0])
-    rel = _as_finite_array(rel, "rel_pos", (3,))
+    rel = _as_finite_array(rel_pos, "rel_pos", (3,))
     return _noise_blocks(rel[None, :], sensor)[0]
 
 
@@ -583,18 +559,15 @@ class CovarianceTrace:
     """Standard-deviation time series recorded at the vision frame rate.
 
     ``std`` holds per-axis standard deviations of the state errors keyed by
-    ``model.state_labels``, in state order; ``derived_std`` those of the
-    position-minus-feature and feature-minus-feature differences.
+    ``model.state_labels``, in state order, so its ``dm_<id>`` labels name
+    the features; ``derived_std`` those of the position-minus-feature and
+    feature-minus-feature differences (``model.standard_differences``).
     """
 
     times: np.ndarray
     std: dict
     derived_std: dict
-    feature_ids: tuple
     diagnostics: SimulationDiagnostics | None = None
-
-    def labels(self) -> list:
-        return list(self.std) + list(self.derived_std)
 
     def series(self, label: str) -> np.ndarray:
         if label in self.std:
@@ -631,7 +604,7 @@ class _TraceRecorder:
         rows, cols = np.stack([plus, minus, plus, minus]), np.stack([plus, plus, minus, minus])
         self._pairs = np.ravel_multi_index((rows, cols), (n, n))
         self._diagonal = slice(None, None, n + 1)  # of the flattened P
-        self._ids, self._derived_labels = tuple(feature_ids), labels
+        self._labels, self._derived_labels = model.state_labels(feature_ids), labels
         self.times = np.empty(count)
         self.variances = np.empty((n, count))
         self.derived = np.empty((len(plus), count))
@@ -650,9 +623,8 @@ class _TraceRecorder:
             np.sqrt(np.clip(variances, 0.0, None, out=variances), out=variances)
         return CovarianceTrace(
             times=self.times,
-            std=dict(zip(model.state_labels(self._ids), self.variances)),
+            std=dict(zip(self._labels, self.variances)),
             derived_std=dict(zip(self._derived_labels, self.derived)),
-            feature_ids=self._ids,
             diagnostics=diagnostics,
         )
 

@@ -12,11 +12,21 @@ IMU step at a time; the diagnostics reference checks one frame at a time.
 The exact rank oracle does modular arithmetic on int64 arrays, with no
 rounding at all.  Tests compare the package's vectorized results against
 these transcriptions entry for entry.
+
+One section builds the references' inputs from the package's scenario,
+trajectory and sensor objects; it alone calls the package, for the inputs
+the filter also takes as given (the exact IMU-step transitions, the process
+noise intensity and the frame count).
 """
 
 import warnings
 
 import numpy as np
+
+from slamobs import simulation
+from slamobs.model import ins_error_f
+from slamobs.pwcs import state_transition
+from slamobs.simulation import process_noise_intensity
 
 
 def o_skew(v):
@@ -150,6 +160,23 @@ def case_stripes(case_pattern, forces, rels_by_segment, delta=50.0, n_features=2
     return stripes
 
 
+def scenario_to_oracle_stripes(scenario):
+    """Transcribe a scenario into the oracle's nested-list stripes."""
+    schedule = scenario.schedule
+    L = schedule.n_features
+    stripes = []
+    for i, seg in enumerate(scenario.segments):
+        detected = {c for c, _ in schedule.features_in_segment(i)}
+        rel_by_index = {
+            c: list(map(float, seg.feature_rel_pos[fid]))
+            for c, fid in schedule.features_in_segment(i)
+        }
+        F = o_aug_f(list(map(float, seg.specific_force)), L)
+        H = o_aug_h(rel_by_index, detected, L)
+        stripes.append((F, H, seg.duration))
+    return stripes
+
+
 def o_noise_cartesian(rel, sigmas):
     """Per-vector Cartesian noise covariance of a range/bearing/elevation fix.
 
@@ -275,6 +302,11 @@ def o_kinematics(p0, v0, segments, gravity, t):
     force = np.asarray(force, dtype=float)
     accel = force - g_vec
     return p + v * remaining + 0.5 * accel * remaining * remaining, v + accel * remaining, force
+
+
+def o_trajectory(trajectory, t):
+    """``o_kinematics`` of a TrajectoryConfig at time t."""
+    return o_kinematics(trajectory.p0, trajectory.v0, trajectory.segments, trajectory.gravity, t)
 
 
 def _o_step_segments(f, durations, frame_dt, steps_per_frame):
@@ -444,6 +476,117 @@ def o_diagnostics(frames, rng):
         eigs = np.linalg.eigvalsh(frame.P)
         ratio = min(ratio, float(eigs[0] / max(eigs[-1], 1e-300)))
     return asymmetry, ratio, growth, updates
+
+
+# The references' inputs, built from package objects: a run's geometry and
+# measurements frame by frame, and ``o_step_filter``'s arguments.
+
+
+def _scalar_frame_geometry(scenario, trajectory, sensor, count):
+    """The per-frame geometry stream built frame by frame and feature by feature.
+
+    Per-vector references (``o_in_fov``, ``o_noise_cartesian``,
+    ``o_feature_obs_row``) in place of the batched kernels, ``o_kinematics``
+    for the vehicle position, a running clock with ``o_segment`` for the
+    IMU steps, and each visible feature's band of H written out on its own,
+    yielding the records the filter loop reads.
+    """
+    ids = scenario.feature_ids
+    n = 9 + 3 * len(ids)
+    durations = [duration for duration, _ in trajectory.segments]
+    sigmas = (sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad)
+    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
+    imu_dt = (1.0 / sensor.frame_rate_hz) / steps_per_frame
+    for frame in range(count):
+        clock = (frame - 1) * (1.0 / sensor.frame_rate_hz)
+        pattern = []
+        for _ in range(steps_per_frame):
+            pattern.append(o_segment(durations, clock))
+            clock += imu_dt
+        t = frame * (1.0 / sensor.frame_rate_hz)
+        pos = o_trajectory(trajectory, t)[0]
+        features, bands, noise = [], [], []
+        for c, fid in enumerate(ids):
+            rel = scenario.feature_positions[fid] - pos
+            if scenario.schedule is None:
+                visible = o_in_fov(rel, sensor.boresight, sensor.fov_deg)
+            else:
+                visible = scenario.schedule.detected[c, o_segment(durations, t)]
+            if visible:
+                band = np.zeros((3, n))
+                band[:, :9] = o_feature_obs_row(rel)
+                band[:, 9 + 3 * c : 12 + 3 * c] = np.eye(3)
+                features.append(c)
+                bands.append(band)
+                noise.append(o_noise_cartesian(rel, sigmas))
+        yield (
+            t,
+            pos,
+            tuple(pattern),
+            features,
+            np.array(bands).reshape(-1, 3, n),
+            np.array(noise).reshape(-1, 3, 3),
+        )
+
+
+def _looped_measurement(visible, obs, noise, n):
+    """H and block-diagonal R of one frame, assembled feature by feature."""
+    k = len(visible)
+    H, R = np.zeros((3 * k, n)), np.zeros((3 * k, 3 * k))
+    for j, c in enumerate(visible):
+        rows = slice(3 * j, 3 * j + 3)
+        H[rows, :9] = obs[j]
+        H[rows, 9 + 3 * c : 12 + 3 * c] = np.eye(3)
+        R[rows, rows] = noise[j]
+    return H, R
+
+
+def _extended_precision_stds(doc, duration):
+    """Labels and ``np.longdouble`` stds of every standard candidate of a scenario document.
+
+    ``o_step_filter`` runs the first ``duration`` s of ``doc``'s flight one
+    IMU step at a time in ``np.longdouble`` on the float64 inputs of
+    ``_step_filter_args``; the result is (labels, stds), one row a label.
+    """
+    scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
+    count = simulation._frame_count(scenario, trajectory, sensor, duration)
+    args = _step_filter_args(scenario, trajectory, sensor, count)
+    want, _ = o_step_filter(*args, dtype=np.longdouble)
+    labels, weights = o_standard_candidates(scenario.feature_ids)
+    W = np.array(weights, dtype=np.longdouble)
+    return labels, np.sqrt(np.einsum("ci,kij,cj->ck", W, want, W))
+
+
+def _step_filter_args(scenario, trajectory, sensor, count):
+    """``o_step_filter``'s arguments for the first ``count`` frames of a run."""
+    n = 9 + 3 * len(scenario.feature_ids)
+    frame_dt = 1.0 / sensor.frame_rate_hz
+    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
+    imu_dt = frame_dt / steps_per_frame
+    phis = []
+    for _, force in trajectory.segments:
+        F = np.zeros((n, n))
+        F[0:9, 0:9] = ins_error_f(force)
+        phis.append(state_transition(F, imu_dt, "exact"))
+    measurements = []
+    for _, _, _, visible, bands, noise in _scalar_frame_geometry(
+        scenario, trajectory, sensor, count
+    ):
+        H = R = None
+        if visible:
+            H, R = _looped_measurement(visible, bands[:, :, :9], noise, n)
+        measurements.append((visible, H, R))
+    prior = np.r_[scenario.vehicle_variances, np.full(n - 9, scenario.feature_prior)]
+    return (
+        np.diag(prior),
+        phis,
+        process_noise_intensity(sensor, n) * imu_dt,
+        [duration for duration, _ in trajectory.segments],
+        frame_dt,
+        steps_per_frame,
+        measurements,
+        scenario.feature_prior,
+    )
 
 
 #: Two primes just below 2**25.  Residues multiply to less than 2**50, so an

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import o_aug_f, o_aug_h, o_lom, o_tom
+from oracles import o_lom, o_tom, scenario_to_oracle_stripes
 from randgen import random_scenario
 from slamobs.analysis import (
     AnalysisOptions,
@@ -35,23 +35,6 @@ def criterion(number, description):
         print(f"[FAIL] criterion {number}: {description}")
         raise
     print(f"[PASS] criterion {number}: {description}")
-
-
-def scenario_to_oracle_stripes(scenario):
-    """Transcribe a scenario into the oracle's nested-list stripes."""
-    schedule = scenario.schedule
-    L = schedule.n_features
-    stripes = []
-    for i, seg in enumerate(scenario.segments):
-        detected = {c for c, _ in schedule.features_in_segment(i)}
-        rel_by_index = {
-            c: list(map(float, seg.feature_rel_pos[fid]))
-            for c, fid in schedule.features_in_segment(i)
-        }
-        F = o_aug_f(list(map(float, seg.specific_force)), L)
-        H = o_aug_h(rel_by_index, detected, L)
-        stripes.append((F, H, seg.duration))
-    return stripes
 
 
 @pytest.fixture(scope="module")

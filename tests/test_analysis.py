@@ -6,9 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import o_aug_f, o_aug_h, o_exact_observability, o_lom, o_standard_candidates
+from oracles import (
+    o_aug_f,
+    o_aug_h,
+    o_exact_observability,
+    o_lom,
+    o_standard_candidates,
+    scenario_to_oracle_stripes,
+)
 from randgen import random_scenario, zero_components
-from test_acceptance import scenario_to_oracle_stripes
 from slamobs import pwcs
 from slamobs.analysis import (
     MAX_POWER,

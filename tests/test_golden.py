@@ -10,7 +10,7 @@ purpose re-records the fixture with
 
 Every recorded standard deviation is also held within ``RTOL`` (1e-9)
 relative of an ``np.longdouble`` run of the same inputs
-(``test_simulation._extended_precision_stds``); the worst measured
+(``oracles._extended_precision_stds``); the worst measured
 deviation is 2.4e-10 (on ``dv_E``).  So a fixture re-recorded under that
 rule cannot bake in more than float64 rounding.
 """
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import _extended_precision_stds
 from slamobs.scenario import load_scenario
 from slamobs.simulation import simulate, state_comparison_run
 
@@ -77,8 +78,6 @@ def test_std_series(current, golden, group):
 )
 def test_std_series_within_extended_precision_bound(golden):
     """Every recorded std is within RTOL of a long-double run of the same inputs."""
-    from test_simulation import _extended_precision_stds  # here: test_simulation imports this module
-
     labels, reference = _extended_precision_stds(load_scenario(SCENARIO), DURATION)
     recorded = {**golden["std"], **golden["derived_std"]}
     assert list(recorded) == labels

@@ -4,16 +4,17 @@ With ``schedule: auto`` the simulation decides visibility frame by frame
 through the sensor cone rather than from a per-segment schedule.  The
 fixture pins the parsed auto schedule, every standard-deviation series of
 ``simulate`` and the three position series of ``state_comparison_run`` for
-the flight below (five features that enter and leave the cone at different
-frames, one not seen before the cut; seed 42, first 10 s), so a refactor of
-the visibility gate or of the measurement geometry cannot drift silently.  A
-change that alters these numbers on purpose re-records the fixture with
+the flight of ``golden/fov_flight.yaml`` (five features that enter and leave
+the cone at different frames, one not seen before the cut; seed 42, first
+10 s), so a refactor of the visibility gate or of the measurement geometry
+cannot drift silently.  A change that alters these numbers on purpose
+re-records the fixture with
 
     PYTHONPATH=src python tests/test_golden_fov.py --record
 
 Every recorded standard deviation is also held within ``RTOL`` (1e-9)
 relative of an ``np.longdouble`` run of the same inputs
-(``test_simulation._extended_precision_stds``); the worst measured
+(``oracles._extended_precision_stds``); the worst measured
 deviation is 1.5e-10 (on ``dv_U``).  So a fixture re-recorded under that
 rule cannot bake in more than float64 rounding.
 """
@@ -25,57 +26,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slamobs.scenario import parse_scenario
+from oracles import _extended_precision_stds
+from slamobs.scenario import load_scenario
 from slamobs.simulation import simulate, state_comparison_run
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "fov_flight_seed42.json"
+SCENARIO = FIXTURE.parent / "fov_flight.yaml"
 SEED = 42
 DURATION = 10.0
 RTOL = 1e-9
 ATOL = 1e-12
 STATE_SERIES = ("true_positions", "ins_positions", "estimated_positions")
 
-# Level flight north at 5 m/s and 100 m (cone footprint radius 26.8 m), then
-# small horizontal accelerations.  In the first 10 s m1 and m2 start in view
-# and leave, m3 and m4 enter, and m5 stays outside (it enters after 10 s).
-SCENARIO = """
-name: fov-gated-flight
-gravity: 9.81
-features:
-  m1: [-15.0, 3.0, 0.0]
-  m2: [10.0, -8.0, 0.0]
-  m3: [35.0, 5.0, 0.0]
-  m4: [45.0, -10.0, 0.0]
-  m5: [80.0, 0.0, 0.0]
-schedule: auto
-segments:
-  - duration: 5.0
-    specific_force: [0.0, 0.0, 9.81]
-  - duration: 5.0
-    specific_force: [0.05, 0.08, 9.81]
-  - duration: 10.0
-    specific_force: [0.0, -0.05, 9.81]
-trajectory:
-  p0: [0.0, 0.0, 100.0]
-  v0: [5.0, 0.0, 0.0]
-sensor:
-  imu_rate_hz: 100.0
-  accel_noise: 0.01
-  gyro_noise_deg: 0.1
-  frame_rate_hz: 25.0
-  fov_deg: 15.0
-  range_error_m: 5.0
-  bearing_noise_deg: 0.1
-  elevation_noise_deg: 0.1
-initial_covariance:
-  vehicle_diag: [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0873, 0.0873, 0.0873]
-  interpretation: variance
-  feature_prior: 1.0e+9
-"""
-
 
 def current_values() -> dict:
-    doc = parse_scenario(SCENARIO)
+    doc = load_scenario(SCENARIO)
     sim = doc.sim_scenario()
     trace = simulate(sim, doc.trajectory, doc.sensor, seed=SEED, duration=DURATION)
     run = state_comparison_run(sim, doc.trajectory, doc.sensor, seed=SEED, duration=DURATION)
@@ -121,9 +86,7 @@ def test_std_series(current, golden, group):
 )
 def test_std_series_within_extended_precision_bound(golden):
     """Every recorded std is within RTOL of a long-double run of the same inputs."""
-    from test_simulation import _extended_precision_stds  # here: test_simulation imports this module
-
-    labels, reference = _extended_precision_stds(parse_scenario(SCENARIO), DURATION)
+    labels, reference = _extended_precision_stds(load_scenario(SCENARIO), DURATION)
     recorded = {**golden["std"], **golden["derived_std"]}
     assert list(recorded) == labels
     got = np.array([recorded[label] for label in labels])

@@ -1,8 +1,9 @@
-"""The README's examples hold: the library example runs as written and prints
-what its comments say, the schema block sets every field the parser knows, and
-the package's top-level names are the ones listed here."""
+"""The README's examples hold: the library example and the CLI examples run as
+written and do what their comments say, the schema block sets every field the
+parser knows, and the package's top-level names are the ones listed here."""
 
 import inspect
+import json
 import math
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 import yaml
 
 import slamobs
+from slamobs.cli import main
 from slamobs.scenario import ScenarioError, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +47,43 @@ def test_library_example_prints_its_comments():
     modes = ["dv", "psi", "dp-dm_f1", "dp-dm_f2", "dm_f1-dm_f2"]
     assert printed[:2] == comments[:2] == ["12 3", str(modes)]
     assert math.isfinite(float(printed[2]))
+
+
+def test_cli_examples_do_what_their_comments_say(tmp_path, monkeypatch, capsys):
+    """Each line of the bundled-scenario block under "## CLI" runs through ``cli.main``.
+
+    ``simulate``'s ``--out traces/`` is pointed at ``tmp_path``.
+    """
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = next(b for b in re.findall(r"```\n(.*?)```", section, re.S) if "scenarios/" in b)
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "traces"
+
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = [str(out) if arg == "traces/" else arg for arg in command.split()[1:]]
+        commands.append(argv[0])
+        printed = run(argv)
+        if argv[0] == "analyze":
+            report = json.loads(printed)
+            rank, cols, nullity = report["rank"], report["matrix_cols"], report["nullity"]
+            local = "--local" in argv
+            want = f"rank {rank} of {cols}" if local else f"rank {rank}, nullity {nullity}"
+            assert comment.strip() == want
+        elif argv[0] == "simulate":
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                ["position.csv", "velocity.csv", "attitude.csv", "features.csv", "relative.csv"]
+            )
+        else:
+            assert comment.strip() == "parallel forces degrade rank"
+            assert re.findall(r"\d+/\d+", printed) == ["11/15"] * 4
+            assert re.findall(r"\d+/\d+", run(["cases"])) == ["12/15"] * 4
+    assert commands == ["analyze", "analyze", "simulate", "cases"]
 
 
 #: Every section whose keys the parser checks, as a path into the document.

@@ -206,6 +206,11 @@ class TestValidationErrors:
                 id="rel-of-unscheduled-feature",
             ),
             pytest.param(
+                lambda d: d["features"].update(f2=[1.0, 2.0, 0.0]),
+                "schedule.detected.f2",
+                id="feature-without-schedule-row",
+            ),
+            pytest.param(
                 lambda d: d.update(trajectory=[0.0, 0.0, 100.0]), "trajectory", id="trajectory-list"
             ),
             pytest.param(lambda d: d.update(sensor=25.0), "sensor", id="sensor-number"),

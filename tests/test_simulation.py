@@ -5,32 +5,32 @@ import pytest
 
 import types
 import warnings
+from pathlib import Path
 
 from oracles import (
+    _extended_precision_stds,
+    _looped_measurement,
+    _scalar_frame_geometry,
+    _step_filter_args,
     o_diagnostics,
     o_expm,
-    o_feature_obs_row,
     o_in_fov,
-    o_kinematics,
     o_noise_cartesian,
     o_segment,
-    o_standard_candidates,
     o_state_run,
     o_step_filter,
+    o_trajectory,
 )
-from test_golden import SCENARIO as CASE2_FLIGHT
-from test_golden_fov import SCENARIO as FOV_SCENARIO
 from slamobs import analysis, model, simulation
 from slamobs.model import DetectionSchedule, feature_obs_row, ins_error_f
 from slamobs.pwcs import state_transition
-from slamobs.scenario import load_scenario, parse_scenario
+from slamobs.scenario import load_scenario
 from slamobs.simulation import (
-    AugmentedCovariance,
+    DEFAULT_VEHICLE_VARIANCES,
     SensorConfig,
     SimScenario,
     TrajectoryConfig,
     fov_schedule,
-    initialize_feature,
     measurement_noise_cartesian,
     process_noise_intensity,
     simulate,
@@ -38,6 +38,9 @@ from slamobs.simulation import (
 )
 
 G = 9.81
+TESTS = Path(__file__).resolve().parent
+CASE2_FLIGHT = TESTS.parent / "src" / "slamobs" / "scenarios" / "case2_flight.yaml"
+FOV_FLIGHT = TESTS / "golden" / "fov_flight.yaml"
 
 
 def flight_trajectory():
@@ -46,11 +49,6 @@ def flight_trajectory():
         v0=[0.1, 0.0, 0.0],
         segments=[(50.0, [0.0, 0.0, G]), (50.0, [0.0, 0.1, G])],
     )
-
-
-def o_trajectory(trajectory, t):
-    """``o_kinematics`` of a TrajectoryConfig at time t."""
-    return o_kinematics(trajectory.p0, trajectory.v0, trajectory.segments, trajectory.gravity, t)
 
 
 def flight_scenario():
@@ -185,9 +183,14 @@ def _update(P, H, R):
     return simulation._joseph(P, H, R)[2]
 
 
+def _prior(n_features):
+    """The filter's initial P: the default vehicle variances, then 1e9 on every feature axis."""
+    return np.diag(np.r_[DEFAULT_VEHICLE_VARIANCES, np.full(3 * n_features, 1e9)])
+
+
 class TestPropagate:
     def test_no_noise_no_dynamics_is_identity(self):
-        P = AugmentedCovariance.initial(n_features=1).P
+        P = _prior(1)
         out = _propagate(P, np.zeros((12, 12)), np.zeros((12, 12)), dt=0.5)
         np.testing.assert_array_equal(out, P)
 
@@ -201,7 +204,7 @@ class TestPropagate:
 
     def test_one_step_matches_direct_oracle(self):
         sensor = SensorConfig()
-        P = AugmentedCovariance.initial(n_features=2).P
+        P = _prior(2)
         F = np.zeros((15, 15))
         F[0:9, 0:9] = ins_error_f([0.0, 0.0, G])
         q = process_noise_intensity(sensor, 15)
@@ -219,7 +222,7 @@ class TestPropagate:
 
 class TestUpdate:
     def test_zero_observation_changes_nothing(self):
-        P = AugmentedCovariance.initial(n_features=1).P
+        P = _prior(1)
         out = _update(P, np.zeros((3, 12)), 25.0 * np.eye(3))
         np.testing.assert_allclose(out, P, atol=1e-12)
 
@@ -235,9 +238,7 @@ class TestUpdate:
 
     def test_relative_functional_collapses_absolute_does_not(self):
         sensor = SensorConfig()
-        cov = AugmentedCovariance.initial(n_features=2)
-        cov = initialize_feature(cov, 0)
-        cov = initialize_feature(cov, 1)
+        P = _prior(2)
         rel = np.array([10.0, 0.0, -100.0])
         H = np.zeros((3, 15))
         H[:, 0:9] = feature_obs_row(rel)
@@ -248,26 +249,20 @@ class TestUpdate:
         w_abs = np.zeros(15)
         w_abs[0] = 1.0
 
-        before_rel = cov.functional_std(w_rel)
-        out = AugmentedCovariance(_update(cov.P, H, R), cov.feature_initialized)
+        before_rel = np.sqrt(w_rel @ P @ w_rel)
+        out = _update(P, H, R)
 
         # textbook-gain oracle for both quadratic forms
-        S = H @ cov.P @ H.T + R
-        K = cov.P @ H.T @ np.linalg.inv(S)
-        P_oracle = (np.eye(15) - K @ H) @ cov.P
-        np.testing.assert_allclose(
-            out.functional_std(w_rel),
-            np.sqrt(w_rel @ P_oracle @ w_rel),
-            rtol=1e-5,
-        )
-        np.testing.assert_allclose(
-            out.functional_std(w_abs),
-            np.sqrt(w_abs @ P_oracle @ w_abs),
-            rtol=1e-5,
-        )
+        S = H @ P @ H.T + R
+        K = P @ H.T @ np.linalg.inv(S)
+        P_oracle = (np.eye(15) - K @ H) @ P
+        for w in (w_rel, w_abs):
+            np.testing.assert_allclose(
+                np.sqrt(w @ out @ w), np.sqrt(w @ P_oracle @ w), rtol=1e-5
+            )
         assert before_rel > 3e4
-        assert out.functional_std(w_rel) < 30.0
-        assert out.functional_std(w_abs) == pytest.approx(1.0, rel=1e-2)
+        assert np.sqrt(w_rel @ out @ w_rel) < 30.0
+        assert np.sqrt(w_abs @ out @ w_abs) == pytest.approx(1.0, rel=1e-2)
 
     def test_singular_innovation_raises(self):
         H = np.zeros((1, 9))
@@ -278,27 +273,27 @@ class TestUpdate:
 
 class TestInitializeFeature:
     def test_default_prior_block(self):
-        cov = AugmentedCovariance.initial(n_features=2)
-        out = initialize_feature(cov, 1)
+        cov = simulation.AugmentedCovariance(_prior(2), [False, False])
+        out = simulation.initialize_feature(cov, 1)
         np.testing.assert_array_equal(out.P[12:15, 12:15], 1e9 * np.eye(3))
         assert not out.P[12:15, 0:12].any()
         assert out.feature_initialized == [False, True]
 
     def test_zero_prior_is_perfectly_known(self):
-        cov = AugmentedCovariance.initial(n_features=1)
-        out = initialize_feature(cov, 0, u_m_value=0.0)
+        cov = simulation.AugmentedCovariance(_prior(1), [False])
+        out = simulation.initialize_feature(cov, 0, u_m_value=0.0)
         assert not out.P[9:12, :].any()
 
     def test_invariants_hold_after_initialization(self):
-        cov = AugmentedCovariance.initial(n_features=2)
-        out = initialize_feature(cov, 0, u_m_value=1e6)
+        cov = simulation.AugmentedCovariance(_prior(2), [False, False])
+        out = simulation.initialize_feature(cov, 0, u_m_value=1e6)
         np.testing.assert_array_equal(out.P, out.P.T)
         assert np.linalg.eigvalsh(out.P)[0] >= 0.0
 
     def test_double_initialization_rejected(self):
-        cov = initialize_feature(AugmentedCovariance.initial(n_features=1), 0)
+        cov = simulation.initialize_feature(simulation.AugmentedCovariance(_prior(1), [False]), 0)
         with pytest.raises(ValueError, match="already initialized"):
-            initialize_feature(cov, 0)
+            simulation.initialize_feature(cov, 0)
 
 
 class TestUnseenFeature:
@@ -354,7 +349,7 @@ class TestUnseenFeature:
 
 class TestMeasurementNoise:
     def test_tangential_scale_at_100m(self):
-        R = measurement_noise_cartesian(100.0, SensorConfig())
+        R = measurement_noise_cartesian([100.0, 0.0, 0.0], SensorConfig())
         # angular noise of 0.1 degrees at 100 m is about 0.1745 m of arc
         sigmas = np.sqrt(np.linalg.eigvalsh(R))
         assert sigmas[0] == pytest.approx(100.0 * np.deg2rad(0.1), rel=1e-6)
@@ -449,7 +444,7 @@ class TestSimulate:
         a = simulate(seed=7, **kwargs)
         b = simulate(seed=7, **kwargs)
         np.testing.assert_array_equal(a.times, b.times)
-        for label in a.labels():
+        for label in [*a.std, *a.derived_std]:
             np.testing.assert_array_equal(a.series(label), b.series(label))
 
     def test_zero_duration_empty_trace(self):
@@ -546,8 +541,9 @@ class TestOnePass:
         assert want.times.size == frames
         np.testing.assert_array_equal(got.times, want.times)
         np.testing.assert_array_equal(run.times, want.times)
-        assert got.labels() == want.labels() and got.feature_ids == want.feature_ids
-        for label in want.labels():
+        labels = [*want.std, *want.derived_std]
+        assert [*got.std, *got.derived_std] == labels
+        for label in labels:
             np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
         assert got.diagnostics is None
 
@@ -629,65 +625,6 @@ class TestStateComparisonRun:
         np.testing.assert_array_equal(a.estimated_positions, b.estimated_positions)
         c = state_comparison_run(seed=6, duration=10.0, **kwargs)
         assert not np.array_equal(a.estimated_positions, c.estimated_positions)
-
-
-def _scalar_frame_geometry(scenario, trajectory, sensor, count):
-    """The per-frame geometry stream built frame by frame and feature by feature.
-
-    Per-vector references (``o_in_fov``, ``o_noise_cartesian``,
-    ``o_feature_obs_row``) in place of the batched kernels, ``o_kinematics``
-    for the vehicle position, a running clock with ``o_segment`` for the
-    IMU steps, and each visible feature's band of H written out on its own,
-    yielding the records the filter loop reads.
-    """
-    ids = scenario.feature_ids
-    n = 9 + 3 * len(ids)
-    durations = [duration for duration, _ in trajectory.segments]
-    sigmas = (sensor.range_error_m, sensor.bearing_noise_rad, sensor.elevation_noise_rad)
-    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
-    imu_dt = (1.0 / sensor.frame_rate_hz) / steps_per_frame
-    for frame in range(count):
-        clock = (frame - 1) * (1.0 / sensor.frame_rate_hz)
-        pattern = []
-        for _ in range(steps_per_frame):
-            pattern.append(o_segment(durations, clock))
-            clock += imu_dt
-        t = frame * (1.0 / sensor.frame_rate_hz)
-        pos = o_trajectory(trajectory, t)[0]
-        features, bands, noise = [], [], []
-        for c, fid in enumerate(ids):
-            rel = scenario.feature_positions[fid] - pos
-            if scenario.schedule is None:
-                visible = o_in_fov(rel, sensor.boresight, sensor.fov_deg)
-            else:
-                visible = scenario.schedule.detected[c, o_segment(durations, t)]
-            if visible:
-                band = np.zeros((3, n))
-                band[:, :9] = o_feature_obs_row(rel)
-                band[:, 9 + 3 * c : 12 + 3 * c] = np.eye(3)
-                features.append(c)
-                bands.append(band)
-                noise.append(o_noise_cartesian(rel, sigmas))
-        yield (
-            t,
-            pos,
-            tuple(pattern),
-            features,
-            np.array(bands).reshape(-1, 3, n),
-            np.array(noise).reshape(-1, 3, 3),
-        )
-
-
-def _looped_measurement(visible, obs, noise, n):
-    """H and block-diagonal R of one frame, assembled feature by feature."""
-    k = len(visible)
-    H, R = np.zeros((3 * k, n)), np.zeros((3 * k, 3 * k))
-    for j, c in enumerate(visible):
-        rows = slice(3 * j, 3 * j + 3)
-        H[rows, :9] = obs[j]
-        H[rows, 9 + 3 * c : 12 + 3 * c] = np.eye(3)
-        R[rows, rows] = noise[j]
-    return H, R
 
 
 def _gated_flight():
@@ -781,7 +718,7 @@ class TestBatchedGeometry:
             features, trajectory = _gated_flight()
             sensor = SensorConfig(frame_rate_hz=30.0, imu_rate_hz=90.0)
         else:
-            doc = parse_scenario(FOV_SCENARIO)
+            doc = load_scenario(FOV_FLIGHT)
             features, trajectory, sensor = doc.feature_positions, doc.trajectory, doc.sensor
         scenario = SimScenario(feature_positions=features)
         count = simulation._frame_count(scenario, trajectory, sensor, None)
@@ -808,7 +745,7 @@ class TestBatchedGeometry:
             want = simulate(scenario, trajectory, sensor, duration=12.0)
             want_run = state_comparison_run(scenario, trajectory, sensor, seed=3, duration=12.0)
         assert got.times.size == 301
-        for label in want.labels():
+        for label in [*want.std, *want.derived_std]:
             np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
         np.testing.assert_array_equal(got_run.estimated_positions, want_run.estimated_positions)
 
@@ -894,54 +831,6 @@ def _straddling_flight(schedule=True):
     return scenario, trajectory
 
 
-def _extended_precision_stds(doc, duration):
-    """Labels and ``np.longdouble`` stds of every standard candidate of a scenario document.
-
-    ``o_step_filter`` runs the first ``duration`` s of ``doc``'s flight one
-    IMU step at a time in ``np.longdouble`` on the float64 inputs of
-    ``_step_filter_args``; the result is (labels, stds), one row a label.
-    """
-    scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
-    count = simulation._frame_count(scenario, trajectory, sensor, duration)
-    args = _step_filter_args(scenario, trajectory, sensor, count)
-    want, _ = o_step_filter(*args, dtype=np.longdouble)
-    labels, weights = o_standard_candidates(scenario.feature_ids)
-    W = np.array(weights, dtype=np.longdouble)
-    return labels, np.sqrt(np.einsum("ci,kij,cj->ck", W, want, W))
-
-
-def _step_filter_args(scenario, trajectory, sensor, count):
-    """``o_step_filter``'s arguments for the first ``count`` frames of a run."""
-    n = 9 + 3 * len(scenario.feature_ids)
-    frame_dt = 1.0 / sensor.frame_rate_hz
-    steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
-    imu_dt = frame_dt / steps_per_frame
-    phis = []
-    for _, force in trajectory.segments:
-        F = np.zeros((n, n))
-        F[0:9, 0:9] = ins_error_f(force)
-        phis.append(state_transition(F, imu_dt, "exact"))
-    measurements = []
-    for _, _, _, visible, bands, noise in _scalar_frame_geometry(
-        scenario, trajectory, sensor, count
-    ):
-        H = R = None
-        if visible:
-            H, R = _looped_measurement(visible, bands[:, :, :9], noise, n)
-        measurements.append((visible, H, R))
-    prior = np.r_[scenario.vehicle_variances, np.full(n - 9, scenario.feature_prior)]
-    return (
-        np.diag(prior),
-        phis,
-        process_noise_intensity(sensor, n) * imu_dt,
-        [duration for duration, _ in trajectory.segments],
-        frame_dt,
-        steps_per_frame,
-        measurements,
-        scenario.feature_prior,
-    )
-
-
 class TestFramePropagation:
     """One composed propagation per frame against the per-IMU-step recursion."""
 
@@ -997,7 +886,7 @@ class TestFramePropagation:
         labels, reference = _extended_precision_stds(doc, 20.0)
         assert reference.dtype == np.longdouble and reference.shape[1] == 501
         trace = simulate(doc.sim_scenario(), doc.trajectory, doc.sensor, duration=20.0)
-        assert trace.labels() == labels
+        assert [*trace.std, *trace.derived_std] == labels
         got = np.array([trace.series(label) for label in labels])
         error = np.abs(got - reference) / reference
         assert float(error.max()) <= 1e-9
@@ -1033,7 +922,7 @@ class TestFramePropagation:
         got = simulate(scenario, trajectory, SensorConfig())
         got_run = state_comparison_run(scenario, trajectory, SensorConfig(), seed=4)
         assert got.times.size == got_run.times.size == 75
-        for label in want.labels():
+        for label in [*want.std, *want.derived_std]:
             np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
         np.testing.assert_array_equal(got_run.estimated_positions, want_run.estimated_positions)
 

@@ -19,8 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402
 from slamobs import simulation  # noqa: E402
 from slamobs.scenario import load_scenario  # noqa: E402
-from test_golden import SCENARIO as CASE2_FLIGHT  # noqa: E402
 
+CASE2_FLIGHT = Path(__file__).resolve().parent.parent / "src/slamobs/scenarios/case2_flight.yaml"
 TARGETS = list(tracer.SPAN_TARGETS) + [
     target for names in tracer.COUNT_TARGETS.values() for target in names
 ]
