@@ -106,7 +106,12 @@ class FunctionalVerdict:
 
 @dataclass(eq=False)
 class ObservabilityReport:
-    """Rank, unobservable subspace and per-functional verdicts."""
+    """Rank, unobservable subspace and per-functional verdicts.
+
+    ``mode_results`` holds one ``FunctionalVerdict`` per classified
+    candidate, in order; ``verdict(label)`` returns the entry itself, so a
+    change to it shows in every later read.
+    """
 
     scope: str
     segment_index: int | None
@@ -140,10 +145,11 @@ def _mode_base(label: str) -> str:
     return base if axis in AXES and base else label
 
 
-def _check_extra_label(label: str, standard_labels, earlier_labels) -> None:
-    """Raise ValueError if ``label`` repeats an earlier extra label or falls in a standard mode.
+def _check_extra_label(label: str, standard_labels, earlier_labels: set) -> None:
+    """Raise ValueError if ``label`` is in ``earlier_labels`` or falls in a standard mode.
 
-    Standard labels come in axis triples, so a mode is standard when its first-axis label is.
+    Callers add each checked label to the set of earlier ones.  Standard labels
+    come in axis triples, so a mode is standard when its first-axis label is.
     """
     base = _mode_base(label)
     if f"{base}_{AXES[0]}" in standard_labels:
@@ -183,8 +189,10 @@ def _build_report(stripes, feature_ids, scope, segment_index, options):
     labels, weights = standard_weights(feature_ids)
     extra = [cand for cand in options.extra_candidates if cand.weights.shape[0] == n]
     if extra:
-        for k, cand in enumerate(extra):
-            _check_extra_label(cand.label, labels, [c.label for c in extra[:k]])
+        earlier = set()
+        for cand in extra:
+            _check_extra_label(cand.label, labels, earlier)
+            earlier.add(cand.label)
         labels += [cand.label for cand in extra]
         weights = np.vstack([weights] + [cand.weights for cand in extra])
     results = [

@@ -25,11 +25,12 @@ classifies them and the filter records their standard deviations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pwcs import PwcsStripe, _as_finite_array, skew
+from .pwcs import PwcsStripe, _as_finite_array, _skew
 
 AXES = ("N", "E", "U")
 VEHICLE_BLOCKS = ("dp", "dv", "psi")
@@ -44,17 +45,19 @@ def ins_error_f(specific_force) -> np.ndarray:
     attitude error is constant.  The result is strictly block upper
     triangular, hence nilpotent with F**3 == 0.
     """
-    f = _as_finite_array(specific_force, "specific_force", (3,))
-    F = np.zeros((VEHICLE_DIM, VEHICLE_DIM))
-    F[0:3, 3:6] = np.eye(3)
-    F[3:6, 6:9] = skew(f)
-    return F
+    return augmented_f(specific_force, VEHICLE_DIM)
 
 
 def augmented_f(specific_force, n) -> np.ndarray:
     """n x n dynamics: ``ins_error_f`` top-left, zero rows for the static features."""
+    return _augmented_f(_as_finite_array(specific_force, "specific_force", (3,)), n)
+
+
+def _augmented_f(f, n) -> np.ndarray:
+    """``augmented_f`` of a specific force ``f`` already checked to be a finite 3-vector."""
     F = np.zeros((n, n))
-    F[0:VEHICLE_DIM, 0:VEHICLE_DIM] = ins_error_f(specific_force)
+    F[0:3, 3:6] = np.eye(3)
+    F[3:6, 6:9] = _skew(*f)
     return F
 
 
@@ -232,26 +235,35 @@ def state_labels(feature_ids=()) -> list:
     return [f"{block}_{axis}" for block in state_blocks(feature_ids) for axis in AXES]
 
 
+@functools.lru_cache(maxsize=32)
+def _difference_layout(n_features):
+    """(pairs (c, d), plus, minus) of ``standard_differences`` for ``n_features`` features.
+
+    The layout depends on the feature count alone, so it is built once per
+    count; ``plus`` and ``minus`` are read-only, so no caller can change it.
+    """
+    first, second = np.triu_indices(n_features, 1)
+    feature = VEHICLE_DIM + 3 * np.arange(n_features)[:, None] + np.arange(3)
+    plus = np.concatenate([np.tile(np.arange(3), n_features), feature[first].ravel()])
+    minus = np.concatenate([feature.ravel(), feature[second].ravel()])
+    plus.flags.writeable = minus.flags.writeable = False
+    return tuple(zip(first.tolist(), second.tolist())), plus, minus
+
+
 def standard_differences(feature_ids):
     """Labels and state indices (plus, minus) of the standard differences e_plus - e_minus.
 
     One difference per axis of the vehicle position minus each feature, then
-    of feature c minus feature d for each pair c < d, in that order.
+    of feature c minus feature d for each pair c < d, in that order.  The
+    index arrays are shared between calls with the same feature count and
+    are read-only.
     """
     ids = list(feature_ids)
-    L = len(ids)
-    first, second = np.triu_indices(L, 1)
+    pairs, plus, minus = _difference_layout(len(ids))
     position = VEHICLE_BLOCKS[0]
     blocks = state_blocks(ids)[len(VEHICLE_BLOCKS) :]
     labels = [f"{position}-{block}_{axis}" for block in blocks for axis in AXES]
-    labels += [
-        f"{blocks[c]}-{blocks[d]}_{axis}"
-        for c, d in zip(first.tolist(), second.tolist())
-        for axis in AXES
-    ]
-    feature = VEHICLE_DIM + 3 * np.arange(L)[:, None] + np.arange(3)
-    plus = np.concatenate([np.tile(np.arange(3), L), feature[first].ravel()])
-    minus = np.concatenate([feature.ravel(), feature[second].ravel()])
+    labels += [f"{blocks[c]}-{blocks[d]}_{axis}" for c, d in pairs for axis in AXES]
     return labels, plus, minus
 
 
@@ -264,7 +276,8 @@ def augment(scenario: Scenario) -> list:
     identity in the feature's own column block when the feature is detected,
     all zeros otherwise.  Zero bands are retained so row indexing stays
     aligned with the schedule; they do not affect rank.  ``Scenario`` has
-    already checked that schedule and segments agree.
+    already checked that schedule and segments agree, and ``SegmentSpec``
+    every number, so the stripes are built without checks.
     """
     schedule = scenario.schedule
     L = schedule.n_features
@@ -276,8 +289,8 @@ def augment(scenario: Scenario) -> list:
         rel = np.array([seg.feature_rel_pos[fid] for _, fid in pairs]).reshape(-1, 3)
         H = np.zeros((L, 3, n))
         H[detected] = feature_bands(detected, feature_obs_rows(rel), n)
-        F = augmented_f(seg.specific_force, n)
-        stripes.append(PwcsStripe(F=F, H=H.reshape(3 * L, n), delta=seg.duration))
+        F = _augmented_f(seg.specific_force, n)
+        stripes.append(PwcsStripe(F, H.reshape(3 * L, n), seg.duration, check=False))
     return stripes
 
 

@@ -13,7 +13,7 @@ All operations are pure functions of their inputs; no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -41,7 +41,11 @@ def skew(v) -> np.ndarray:
 
     S is antisymmetric with zero diagonal.
     """
-    x, y, z = _as_finite_array(v, "v", (3,))
+    return _skew(*_as_finite_array(v, "v", (3,)))
+
+
+def _skew(x, y, z) -> np.ndarray:
+    """``skew`` of the finite floats (x, y, z), unchecked."""
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -54,13 +58,22 @@ class PwcsStripe:
     F : (n, n) dynamics matrix, constant over the segment.
     H : (m, n) observation matrix, constant over the segment.  m may be 0.
     delta : segment duration in seconds, positive and finite.
+
+    ``check=False`` takes F, H and delta as given, without the checks and
+    conversions below.  It is for builders whose arrays hold only entries
+    already checked finite, or copies, negations, zeros and ones of such
+    entries (``model.augment``): F must then be a square float array, H a
+    float array with F's column count, and delta a positive finite float.
     """
 
     F: np.ndarray
     H: np.ndarray
     delta: float
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check):
+        if not check:
+            return
         self.F = _as_square(self.F, "F")
         self.H = _as_finite_array(self.H, "H")
         if self.H.ndim != 2 or self.H.shape[1] != self.F.shape[0]:
@@ -149,7 +162,8 @@ def tom(stripes, max_power: int = None, mode: str = "exact") -> np.ndarray:
         [Q_1; Q_2 T_1; Q_3 T_2 T_1; ...]
 
     where Q_j = lom(stripes[j]) and T_j = state_transition(F_j, delta_j).
-    For a single stripe the result equals lom(stripe) exactly.
+    For a single stripe the result is lom(stripe) itself.  The stripes may
+    have different row counts, 0 included.
     """
     stripes = list(stripes)
     if not stripes:
@@ -160,15 +174,20 @@ def tom(stripes, max_power: int = None, mode: str = "exact") -> np.ndarray:
             raise ValueError(
                 f"stripe {j} has state dimension {stripe.n}, expected {n}"
             )
-    blocks = []
+    blocks = [lom(stripe, max_power) for stripe in stripes]
+    if len(blocks) == 1:
+        return blocks[0]
+    out = np.empty((sum(len(q) for q in blocks), n))
+    start = len(blocks[0])
+    out[:start] = blocks[0]
     accumulated = None
-    for j, stripe in enumerate(stripes):
-        q = lom(stripe, max_power)
-        blocks.append(q if accumulated is None else q @ accumulated)
-        if j < len(stripes) - 1:
-            step = state_transition(stripe.F, stripe.delta, mode)
-            accumulated = step if accumulated is None else step @ accumulated
-    return np.vstack(blocks)
+    # block j + 1 carries the transitions of stripes 0..j
+    for stripe, q in zip(stripes, blocks[1:]):
+        step = state_transition(stripe.F, stripe.delta, mode)
+        accumulated = step if accumulated is None else step @ accumulated
+        np.matmul(q, accumulated, out=out[start : start + len(q)])
+        start += len(q)
+    return out
 
 
 def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:

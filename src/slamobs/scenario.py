@@ -344,6 +344,7 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     blocks = state_blocks(schedule.feature_ids)
     block_offsets = {block: 3 * k for k, block in enumerate(blocks)}
     standard = standard_weights(schedule.feature_ids)[0] if candidates_raw else []
+    earlier = set()
     for k, cand in enumerate(candidates_raw):
         cand_path = f"candidates[{k}]"
         _mapping(cand, cand_path, ("label", "weights"))
@@ -351,7 +352,8 @@ def _build_doc(raw: dict) -> ScenarioDoc:
         if not isinstance(label, str):
             raise ScenarioError(f"{cand_path}.label", "must be a string")
         with _located(f"{cand_path}.label"):
-            _check_extra_label(label, standard, [c.label for c in extra])
+            _check_extra_label(label, standard, earlier)
+        earlier.add(label)
         weights_raw = _mapping(_require(cand, "weights", cand_path), f"{cand_path}.weights")
         w = np.zeros(3 * len(blocks))
         for block, vec in weights_raw.items():

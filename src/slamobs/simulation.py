@@ -439,9 +439,10 @@ class SimScenario:
     """What the covariance simulation estimates and when features are seen.
 
     ``feature_positions`` maps feature id to its true navigation-frame
-    position.  With an explicit ``schedule``, a feature is measured at every
-    vision frame of the segments where it is scheduled; without one the
-    field-of-view gate decides detection frame by frame.
+    position.  With an explicit ``schedule``, which must have one row per
+    feature, a feature is measured at every vision frame of the segments
+    where it is scheduled; without one the field-of-view gate decides
+    detection frame by frame.
     """
 
     feature_positions: dict
@@ -465,10 +466,16 @@ class SimScenario:
         if not 0 <= self.feature_prior < np.inf:
             raise ValueError("feature_prior must be non-negative and finite")
         if self.schedule is not None:
-            missing = set(self.schedule.feature_ids) - set(self.feature_positions)
+            scheduled, positioned = set(self.schedule.feature_ids), set(self.feature_positions)
+            missing = scheduled - positioned
             if missing:
                 raise ValueError(
                     f"schedule references unknown feature(s) {sorted(map(repr, missing))}"
+                )
+            unscheduled = positioned - scheduled
+            if unscheduled:
+                raise ValueError(
+                    f"no schedule row for feature(s) {sorted(unscheduled, key=repr)}"
                 )
 
     @property

@@ -26,7 +26,7 @@ from slamobs.analysis import (
     standard_candidates,
     standard_weights,
 )
-from slamobs.model import DetectionSchedule, Scenario, SegmentSpec, augment
+from slamobs.model import DetectionSchedule, Scenario, SegmentSpec, augment, standard_differences
 from slamobs.pwcs import is_functional_observable, lom, tom
 
 
@@ -151,6 +151,30 @@ class TestAnalyzeTotal:
         report = analyze_total(case_scenario(2), options)
         assert report.verdict("baseline_N").observable
 
+    def test_verdicts_are_shared_objects(self):
+        """``verdict`` hands out the report's own entries, so a caller's change to one persists."""
+        w = np.zeros(15)
+        w[9], w[12] = 1.0, -1.0
+        options = AnalysisOptions(
+            extra_candidates=(CandidateFunctional(label="baseline_N", weights=w),)
+        )
+        report = analyze_total(case_scenario(2), options)
+        labels, _ = standard_weights(case_scenario(2).schedule.feature_ids)
+        assert [v.label for v in report.mode_results] == labels + ["baseline_N"]
+        modes = ["dv", "psi", "dp-dm_f1", "dp-dm_f2", "dm_f1-dm_f2", "baseline"]
+        assert report.observable_modes() == modes
+        for v in report.mode_results:
+            assert report.verdict(v.label) is v
+        assert report.verdict("baseline_N") is report.verdict("baseline_N")
+        for axis in "NEU":
+            report.verdict(f"dp_{axis}").observable = True
+        assert report.verdict("dp_E").observable
+        assert report.observable_modes() == ["dp"] + modes
+        report.rank += 1
+        assert report.rank == 13
+        with pytest.raises(KeyError):
+            report.verdict("rigid_N")
+
     def test_first_order_matches_exact_rank_on_cases(self):
         for case_id in (1, 2, 3, 4):
             scenario = case_scenario(case_id)
@@ -214,6 +238,22 @@ class TestStandardWeights:
         want_labels, want_weights = o_standard_candidates(features)
         assert labels == want_labels
         np.testing.assert_array_equal(weights, np.array(want_weights))
+
+    def test_shared_layout_is_read_only(self):
+        """The difference layout is built once per feature count; callers cannot change it."""
+        labels, weights = standard_weights(("a", "b"))
+        differences, plus, minus = standard_differences(("a", "b"))
+        for array in (plus, minus):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        labels.append("x")
+        differences.append("x")
+        weights[0] = 7.0
+        want_labels, want_weights = o_standard_candidates(("a", "b"))
+        again_labels, again = standard_weights(("a", "b"))
+        assert again_labels == want_labels
+        np.testing.assert_array_equal(again, np.array(want_weights))
+        assert standard_differences(("a", "b"))[0] == want_labels[15:]
 
     def test_candidates_wrap_the_rows(self):
         labels, weights = standard_weights(("a", "b"))

@@ -1,9 +1,11 @@
 """Golden outputs of ``slamobs analyze`` and ``slamobs cases``.
 
 The fixtures pin the analyze JSON of the bundled case2 scenario (total,
-``--local 0`` and ``--first-order``) and of case2_flight (its
+``--local 0`` and ``--first-order``), of case2_flight (its
 ``north_baseline`` extra candidate and the relative positions derived from
-its trajectory), and the ``cases --exact --first-order`` table.  Integers,
+its trajectory) and of ``golden/sweep_6x4.yaml`` (six features over four
+segments with two extra candidates: total and ``--local 1``), and the
+``cases --exact --first-order`` table.  Integers,
 labels and verdicts must match exactly; null projections and the null space
 match at rtol 1e-9.  Null-space basis vectors carry arbitrary signs (and any
 rotation within the space), so the space is compared through its projector
@@ -32,6 +34,8 @@ ANALYZE = {
     "case2_analyze_local0.json": ["case2.yaml", "--local", "0"],
     "case2_analyze_first_order.json": ["case2.yaml", "--first-order"],
     "case2_flight_analyze.json": ["case2_flight.yaml"],
+    "sweep_6x4_analyze.json": ["sweep_6x4.yaml"],
+    "sweep_6x4_analyze_local1.json": ["sweep_6x4.yaml", "--local", "1"],
 }
 CASES = ("cases_exact_first_order.txt", ["cases", "--exact", "--first-order"])
 
@@ -45,8 +49,13 @@ def cli_output(argv) -> str:
 
 
 def analyze_argv(args) -> list:
-    """``analyze`` of the bundled scenario ``args[0]`` with the flags ``args[1:]``."""
-    scenario = importlib.resources.files("slamobs") / "scenarios" / args[0]
+    """``analyze`` of the scenario ``args[0]`` with the flags ``args[1:]``.
+
+    The scenario is the one of that name under ``golden/``, else the bundled one.
+    """
+    scenario = GOLDEN / args[0]
+    if not scenario.exists():
+        scenario = importlib.resources.files("slamobs") / "scenarios" / args[0]
     return ["analyze", str(scenario)] + args[1:]
 
 

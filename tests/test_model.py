@@ -17,7 +17,7 @@ from slamobs.model import (
     ins_error_f,
     state_labels,
 )
-from slamobs.pwcs import lom, numerical_rank, skew, state_transition, tom
+from slamobs.pwcs import PwcsStripe, lom, numerical_rank, skew, state_transition, tom
 
 
 class TestInsErrorState:
@@ -169,6 +169,15 @@ class TestAugment:
                     stripe.H, np.reshape(o_aug_h(rel, set(rel), L), stripe.H.shape)
                 )
         assert zeroed > 50
+
+    def test_unchecked_stripes_pass_the_checks(self):
+        """``augment`` skips the stripe checks; a checked stripe of its arrays is the same stripe."""
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            for stripe in augment(random_scenario(rng)):
+                checked = PwcsStripe(stripe.F, stripe.H, stripe.delta)
+                assert checked.F is stripe.F and checked.H is stripe.H
+                assert type(stripe.delta) is float and checked.delta == stripe.delta
 
     def test_feature_rows_of_dynamics_are_zero(self):
         rng = np.random.default_rng(9)

@@ -171,8 +171,24 @@ class TestLom:
 
 class TestTom:
     def test_single_stripe_equals_lom(self):
-        stripe = case2_segment1_stripe()
-        np.testing.assert_array_equal(tom([stripe]), lom(stripe))
+        unobserved = PwcsStripe(F=np.eye(3), H=np.zeros((0, 3)), delta=1.0)
+        for stripe in (case2_segment1_stripe(), cyclic_stripe(), unobserved):
+            np.testing.assert_array_equal(tom([stripe]), lom(stripe))
+            np.testing.assert_array_equal(tom([stripe], 2, "first_order"), lom(stripe, 2))
+
+    @pytest.mark.parametrize("mode", ["exact", "first_order"])
+    def test_stripes_of_different_row_counts(self, mode):
+        """Each stripe contributes (max_power + 1) times its own row count, 0 included."""
+        rng = np.random.default_rng(7)
+        stripes = [
+            PwcsStripe(F=np.triu(rng.integers(-2, 3, (5, 5)), 1), H=rng.integers(-2, 3, (m, 5)), delta=d)
+            for m, d in ((0, 1.0), (2, 0.5), (0, 2.0), (3, 0.25), (1, 1.5))
+        ]
+        matrix = tom(stripes, 2, mode)
+        oracle_stripes = [(s.F.tolist(), s.H.tolist(), s.delta) for s in stripes]
+        want = o_tom(oracle_stripes, 2, first_order=mode == "first_order")
+        assert matrix.shape == (3 * 6, 5)
+        np.testing.assert_allclose(matrix, np.reshape(want, (18, 5)), rtol=1e-13, atol=1e-13)
 
     def test_case2_rank_twelve_of_fifteen(self):
         matrix = tom(case2_stripes())

@@ -474,6 +474,13 @@ class TestSimulate:
         truncated = simulate(flight_scenario(), flight_trajectory(), SensorConfig(), duration=4.03)
         assert truncated.times.size == 101 and truncated.times[-1] <= 4.03
 
+    def test_position_without_schedule_row_rejected(self):
+        """An explicit schedule names every feature the run estimates; none is dropped silently."""
+        features = {"f1": [10.0, 0.0, 0.0], "f3": [20.0, 0.0, 0.0], "f2": [0.0, 5.0, 0.0]}
+        schedule = DetectionSchedule(detected=np.array([[True]]), feature_ids=("f1",))
+        with pytest.raises(ValueError, match=r"no schedule row for feature\(s\) \['f2', 'f3'\]"):
+            SimScenario(feature_positions=features, schedule=schedule)
+
     def test_auto_schedule_runs(self):
         scenario = SimScenario(
             feature_positions={"f1": [10.0, 0.0, 0.0], "f2": [20.0, 100.0, 0.0]}
