@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pwcs import PwcsStripe, _as_finite_array, _skew
+from .pwcs import PwcsStripe, _as_finite_array, skew
 
 AXES = ("N", "E", "U")
 VEHICLE_BLOCKS = ("dp", "dv", "psi")
@@ -50,14 +50,10 @@ def ins_error_f(specific_force) -> np.ndarray:
 
 def augmented_f(specific_force, n) -> np.ndarray:
     """n x n dynamics: ``ins_error_f`` top-left, zero rows for the static features."""
-    return _augmented_f(_as_finite_array(specific_force, "specific_force", (3,)), n)
-
-
-def _augmented_f(f, n) -> np.ndarray:
-    """``augmented_f`` of a specific force ``f`` already checked to be a finite 3-vector."""
+    f = _as_finite_array(specific_force, "specific_force", (3,))
     F = np.zeros((n, n))
     F[0:3, 3:6] = np.eye(3)
-    F[3:6, 6:9] = _skew(*f)
+    F[3:6, 6:9] = skew(f)
     return F
 
 
@@ -207,13 +203,13 @@ class Scenario:
             if missing:
                 raise ValueError(
                     f"segment {i}: no relative position for scheduled "
-                    f"feature(s) {sorted(map(repr, missing))}"
+                    f"feature(s) {sorted(missing, key=repr)}"
                 )
             extra = supplied - scheduled
             if extra:
                 raise ValueError(
                     f"segment {i}: relative position supplied for unscheduled "
-                    f"feature(s) {sorted(map(repr, extra))}"
+                    f"feature(s) {sorted(extra, key=repr)}"
                 )
 
     @property
@@ -276,8 +272,9 @@ def augment(scenario: Scenario) -> list:
     identity in the feature's own column block when the feature is detected,
     all zeros otherwise.  Zero bands are retained so row indexing stays
     aligned with the schedule; they do not affect rank.  ``Scenario`` has
-    already checked that schedule and segments agree, and ``SegmentSpec``
-    every number, so the stripes are built without checks.
+    already checked that schedule and segments agree; F comes from the
+    checked ``augmented_f`` and each stripe goes through ``PwcsStripe``'s
+    checks.
     """
     schedule = scenario.schedule
     L = schedule.n_features
@@ -289,8 +286,8 @@ def augment(scenario: Scenario) -> list:
         rel = np.array([seg.feature_rel_pos[fid] for _, fid in pairs]).reshape(-1, 3)
         H = np.zeros((L, 3, n))
         H[detected] = feature_bands(detected, feature_obs_rows(rel), n)
-        F = _augmented_f(seg.specific_force, n)
-        stripes.append(PwcsStripe(F, H.reshape(3 * L, n), seg.duration, check=False))
+        F = augmented_f(seg.specific_force, n)
+        stripes.append(PwcsStripe(F, H.reshape(3 * L, n), seg.duration))
     return stripes
 
 

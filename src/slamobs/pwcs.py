@@ -13,7 +13,7 @@ All operations are pure functions of their inputs; no shared state.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ def _as_finite_array(value, name, shape=None):
     arr = np.asarray(value, dtype=float)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
     return arr
 
@@ -41,11 +41,7 @@ def skew(v) -> np.ndarray:
 
     S is antisymmetric with zero diagonal.
     """
-    return _skew(*_as_finite_array(v, "v", (3,)))
-
-
-def _skew(x, y, z) -> np.ndarray:
-    """``skew`` of the finite floats (x, y, z), unchecked."""
+    x, y, z = _as_finite_array(v, "v", (3,))
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -59,21 +55,15 @@ class PwcsStripe:
     H : (m, n) observation matrix, constant over the segment.  m may be 0.
     delta : segment duration in seconds, positive and finite.
 
-    ``check=False`` takes F, H and delta as given, without the checks and
-    conversions below.  It is for builders whose arrays hold only entries
-    already checked finite, or copies, negations, zeros and ones of such
-    entries (``model.augment``): F must then be a square float array, H a
-    float array with F's column count, and delta a positive finite float.
+    Construction checks each field as stated above and converts it to float;
+    ``ValueError`` names the field that fails.
     """
 
     F: np.ndarray
     H: np.ndarray
     delta: float
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
-        if not check:
-            return
+    def __post_init__(self):
         self.F = _as_square(self.F, "F")
         self.H = _as_finite_array(self.H, "H")
         if self.H.ndim != 2 or self.H.shape[1] != self.F.shape[0]:
@@ -106,9 +96,9 @@ def state_transition(F, delta: float, mode: str = "exact") -> np.ndarray:
     """Transition matrix of a constant-dynamics segment of length delta.
 
     mode="first_order" returns I + F*delta.  mode="exact" returns the matrix
-    exponential; when F is nilpotent (F**p == 0) the power series terminates
-    and is summed exactly, otherwise a scaling-and-squaring exponential is
-    used.
+    exponential; when F is nilpotent (F**p == 0) its series
+    I + F*delta + ... + (F*delta)**(p-1)/(p-1)! is summed from F*delta on,
+    each term from the last; otherwise a scaling-and-squaring exponential.
     """
     F = _as_square(F, "F")
     delta = float(delta)
@@ -124,9 +114,9 @@ def state_transition(F, delta: float, mode: str = "exact") -> np.ndarray:
         import scipy.linalg
 
         return scipy.linalg.expm(F * delta)
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, p):
+    term = F * delta
+    out = np.eye(n) + term
+    for k in range(2, p):
         term = term @ F * (delta / k)
         out = out + term
     return out

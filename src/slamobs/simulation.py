@@ -470,7 +470,7 @@ class SimScenario:
             missing = scheduled - positioned
             if missing:
                 raise ValueError(
-                    f"schedule references unknown feature(s) {sorted(map(repr, missing))}"
+                    f"schedule references unknown feature(s) {sorted(missing, key=repr)}"
                 )
             unscheduled = positioned - scheduled
             if unscheduled:

@@ -1,5 +1,7 @@
 """SLAM model construction: dynamics, observation rows, augmentation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from slamobs.model import (
     ins_error_f,
     state_labels,
 )
-from slamobs.pwcs import PwcsStripe, lom, numerical_rank, skew, state_transition, tom
+from slamobs.pwcs import lom, numerical_rank, skew, state_transition, tom
 
 
 class TestInsErrorState:
@@ -170,15 +172,6 @@ class TestAugment:
                 )
         assert zeroed > 50
 
-    def test_unchecked_stripes_pass_the_checks(self):
-        """``augment`` skips the stripe checks; a checked stripe of its arrays is the same stripe."""
-        rng = np.random.default_rng(73)
-        for _ in range(20):
-            for stripe in augment(random_scenario(rng)):
-                checked = PwcsStripe(stripe.F, stripe.H, stripe.delta)
-                assert checked.F is stripe.F and checked.H is stripe.H
-                assert type(stripe.delta) is float and checked.delta == stripe.delta
-
     def test_feature_rows_of_dynamics_are_zero(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -222,6 +215,18 @@ class TestAugment:
         )
         with pytest.raises(ValueError, match="unscheduled"):
             Scenario(scenario.schedule, [broken, scenario.segments[1]])
+
+    def test_missing_position_error_quotes_id_once(self):
+        schedule = DetectionSchedule(detected=[[True], [True]], feature_ids=("f1", "f2"))
+        segment = SegmentSpec(1.0, [0, 0, 9.81], {"f1": [1, 2, 3]})
+        with pytest.raises(ValueError, match=re.escape("scheduled feature(s) ['f2']")):
+            Scenario(schedule, [segment])
+
+    def test_unscheduled_position_error_quotes_id_once(self):
+        schedule = DetectionSchedule(detected=[[True]], feature_ids=("f1",))
+        segment = SegmentSpec(1.0, [0, 0, 9.81], {"f1": [1, 2, 3], "f2": [4, 5, 6]})
+        with pytest.raises(ValueError, match=re.escape("unscheduled feature(s) ['f2']")):
+            Scenario(schedule, [segment])
 
     def test_vehicle_only_scenario(self):
         schedule = DetectionSchedule(detected=np.zeros((0, 2), dtype=bool))

@@ -8,7 +8,7 @@ import pytest
 from oracles import o_expm, o_null_space, o_rank, o_tom
 from randgen import random_scenario
 from slamobs.analysis import case_scenario
-from slamobs.model import augment, ins_error_f
+from slamobs.model import augment, augmented_f, ins_error_f
 from slamobs.pwcs import (
     PwcsStripe,
     is_functional_observable,
@@ -133,6 +133,55 @@ class TestStateTransition:
         for delta in (0.0, np.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 state_transition(np.eye(2), delta)
+
+
+def eye_started_series(F, delta):
+    """The nilpotent branch of ``state_transition`` as first written: its first term is eye @ F."""
+    n = F.shape[0]
+    p, power = 1, F
+    while power.any():
+        p, power = p + 1, power @ F
+    out = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, p):
+        term = term @ F * (delta / k)
+        out = out + term
+    return out
+
+
+class TestNilpotentSeriesBits:
+    """The series started at F * delta gives the bits of the eye-started one.
+
+    ``eye @ F`` differs from F only where F holds -0.0, and such signed zeros
+    never reach the sum, which starts from the identity.
+    """
+
+    DELTAS = (1e-3, 0.37, 1.0, 50.0, 1e4)
+
+    def assert_same_bits(self, F):
+        for delta in self.DELTAS:
+            got = state_transition(F, delta, "exact")
+            np.testing.assert_array_equal(
+                got.view(np.uint64), eye_started_series(F, delta).view(np.uint64)
+            )
+
+    @pytest.mark.parametrize("n", [9, 15, 57])
+    def test_dynamics_with_signed_zeros(self, n):
+        for force in ([0.0, 0.0, 9.81], [0.3, 0.0, 9.81], [0.0, -0.2, 0.0]):
+            F = augmented_f(force, n)
+            assert (np.signbit(F) & (F == 0)).any()
+            self.assert_same_bits(F)
+
+    @pytest.mark.parametrize("n", [9, 15, 57])
+    def test_zero_dynamics(self, n):
+        self.assert_same_bits(np.zeros((n, n)))
+
+    @pytest.mark.parametrize("n", [9, 15, 57])
+    def test_strictly_upper_triangular(self, n):
+        rng = np.random.default_rng(n)
+        F = np.triu(rng.normal(size=(n, n)), 1)
+        assert np.linalg.matrix_power(F, n - 1).any()
+        self.assert_same_bits(F)
 
 
 class TestLom:
@@ -355,6 +404,29 @@ class TestIsFunctionalObservable:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             is_functional_observable(np.eye(3), np.ones(4))
+
+
+# name: (call, shape of an array to poison, field named in the error, an accepted input)
+CHECKED = {
+    "PwcsStripe.F": (lambda a: PwcsStripe(a, np.zeros((2, 4)), 1.0), (4, 4), "F", np.zeros((4, 4))),
+    "PwcsStripe.H": (lambda a: PwcsStripe(np.zeros((4, 4)), a, 1.0), (2, 4), "H", np.zeros((0, 4))),
+    "skew": (skew, (3,), "v", np.zeros(3)),
+    "augmented_f": (lambda a: augmented_f(a, 12), (3,), "specific_force", np.zeros(3)),
+    "state_transition": (lambda a: state_transition(a, 1.0), (4, 4), "F", np.zeros((4, 4))),
+    "null_space": (null_space, (3, 4), "M", np.zeros((3, 4))),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("name", CHECKED)
+def test_non_finite_entry_rejected(name, where, bad):
+    call, shape, field, accepted = CHECKED[name]
+    call(accepted)
+    poisoned = np.zeros(shape)
+    poisoned.flat[where] = bad
+    with pytest.raises(ValueError, match=f"^{field} must contain only finite values$"):
+        call(poisoned)
 
 
 def test_oracle_rank_agrees_on_case2():

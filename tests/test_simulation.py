@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import re
 import types
 import warnings
 from pathlib import Path
@@ -480,6 +481,11 @@ class TestSimulate:
         schedule = DetectionSchedule(detected=np.array([[True]]), feature_ids=("f1",))
         with pytest.raises(ValueError, match=r"no schedule row for feature\(s\) \['f2', 'f3'\]"):
             SimScenario(feature_positions=features, schedule=schedule)
+
+    def test_unknown_schedule_feature_error_quotes_id_once(self):
+        schedule = DetectionSchedule(detected=[[True], [True]], feature_ids=("f1", "f2"))
+        with pytest.raises(ValueError, match=re.escape("unknown feature(s) ['f2']")):
+            SimScenario(feature_positions={"f1": [10.0, 0.0, 0.0]}, schedule=schedule)
 
     def test_auto_schedule_runs(self):
         scenario = SimScenario(
