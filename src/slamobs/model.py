@@ -130,18 +130,6 @@ class DetectionSchedule:
     def n_segments(self) -> int:
         return self.detected.shape[1]
 
-    def detections_per_segment(self) -> np.ndarray:
-        """Number of detected features in each segment."""
-        return self.detected.sum(axis=0)
-
-    def repeated_detections(self) -> int:
-        """Number of detection events beyond each feature's first one.
-
-        The total feature count always equals the sum of per-segment
-        detections minus this number.
-        """
-        return int(self.detected.sum() - self.n_features)
-
     def features_in_segment(self, segment_index: int):
         """(index, id) pairs of the features detected in one segment."""
         return [

@@ -88,20 +88,6 @@ class TestDetectionSchedule:
         )
         assert sched.n_features == 2
         assert sched.n_segments == 2
-        np.testing.assert_array_equal(sched.detections_per_segment(), [1, 2])
-        assert sched.repeated_detections() == 1
-        # total features == sum of per-segment detections minus repeats
-        assert sched.n_features == sched.detections_per_segment().sum() - sched.repeated_detections()
-
-    def test_bookkeeping_identity_random(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            scenario = random_scenario(rng)
-            sched = scenario.schedule
-            assert (
-                sched.n_features
-                == sched.detections_per_segment().sum() - sched.repeated_detections()
-            )
 
     def test_never_detected_feature_rejected(self):
         with pytest.raises(ValueError, match="never detected"):
