@@ -196,7 +196,7 @@ def _build_report(stripes, feature_ids, scope, segment_index, options):
         labels += [cand.label for cand in extra]
         weights = np.vstack([weights] + [cand.weights for cand in extra])
     results = [
-        FunctionalVerdict(label=label, observable=rel <= options.rank_tol, null_projection=rel)
+        FunctionalVerdict(label, rel <= options.rank_tol, rel)
         for label, rel in zip(labels, null_projections(basis, weights).tolist())
     ]
     return ObservabilityReport(

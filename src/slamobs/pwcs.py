@@ -193,6 +193,8 @@ def null_space(M, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
     k equals M.shape[1] - numerical_rank(M); each column v satisfies
     ||M v|| <= rel_tol * ||M|| * ||v||.  An empty or all-zero M gives I_n.
+    Past LAPACK dgesdd's tall-matrix crossover the basis comes from the SVD
+    of M's n x n R factor, with the same bits as the SVD of M itself.
     """
     M = _as_finite_array(M, "M")
     if not 0 < rel_tol < np.inf:
@@ -202,6 +204,11 @@ def null_space(M, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     n = M.shape[1]
     if M.shape[0] == 0 or not M.any():
         return np.eye(n)
+    # dgesdd's MNTHR: from this many rows it QR-factors M and takes the SVD
+    # of R itself, so handing it R gives the same s and V^T without forming
+    # Q or the m x n U
+    if M.shape[0] >= int(n * 11.0 / 6.0):
+        M = np.linalg.qr(M, mode="r")
     # V is n x n either way unless M is wide; U is never read
     _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     rank = int(np.count_nonzero(s > rel_tol * s[0]))

@@ -25,6 +25,18 @@ def case2_stripes():
     return augment(case_scenario(2))
 
 
+def sweep_sized_tom():
+    """TOM of the sweep's largest scenario size: 16 features, 8 segments."""
+    rng = np.random.default_rng(23)
+    return tom(augment(random_scenario(rng, n_features=16, n_segments=8)), 2)
+
+
+def crossover_rows(n):
+    """Row counts one below, at and one above dgesdd's MNTHR for n columns."""
+    mnthr = int(n * 11.0 / 6.0)
+    return [mnthr - 1, mnthr, mnthr + 1]
+
+
 def case2_segment1_stripe():
     """Single-feature local stripe of the case-2 first segment (n = 12)."""
     scenario = case_scenario(2)
@@ -332,18 +344,46 @@ class TestNullSpace:
         assert basis.shape[1] == 9
 
     def test_tall_basis_equals_full_svd(self):
-        # a tall or square M takes the thin SVD; its V^T is the full one's
+        # a tall or square M takes the thin SVD, past dgesdd's crossover of its
+        # R factor; on these matrices its V^T is the full SVD's of M, bit for
+        # bit (LAPACK's full and thin paths part in a last bit on some TOMs)
         rng = np.random.default_rng(17)
-        matrices = [tom(case2_stripes()), np.eye(6)]
+        matrices = [tom(case2_stripes()), np.eye(6), sweep_sized_tom()]
         for _ in range(10):
             rows, rank = int(rng.integers(12, 40)), int(rng.integers(1, 12))
             matrices.append(rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, 12)))
         for _ in range(5):
             stripes = augment(random_scenario(rng, n_features=8, n_segments=6))
             matrices.append(tom(stripes, 2))
+        for n in (1, 2, 12, 33, 57, 130):
+            # rank deficient but for n = 1, columns scaled over 16 decades
+            rank = max(1, n - max(1, n // 4))
+            scales = rng.permutation(np.logspace(-8, 8, n))
+            # n = 1 crosses at one row, so its row below is an empty M
+            for rows in [r for r in crossover_rows(n) if r >= n]:
+                low = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, n))
+                matrices.append(low * scales)
         for M in matrices:
             assert M.shape[0] >= M.shape[1]
             np.testing.assert_array_equal(null_space(M), o_null_space(M))
+
+    def test_tall_matrix_svd_takes_its_r_factor(self, monkeypatch):
+        # Q and the m x n U of a sweep-sized TOM are never formed
+        handed = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            handed.append(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        matrix = sweep_sized_tom()
+        assert matrix.shape == (1152, 57)
+        null_space(matrix)
+        assert [a.shape for a in handed] == [(57, 57)]
+        below = matrix[: crossover_rows(57)[0]]
+        null_space(below)
+        assert len(handed) == 2 and handed[1] is below
 
     def test_wide_kernel_matches_reference(self):
         rng = np.random.default_rng(19)
