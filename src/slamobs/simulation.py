@@ -26,12 +26,13 @@ straddles a segment boundary gets its own pair.  Each frame yields what it
 applied (step transitions, Phi_f, and H, R and the gain K at an update) and
 the raw covariances it re-symmetrized.  ``simulate`` and
 ``state_comparison_run`` each run the loop once and record its variances
-through ``_TraceRecorder``, taking standard deviations once per run: those
-of the states and of the relative modes that ``model.standard_differences``
-enumerates for the analysis too, read from P by their index pairs;
-``state_comparison_run`` also replays the frames on a state sampled outside
-the loop, so one pass gives both the trace and the state run.  With
-``collect_diagnostics``, ``simulate`` also hands every frame to
+through ``_TraceRecorder``: one gather per frame of P's diagonal and of the
+entry P[plus, minus] of each relative mode that ``model.standard_differences``
+enumerates for the analysis too (every P the loop yields is exactly
+symmetric), with the modes' variances and all standard deviations formed
+once per run; ``state_comparison_run`` also replays the frames on a state
+sampled outside the loop, so one pass gives both the trace and the state
+run.  With ``collect_diagnostics``, ``simulate`` also hands every frame to
 ``SimulationDiagnostics``, which checks symmetry, the eigenvalue ratio and
 update growth on the frames alone, one block of ``_DIAGNOSTIC_BLOCK_FRAMES``
 frames at a time.
@@ -52,8 +53,9 @@ columns, or one field-of-view gate over frames x features), their bands of H
 (``model.feature_bands``, the function ``augment`` builds the analysis's H
 with) and 3x3 noise blocks (``_noise_blocks``), all computed once per block.
 Each update frame's H is a row slice of its block's ``feature_bands``, and
-``_stacked_measurement`` only places the noise blocks on R's diagonal; the
-loop builds the step transitions with (Phi_f, Q_f) once per step pattern.
+``_stacked_measurement`` only places the noise blocks on R's diagonal, in
+one scatter; the loop builds the step transitions with (Phi_f, Q_f) once per
+step pattern.
 The batched kernels take dot products and norms as stacked 1x3 by 3x1
 matrix products, which sum exactly as ``np.dot`` does, so every number
 equals the per-vector computation bit for bit; ``measurement_noise_cartesian``
@@ -64,6 +66,7 @@ length.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -89,6 +92,10 @@ _SLACK = 1e-12
 #: Vision frames whose measurement geometry (vehicle positions, visibility,
 #: observation rows, noise blocks) is computed in one batch: 10 s at 25 Hz.
 GEOMETRY_BLOCK_FRAMES = 250
+#: Frames whose standard-difference variances ``_TraceRecorder.trace`` forms in
+#: one batch: short, so the batch's temporaries stay small next to the recorded
+#: buffer.
+_TRACE_BLOCK_FRAMES = 50
 #: Frames whose health checks ``SimulationDiagnostics`` runs in one batch.  A
 #: block holds every raw, prior and posterior covariance of its frames (about
 #: four n x n matrices a frame), so it is kept short to bound peak memory.
@@ -299,6 +306,11 @@ def _joseph(P, H, R):
 
     The gain is K = (S^-1 H P)^T with S = H P H^T + R, from one solve; a
     Cholesky factorization of S only checks that it is positive definite.
+    S is factored twice because NumPy has no triangular solve: a gain taken
+    from the Cholesky factor through ``np.linalg.solve`` would cost two LU
+    factorizations and differ in its last bits from the one general solve.
+    I - KH is ``np.eye(n) - K @ H``, as the reference filter of the tests
+    writes it.
     """
     HP = H @ P
     S = HP @ H.T + R
@@ -309,8 +321,7 @@ def _joseph(P, H, R):
             f"innovation covariance is singular or indefinite: {exc}"
         ) from exc
     K = np.linalg.solve(S, HP).T
-    ikh = -(K @ H)
-    ikh.flat[:: len(ikh) + 1] += 1.0
+    ikh = np.eye(len(P)) - K @ H
     P_raw = ikh @ P @ ikh.T + K @ R @ K.T
     return K, P_raw, 0.5 * (P_raw + P_raw.T)
 
@@ -535,6 +546,8 @@ class SimulationDiagnostics:
         one (u, 20, n) block.
         """
         frames, self._frames = self._frames, []
+        if not frames:
+            return
         raw = [P_raw for frame in frames for P_raw in frame.raw]
         if raw:
             raw = np.stack(raw)
@@ -542,16 +555,16 @@ class SimulationDiagnostics:
             scale[scale == 0.0] = 1.0
             asym = np.abs(raw - raw.transpose(0, 2, 1)).max(axis=(1, 2)) / scale
             self.max_relative_asymmetry = float(np.maximum(self.max_relative_asymmetry, asym.max()))
-        if frames:
-            posteriors = np.stack([frame.P for frame in frames])
-            eigs = np.linalg.eigvalsh(posteriors)
-            ratio = eigs[:, 0] / np.maximum(eigs[:, -1], 1e-300)
-            # eigvalsh can return finite eigenvalues for a matrix holding a NaN
-            ratio[~np.isfinite(posteriors).all(axis=(1, 2))] = np.nan
-            self.min_eigenvalue_ratio = float(np.minimum(self.min_eigenvalue_ratio, ratio.min()))
-        updates = [(frame.P_prior, frame.P) for frame in frames if frame.P_prior is not None]
-        if updates:
-            priors, posteriors = map(np.stack, zip(*updates))
+        posteriors = np.stack([frame.P for frame in frames])
+        eigs = np.linalg.eigvalsh(posteriors)
+        ratio = eigs[:, 0] / np.maximum(eigs[:, -1], 1e-300)
+        # eigvalsh can return finite eigenvalues for a matrix holding a NaN
+        ratio[~np.isfinite(posteriors).all(axis=(1, 2))] = np.nan
+        self.min_eigenvalue_ratio = float(np.minimum(self.min_eigenvalue_ratio, ratio.min()))
+        updated = [i for i, frame in enumerate(frames) if frame.P_prior is not None]
+        if updated:
+            priors = np.stack([frames[i].P_prior for i in updated])
+            posteriors = posteriors[updated]
             w = rng.standard_normal((len(priors), 20, priors.shape[1]))
             before = ((w @ priors) * w).sum(axis=2)
             after = ((w @ posteriors) * w).sum(axis=2)
@@ -599,39 +612,43 @@ class CovarianceTrace:
 class _TraceRecorder:
     """Records the variances of ``count`` frames for one ``CovarianceTrace``.
 
-    A frame costs one strided read of the diagonal of its P and one gather of
-    the four entries P[a, b], a, b in {plus, minus}, of every standard
-    difference e_plus - e_minus (``model.standard_differences``); ``trace``
-    takes standard deviations once.
+    A frame costs one gather (``ndarray.take``) from its P into a column of
+    one (n + D, count) buffer: P's diagonal, then the entry P[plus, minus] of
+    each of the D standard differences e_plus - e_minus
+    (``model.standard_differences``).  Every P the filter loop yields is
+    exactly symmetric (a re-symmetrized matrix or the diagonal prior), so
+    P[minus, plus] is the same number.  ``trace`` turns those entries into
+    the differences' variances in place, ``_TRACE_BLOCK_FRAMES`` frames at a
+    time, and takes standard deviations once; each series is a row of the
+    buffer.
     """
 
     def __init__(self, feature_ids, count):
         n = VEHICLE_DIM + 3 * len(feature_ids)
-        labels, plus, minus = model.standard_differences(feature_ids)
-        rows, cols = np.stack([plus, minus, plus, minus]), np.stack([plus, plus, minus, minus])
-        self._pairs = np.ravel_multi_index((rows, cols), (n, n))
-        self._diagonal = slice(None, None, n + 1)  # of the flattened P
+        labels, self._plus, self._minus = model.standard_differences(feature_ids)
+        # flat indices into P: the diagonal, then P[plus, minus]
+        self._gather = np.concatenate([np.arange(n) * (n + 1), self._plus * n + self._minus])
         self._labels, self._derived_labels = model.state_labels(feature_ids), labels
         self.times = np.empty(count)
-        self.variances = np.empty((n, count))
-        self.derived = np.empty((len(plus), count))
+        self._values = np.empty((len(self._gather), count))
 
     def record(self, k: int, frame) -> None:
-        flat = frame.P.reshape(-1)
         self.times[k] = frame.t
-        self.variances[:, k] = flat[self._diagonal]
-        pp, mp, pm, mm = flat[self._pairs]
-        # (e_a - e_b) P (e_a - e_b), summed in the order w @ P @ w sums it
-        self.derived[:, k] = (pp - mp) - (pm - mm)
+        self._values[:, k] = frame.P.take(self._gather)
 
     def trace(self, diagnostics=None) -> CovarianceTrace:
+        n, values = len(self._labels), self._values
+        for first in range(0, values.shape[1], _TRACE_BLOCK_FRAMES):
+            block = values[:, first : first + _TRACE_BLOCK_FRAMES]
+            variances, cross = block[:n], block[n:]
+            # (P_pp - P_mp) - (P_pm - P_mm), the order w @ P @ w sums it in, with P_mp = P_pm
+            cross[:] = (variances[self._plus] - cross) - (cross - variances[self._minus])
         # variances to standard deviations, elementwise and in place, once per run
-        for variances in (self.variances, self.derived):
-            np.sqrt(np.clip(variances, 0.0, None, out=variances), out=variances)
+        np.sqrt(np.clip(values, 0.0, None, out=values), out=values)
         return CovarianceTrace(
             times=self.times,
-            std=dict(zip(self._labels, self.variances)),
-            derived_std=dict(zip(self._derived_labels, self.derived)),
+            std=dict(zip(self._labels, values[:n])),
+            derived_std=dict(zip(self._derived_labels, values[n:])),
             diagnostics=diagnostics,
         )
 
@@ -717,17 +734,30 @@ def _frame_geometry(scenario: SimScenario, trajectory, sensor, count):
             yield t, positions[i], pattern, feature_of[rows], bands[rows], noise[rows]
 
 
+@functools.lru_cache(maxsize=32)
+def _block_diagonal_indices(k):
+    """Flat indices of the k 3x3 diagonal blocks of a 3k x 3k matrix, in (k, 3, 3) order.
+
+    Built once per k and read-only, so no caller can change it.
+    """
+    corner = 3 * np.arange(k)[:, None, None]
+    axis = np.arange(3)
+    index = ((corner + axis[:, None]) * (3 * k) + corner + axis).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def _stacked_measurement(bands, noise):
     """Stacked H (3k x n) and block-diagonal R (3k x 3k) of k visible features.
 
     ``bands`` and ``noise`` are the features' (k, 3, n) bands of H and
     (k, 3, 3) noise blocks, from ``_frame_geometry``.  H is a view of the
-    bands, so it keeps its geometry block's bands alive.
+    bands, so it keeps its geometry block's bands alive; the noise blocks go
+    onto R's diagonal in one scatter (``_block_diagonal_indices``).
     """
     k, _, n = bands.shape
     R = np.zeros((3 * k, 3 * k))
-    for row, block in zip(range(0, 3 * k, 3), noise):
-        R[row : row + 3, row : row + 3] = block
+    R.put(_block_diagonal_indices(k), noise)
     return bands.reshape(3 * k, n), R
 
 
@@ -901,7 +931,9 @@ def state_comparison_run(
             x_hat = x_hat + frame.K @ (z - frame.H @ x_hat)
         recorder.record(k, frame)
         true[k] = frame.position
-        ins[k] = frame.position + x[0:3]
-        estimated[k] = frame.position + x[0:3] - x_hat[0:3]
+        # x and x_hat until the loop ends; then (position + x) - x_hat, in place
+        ins[k], estimated[k] = x[0:3], x_hat[0:3]
+    ins += true
+    np.subtract(ins, estimated, out=estimated)
     trace = recorder.trace()
     return StateRun(trace.times, true, ins, estimated, trace)

@@ -561,21 +561,43 @@ class TestOnePass:
         assert got.diagnostics is None
 
     def test_recorder_matches_each_frames_covariance(self):
-        """Every std is sqrt(max(P_ii, 0)) and every difference's is sqrt(max(w P w, 0))."""
-        doc = load_scenario(CASE2_FLIGHT)
-        scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
-        trace = simulate(scenario, trajectory, sensor, duration=20.0)
-        count = simulation._frame_count(scenario, trajectory, sensor, 20.0)
-        covariances = [f.P for f in simulation._filter_frames(scenario, trajectory, sensor, count)]
-        labels, weights = analysis.standard_weights(scenario.feature_ids)
-        n = len(trace.std)
-        assert count == len(covariances) == trace.times.size == 501
-        assert list(trace.std) == labels[:n] and list(trace.derived_std) == labels[n:]
-        std = [[np.sqrt(max(P[i, i], 0.0)) for P in covariances] for i in range(n)]
-        derived = [[np.sqrt(max(w @ P @ w, 0.0)) for P in covariances] for w in weights[n:]]
-        np.testing.assert_array_equal(np.array(list(trace.std.values())), std)
-        np.testing.assert_array_equal(np.array(list(trace.derived_std.values())), derived)
+        """Every std is sqrt(max(P_ii, 0)) and every difference's is sqrt(max(w P w, 0)).
 
+        On 20 s of case2_flight and of fov_flight, whose five features enter
+        the gate mid-run.
+        """
+        for path in (CASE2_FLIGHT, FOV_FLIGHT):
+            doc = load_scenario(path)
+            scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
+            trace = simulate(scenario, trajectory, sensor, duration=20.0)
+            count = simulation._frame_count(scenario, trajectory, sensor, 20.0)
+            frames = simulation._filter_frames(scenario, trajectory, sensor, count)
+            covariances = [f.P for f in frames]
+            labels, weights = analysis.standard_weights(scenario.feature_ids)
+            n = len(trace.std)
+            assert count == len(covariances) == trace.times.size == 501
+            assert list(trace.std) == labels[:n] and list(trace.derived_std) == labels[n:]
+            std = [[np.sqrt(max(P[i, i], 0.0)) for P in covariances] for i in range(n)]
+            derived = [[np.sqrt(max(w @ P @ w, 0.0)) for P in covariances] for w in weights[n:]]
+            np.testing.assert_array_equal(np.array(list(trace.std.values())), std)
+            np.testing.assert_array_equal(np.array(list(trace.derived_std.values())), derived)
+
+
+    @pytest.mark.parametrize("path", [CASE2_FLIGHT, FOV_FLIGHT], ids=["case2", "fov"])
+    def test_every_frame_covariance_is_exactly_symmetric(self, path):
+        """Every P equals its transpose bit for bit, as the recorder relies on.
+
+        Both flights update at every frame, so the propagated covariances are
+        the update priors.
+        """
+        doc = load_scenario(path)
+        scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
+        count = simulation._frame_count(scenario, trajectory, sensor, None)
+        assert count == {CASE2_FLIGHT: 2501, FOV_FLIGHT: 501}[path]
+        for frame in simulation._filter_frames(scenario, trajectory, sensor, count):
+            for P in (frame.P_prior, frame.P):
+                bits = P.view(np.uint64)
+                np.testing.assert_array_equal(bits, bits.T, err_msg=f"t = {frame.t}")
 
 class TestCrossModuleConsistency:
     """Rank-based verdicts must show up in the covariance behaviour."""
@@ -766,14 +788,17 @@ class TestBatchedGeometry:
     def test_stacked_measurement_matches_looped_build(self, flight):
         """H sliced from the per-block bands and R equal the layout built feature by feature."""
         if flight == "scheduled":
-            # k = 1..4 visible features, never the first k of the seven
-            detected = np.zeros((7, 4), dtype=bool)
-            for segment, columns in enumerate([[3], [0, 5], [1, 4, 6], [0, 2, 5, 6]]):
+            # k = 1..6 visible features, never the first k of the seven
+            visible = [[3], [0, 5], [1, 4, 6], [0, 2, 5, 6], [1, 2, 3, 4, 6], [0, 1, 2, 4, 5, 6]]
+            detected = np.zeros((7, len(visible)), dtype=bool)
+            for segment, columns in enumerate(visible):
                 detected[columns, segment] = True
             features = {f"m{c}": [10.0 * c - 30.0, 5.0 * (c % 3) - 5.0, 0.0] for c in range(7)}
             scenario = SimScenario(features, DetectionSchedule(detected, tuple(features)))
             trajectory = TrajectoryConfig(
-                p0=[0.0, 0.0, 100.0], v0=[5.0, 0.0, 0.0], segments=[(0.2, [0.0, 0.0, G])] * 4
+                p0=[0.0, 0.0, 100.0],
+                v0=[5.0, 0.0, 0.0],
+                segments=[(0.2, [0.0, 0.0, G])] * len(visible),
             )
         else:
             features, trajectory = _gated_flight()
@@ -793,7 +818,7 @@ class TestBatchedGeometry:
             np.testing.assert_array_equal(H, want_H)
             np.testing.assert_array_equal(R, want_R)
         if flight == "scheduled":
-            assert set(sizes) == {1, 2, 3, 4}
+            assert set(sizes) == {1, 2, 3, 4, 5, 6}
         else:
             # the visible counts differ between the two geometry blocks
             block = simulation.GEOMETRY_BLOCK_FRAMES
