@@ -5,9 +5,9 @@ matrix of a scenario, computes its numerical rank and unobservable subspace,
 and classifies a family of candidate linear functionals as observable or
 not.  Candidates are classified by row-space membership: a functional is
 observable exactly when its projection onto the unobservable subspace is
-negligible.  A report projects all of its candidates in one matrix product,
-as the rows of a weight matrix: one unit row per state axis, then the
-relative modes of ``model.standard_differences``, then the extra candidates.
+negligible.  A report reads each standard candidate off the null basis N:
+e_i projects to ``‖N[i]‖`` and a difference e_plus - e_minus to
+``‖N[plus] - N[minus]‖ / √2``; only extra candidates take a matrix product.
 A report is asked for with ``analyze_total`` or ``analyze_local`` of a
 ``Scenario``; ``case_scenario`` builds the four benchmark patterns.
 
@@ -71,9 +71,9 @@ class AnalysisOptions:
     the total observability matrix ("exact" or "first_order"); rank_tol is
     the relative singular-value threshold; extra_candidates additional
     functionals (weights over the full augmented state) classified alongside
-    the standard set.  A report classifies only the extra candidates sized
-    for its own system, so a local report skips full-state extras unless its
-    segment sees every feature.
+    the standard set.  ``analyze_total`` raises ValueError for an extra not
+    sized for the full state; a local report skips any extra not sized for
+    its own system, so all of them unless its segment sees every feature.
     """
 
     expansion_mode: str = "exact"
@@ -148,56 +148,49 @@ def _mode_base(label: str) -> str:
 def _check_extra_label(label: str, standard_labels, earlier_labels: set) -> None:
     """Raise ValueError if ``label`` is in ``earlier_labels`` or falls in a standard mode.
 
-    Callers add each checked label to the set of earlier ones.  Standard labels
-    come in axis triples, so a mode is standard when its first-axis label is.
+    A label that passes joins ``earlier_labels``.  Standard labels come in
+    axis triples, so a mode is standard when its first-axis label is.
     """
     base = _mode_base(label)
     if f"{base}_{AXES[0]}" in standard_labels:
         raise ValueError(f"candidate label {label!r} falls in the standard mode {base!r}")
     if label in earlier_labels:
         raise ValueError(f"candidate label {label!r} is repeated")
+    earlier_labels.add(label)
 
 
-def standard_weights(feature_ids):
-    """Labels and (count, n) weight matrix of the standard candidate functionals.
+def standard_candidates(feature_ids) -> list:
+    """The standard candidate functionals of the augmented state of ``feature_ids``.
 
-    Rows are one unit functional per state axis (``model.state_labels``),
-    then the position-minus-feature and feature-minus-feature differences
+    One unit functional per state axis (``model.state_labels``), then the
+    position-minus-feature and feature-minus-feature differences
     e_plus - e_minus of ``model.standard_differences``, in that order.
     """
     labels = model.state_labels(feature_ids)
     differences, plus, minus = model.standard_differences(feature_ids)
-    n = len(labels)
-    weights = np.zeros((n + len(differences), n))
-    weights[:n] = np.eye(n)
-    rows = np.arange(n, len(weights))
-    weights[rows, plus] = 1.0
-    weights[rows, minus] = -1.0
-    return labels + differences, weights
-
-
-def standard_candidates(feature_ids) -> list:
-    """The standard candidate functionals of ``standard_weights`` as objects."""
-    labels, weights = standard_weights(feature_ids)
-    return [CandidateFunctional(label, w) for label, w in zip(labels, weights)]
+    eye = np.eye(len(labels))
+    weights = np.vstack([eye, eye[plus] - eye[minus]])
+    return [CandidateFunctional(label, w) for label, w in zip(labels + differences, weights)]
 
 
 def _build_report(stripes, feature_ids, scope, segment_index, options):
     matrix = tom(stripes, MAX_POWER, options.expansion_mode)
     basis = null_space(matrix, options.rank_tol)
     n, nullity = basis.shape
-    labels, weights = standard_weights(feature_ids)
+    differences, plus, minus = model.standard_differences(feature_ids)
+    labels = model.state_labels(feature_ids) + differences
     extra = [cand for cand in options.extra_candidates if cand.weights.shape[0] == n]
-    if extra:
-        earlier = set()
-        for cand in extra:
-            _check_extra_label(cand.label, labels, earlier)
-            earlier.add(cand.label)
-        labels += [cand.label for cand in extra]
-        weights = np.vstack([weights] + [cand.weights for cand in extra])
+    earlier = set()
+    for cand in extra:
+        _check_extra_label(cand.label, labels, earlier)
+    projections = np.concatenate([
+        np.linalg.norm(basis, axis=1),
+        np.linalg.norm(basis[plus] - basis[minus], axis=1) / np.sqrt(2.0),
+        null_projections(basis, np.reshape([cand.weights for cand in extra], (-1, n))),
+    ])
     results = [
         FunctionalVerdict(label, rel <= options.rank_tol, rel)
-        for label, rel in zip(labels, null_projections(basis, weights).tolist())
+        for label, rel in zip(labels + [cand.label for cand in extra], projections.tolist())
     ]
     return ObservabilityReport(
         scope=scope,
@@ -246,6 +239,10 @@ def analyze_total(
     transition expansion, and classifies the standard candidate functionals.
     """
     options = options or AnalysisOptions()
+    n = 3 * len(model.state_blocks(scenario.feature_ids))
+    for cand in options.extra_candidates:
+        if cand.weights.size != n:
+            raise ValueError(f"candidate {cand.label!r} has {cand.weights.size} weights, not {n}")
     return _build_report(augment(scenario), scenario.feature_ids, "total", None, options)
 
 

@@ -218,12 +218,13 @@ def null_space(M, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 def null_projections(N: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Norm of each row of W projected onto the span of N's columns, over the row's norm.
 
-    N is the orthonormal kernel basis of a matrix M (``null_space``); a row
-    w lies in the row space of M exactly when its value is negligible.  A
-    zero row gives 0: it lies in every row space.
+    N is the orthonormal kernel basis of a matrix M (``null_space``).  Its
+    columns are orthonormal, so the projection w N Nᵀ has norm ‖w N‖, which
+    is what is computed.  A row w lies in the row space of M exactly when
+    its value is negligible; a zero row gives 0, as it lies in every one.
     """
     norms = np.linalg.norm(W, axis=1)
-    projected = np.linalg.norm((W @ N) @ N.T, axis=1)
+    projected = np.linalg.norm(W @ N, axis=1)
     return np.divide(projected, norms, out=np.zeros_like(projected), where=norms > 0)
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
-from .analysis import AnalysisOptions, CandidateFunctional, _check_extra_label, standard_weights
+from . import model
+from .analysis import AnalysisOptions, CandidateFunctional, _check_extra_label
 from .model import DetectionSchedule, Scenario, SegmentSpec, state_blocks
 from .pwcs import DEFAULT_RANK_TOL
 from .simulation import (
@@ -341,9 +342,10 @@ def _build_doc(raw: dict) -> ScenarioDoc:
     if not isinstance(candidates_raw, list):
         raise ScenarioError("candidates", "must be a list")
     extra = []
-    blocks = state_blocks(schedule.feature_ids)
+    ids = schedule.feature_ids
+    blocks = state_blocks(ids)
     block_offsets = {block: 3 * k for k, block in enumerate(blocks)}
-    standard = standard_weights(schedule.feature_ids)[0] if candidates_raw else []
+    standard = model.state_labels(ids) + model.standard_differences(ids)[0] if candidates_raw else []
     earlier = set()
     for k, cand in enumerate(candidates_raw):
         cand_path = f"candidates[{k}]"
@@ -353,7 +355,6 @@ def _build_doc(raw: dict) -> ScenarioDoc:
             raise ScenarioError(f"{cand_path}.label", "must be a string")
         with _located(f"{cand_path}.label"):
             _check_extra_label(label, standard, earlier)
-        earlier.add(label)
         weights_raw = _mapping(_require(cand, "weights", cand_path), f"{cand_path}.weights")
         w = np.zeros(3 * len(blocks))
         for block, vec in weights_raw.items():

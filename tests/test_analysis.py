@@ -1,6 +1,7 @@
 """Observability reports: ranks, null spaces, mode classification."""
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from slamobs.analysis import (
     analyze_total,
     case_scenario,
     standard_candidates,
-    standard_weights,
 )
 from slamobs.model import DetectionSchedule, Scenario, SegmentSpec, augment, standard_differences
 from slamobs.pwcs import is_functional_observable, lom, tom
@@ -159,7 +159,7 @@ class TestAnalyzeTotal:
             extra_candidates=(CandidateFunctional(label="baseline_N", weights=w),)
         )
         report = analyze_total(case_scenario(2), options)
-        labels, _ = standard_weights(case_scenario(2).schedule.feature_ids)
+        labels = [c.label for c in standard_candidates(case_scenario(2).schedule.feature_ids)]
         assert [v.label for v in report.mode_results] == labels + ["baseline_N"]
         modes = ["dv", "psi", "dp-dm_f1", "dp-dm_f2", "dm_f1-dm_f2", "baseline"]
         assert report.observable_modes() == modes
@@ -174,6 +174,31 @@ class TestAnalyzeTotal:
         assert report.rank == 13
         with pytest.raises(KeyError):
             report.verdict("rigid_N")
+
+    def test_mis_sized_extra_candidate_raises(self):
+        """A total report names an extra not sized for its state; a local report skips it."""
+        extra = (CandidateFunctional("typo", np.ones(14)),)
+        with pytest.raises(ValueError, match="candidate 'typo' has 14 weights, not 15"):
+            analyze_total(case_scenario(2), AnalysisOptions(extra_candidates=extra))
+        local = analyze_local(case_scenario(2), 0, AnalysisOptions(extra_candidates=extra))
+        assert local.matrix_cols == 12
+        assert "typo" not in [v.label for v in local.mode_results]
+
+    def test_large_report_builds_no_dense_weight_matrix(self):
+        """An L = 100, two-segment total report peaks under 40 MB of traced memory.
+
+        Its 15,459 standard candidates would take 38 MB as one dense weight
+        matrix, and the report reads them off the null basis instead.
+        """
+        scenario = random_scenario(np.random.default_rng(71), n_features=100, n_segments=2)
+        tracemalloc.start()
+        try:
+            report = analyze_total(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.matrix_cols, len(report.mode_results)) == (309, 15459)
+        assert peak < 40e6
 
     def test_first_order_matches_exact_rank_on_cases(self):
         for case_id in (1, 2, 3, 4):
@@ -227,39 +252,50 @@ class TestStandardCandidates:
             assert set(np.unique(cand.weights)) <= {-1.0, 0.0, 1.0}
 
 
+def _stacked(candidates):
+    """(labels, weights) of a list of candidate functionals."""
+    return [c.label for c in candidates], np.array([c.weights for c in candidates])
+
+
 class TestStandardWeights:
+    """The rows of ``standard_candidates`` against the one-vector-at-a-time reference."""
+
     @pytest.mark.parametrize(
         "features",
         [(), ("1",), ("1", "2"), ("1", "2", "3", "4", "5"), ("a", "b", "c")],
         ids=["0", "1", "2", "5", "features4"],
     )
     def test_matches_loop_reference(self, features):
-        labels, weights = standard_weights(features)
+        labels, weights = _stacked(standard_candidates(features))
         want_labels, want_weights = o_standard_candidates(features)
         assert labels == want_labels
-        np.testing.assert_array_equal(weights, np.array(want_weights))
+        assert weights.tobytes() == np.array(want_weights).tobytes()
 
     def test_shared_layout_is_read_only(self):
         """The difference layout is built once per feature count; callers cannot change it."""
-        labels, weights = standard_weights(("a", "b"))
+        candidates = standard_candidates(("a", "b"))
         differences, plus, minus = standard_differences(("a", "b"))
         for array in (plus, minus):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
-        labels.append("x")
         differences.append("x")
-        weights[0] = 7.0
+        candidates[0].label = "x"
+        candidates[0].weights[0] = 7.0
+        candidates[-1].weights[:] = 7.0
         want_labels, want_weights = o_standard_candidates(("a", "b"))
-        again_labels, again = standard_weights(("a", "b"))
+        again_labels, again = _stacked(standard_candidates(("a", "b")))
         assert again_labels == want_labels
         np.testing.assert_array_equal(again, np.array(want_weights))
         assert standard_differences(("a", "b"))[0] == want_labels[15:]
 
     def test_candidates_wrap_the_rows(self):
-        labels, weights = standard_weights(("a", "b"))
-        candidates = standard_candidates(("a", "b"))
-        assert [c.label for c in candidates] == labels
-        np.testing.assert_array_equal([c.weights for c in candidates], weights)
+        """A report's standard verdicts are those of the candidates' rows, label for label."""
+        scenario = case_scenario(2)
+        report = analyze_total(scenario)
+        labels, weights = _stacked(standard_candidates(scenario.schedule.feature_ids))
+        assert [v.label for v in report.mode_results] == labels
+        want = pwcs.null_projections(report.null_basis, weights)
+        assert [v.null_projection for v in report.mode_results] == want.tolist()
 
 
 def _total_matrix(scenario, options):
@@ -297,6 +333,40 @@ class TestBatchedClassification:
             for verdict, w in zip(report.mode_results, weights):
                 want = np.linalg.norm(N @ (N.T @ w)) / np.linalg.norm(w)
                 assert abs(verdict.null_projection - want) <= 1e-15
+
+
+    def test_standard_projections_read_off_the_basis_bit_for_bit(self):
+        """Each standard null projection has the bits of the product with its dense row.
+
+        A report reads a unit functional off one row of N and a difference off
+        one subtraction of two rows; the product with the dense row adds only
+        exact zeros to those, in any summation order.  Total and local reports
+        in both expansions, each with one extra candidate, including local
+        reports of segments that detect no feature.
+        """
+        rng = np.random.default_rng(67)
+        featureless = 0
+        for _ in range(25):
+            scenario = random_scenario(rng)
+            systems = [(None, scenario.schedule.feature_ids)] + [
+                (i, [fid for _, fid in scenario.schedule.features_in_segment(i)])
+                for i in range(scenario.n_segments)
+            ]
+            for mode in ("exact", "first_order"):
+                for segment, ids in systems:
+                    extra = (CandidateFunctional("x", rng.normal(size=9 + 3 * len(ids))),)
+                    options = AnalysisOptions(expansion_mode=mode, extra_candidates=extra)
+                    if segment is None:
+                        report = analyze_total(scenario, options)
+                    else:
+                        report = analyze_local(scenario, segment, options)
+                    labels, weights = o_standard_candidates(ids)
+                    assert [v.label for v in report.mode_results] == labels + ["x"]
+                    got = np.array([v.null_projection for v in report.mode_results[:-1]])
+                    want = pwcs.null_projections(report.null_basis, np.array(weights))
+                    assert got.tobytes() == want.tobytes()
+                    featureless += not ids
+        assert featureless > 0
 
 
 class TestProperties:

@@ -573,7 +573,9 @@ class TestOnePass:
             count = simulation._frame_count(scenario, trajectory, sensor, 20.0)
             frames = simulation._filter_frames(scenario, trajectory, sensor, count)
             covariances = [f.P for f in frames]
-            labels, weights = analysis.standard_weights(scenario.feature_ids)
+            candidates = analysis.standard_candidates(scenario.feature_ids)
+            labels = [c.label for c in candidates]
+            weights = [c.weights for c in candidates]
             n = len(trace.std)
             assert count == len(covariances) == trace.times.size == 501
             assert list(trace.std) == labels[:n] and list(trace.derived_std) == labels[n:]
