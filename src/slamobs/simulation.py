@@ -15,14 +15,16 @@ block stays at its prior until the feature is first measured.
 
 There is one filter loop, ``_filter_frames``, built on one Joseph-form update
 (``_joseph``, which takes the gain from one solve against the innovation
-covariance after a Cholesky check that it is positive definite) and one
-propagation (``_propagated``) per vision frame.  The IMU-step transition
-matrix is computed once per trajectory segment, in closed form because the
-inertial error dynamics are nilpotent.  A frame's IMU steps are composed into
-one transition Phi_f and one process noise Q_f (the per-step recursion
-Q <- Phi Q Phi^T + q dt run from zero, which keeps the first-order noise of
-every step), cached per distinct tuple of step segments, so a frame that
-straddles a segment boundary gets its own pair.  Each frame yields what it
+covariance S) and one propagation (``_propagated``) per vision frame.  The
+loop checks that every S is positive definite in blocks of
+``_DIAGNOSTIC_BLOCK_FRAMES`` frames, one Cholesky over the stacked S of each
+shape (``_check_innovations``), so a non-PD S still fails the run.  The
+IMU-step transition matrix is computed once per trajectory segment, in closed
+form because the inertial error dynamics are nilpotent.  A frame's IMU steps
+are composed into one transition Phi_f and one process noise Q_f (the
+per-step recursion Q <- Phi Q Phi^T + q dt run from zero, which keeps the
+first-order noise of every step), cached per distinct tuple of step
+segments, so a frame that straddles a segment boundary gets its own pair.  Each frame yields what it
 applied (step transitions, Phi_f, and H, R and the gain K at an update) and
 the raw covariances it re-symmetrized.  ``simulate`` and
 ``state_comparison_run`` each run the loop once and record its variances
@@ -32,7 +34,10 @@ enumerates for the analysis too (every P the loop yields is exactly
 symmetric), with the modes' variances and all standard deviations formed
 once per run; ``state_comparison_run`` also replays the frames on a state
 sampled outside the loop, so one pass gives both the trace and the state
-run.  With ``collect_diagnostics``, ``simulate`` also hands every frame to
+run.  The replay (``_replay``) runs over blocks of the same length, with one
+noise draw per block and one Cholesky of the stacked R of each shape, and
+draws and factors the same numbers as a replay frame by frame.  With
+``collect_diagnostics``, ``simulate`` also hands every frame to
 ``SimulationDiagnostics``, which checks symmetry, the eigenvalue ratio and
 update growth on the frames alone, one block of ``_DIAGNOSTIC_BLOCK_FRAMES``
 frames at a time.
@@ -99,6 +104,9 @@ _TRACE_BLOCK_FRAMES = 50
 #: Frames whose health checks ``SimulationDiagnostics`` runs in one batch.  A
 #: block holds every raw, prior and posterior covariance of its frames (about
 #: four n x n matrices a frame), so it is kept short to bound peak memory.
+#: The filter loop checks its innovation covariances and the state run
+#: replays its frames in blocks of the same length, so no block reaches past
+#: the loop's last check.
 _DIAGNOSTIC_BLOCK_FRAMES = 50
 
 
@@ -301,29 +309,70 @@ def _propagated(P, phi, q_dt):
     return P_raw, 0.5 * (P_raw + P_raw.T)
 
 
-def _joseph(P, H, R):
-    """Array-level Joseph-form update; returns (gain, raw P, re-symmetrized P).
+@functools.lru_cache(maxsize=32)
+def _identity(n):
+    """Read-only n x n identity, built once per n, so no caller can change it."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
-    The gain is K = (S^-1 H P)^T with S = H P H^T + R, from one solve; a
-    Cholesky factorization of S only checks that it is positive definite.
-    S is factored twice because NumPy has no triangular solve: a gain taken
-    from the Cholesky factor through ``np.linalg.solve`` would cost two LU
+
+_INDEFINITE = "innovation covariance is singular or indefinite: {}"
+
+
+def _joseph(P, H, R):
+    """Array-level Joseph-form update; returns (gain, raw P, re-symmetrized P, S).
+
+    The gain is K = (S^-1 H P)^T with S = H P H^T + R, from one solve, which
+    raises LinAlgError on an exactly singular S.  S comes back unchecked: the
+    filter loop checks it for positive definiteness later, one Cholesky per
+    stack of innovation covariances (``_check_innovations``).  S is still
+    factored twice because NumPy has no triangular solve: a gain taken from
+    the Cholesky factor through ``np.linalg.solve`` would cost two LU
     factorizations and differ in its last bits from the one general solve.
-    I - KH is ``np.eye(n) - K @ H``, as the reference filter of the tests
-    writes it.
+    I - KH is ``I - K @ H`` with a cached identity (``_identity``), as the
+    reference filter of the tests writes it with ``np.eye(n)``.
     """
     HP = H @ P
     S = HP @ H.T + R
     try:
-        np.linalg.cholesky(S)
+        K = np.linalg.solve(S, HP).T
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"innovation covariance is singular or indefinite: {exc}"
-        ) from exc
-    K = np.linalg.solve(S, HP).T
-    ikh = np.eye(len(P)) - K @ H
+        raise np.linalg.LinAlgError(_INDEFINITE.format(exc)) from exc
+    ikh = _identity(len(P)) - K @ H
     P_raw = ikh @ P @ ikh.T + K @ R @ K.T
-    return K, P_raw, 0.5 * (P_raw + P_raw.T)
+    return K, P_raw, 0.5 * (P_raw + P_raw.T), S
+
+
+def _cholesky_by_shape(matrices):
+    """Cholesky factors of ``matrices``, one ``np.linalg.cholesky`` call per shape.
+
+    Returns (positions, factors) per shape: where that shape's matrices sit
+    in ``matrices`` and their stacked factors, which equal the per-matrix
+    calls bit for bit.  Raises LinAlgError, as the call does, when any matrix
+    is not positive definite.
+    """
+    groups = {}
+    for i, A in enumerate(matrices):
+        groups.setdefault(A.shape, []).append(i)
+    return [
+        (rows, np.linalg.cholesky(np.stack([matrices[i] for i in rows])))
+        for rows in groups.values()
+    ]
+
+
+def _check_innovations(innovations) -> None:
+    """Check that every innovation covariance in ``innovations`` is positive definite.
+
+    The same LAPACK test, matrix by matrix, as a Cholesky call per matrix,
+    in one call per shape.  Raises LinAlgError with ``_joseph``'s message when
+    any matrix fails; clears the list.
+    """
+    try:
+        _cholesky_by_shape(innovations)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(_INDEFINITE.format(exc)) from exc
+    innovations.clear()
 
 
 def _frame_transition(phis, q_dt):
@@ -816,6 +865,14 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
     features and their bands and noise come from ``_frame_geometry``.  A frame
     yields what it applied (step transitions and Phi_f; H, R and the gain K)
     and the raw covariances it re-symmetrized, and carries no sampled state.
+
+    Every update's innovation covariance S is checked for positive
+    definiteness (``_check_innovations``) in blocks: before the last frame of
+    each ``_DIAGNOSTIC_BLOCK_FRAMES`` frames is yielded, and after the last
+    frame of the run.  A failing block raises LinAlgError, so a caller that
+    handles the frames in blocks of the same length (the diagnostics, the
+    state run's replay) never computes on a frame past a failing check, and
+    one that consumes every frame raises before it returns.
     """
     n = VEHICLE_DIM + 3 * len(scenario.feature_ids)
     imu_dt = _frame_clock(sensor)[3]
@@ -827,6 +884,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
     transitions = {}  # step segments -> (step transitions, Phi_f, Q_f)
     P = np.diag(scenario._prior_variances())
     steps, phi_f = (), None
+    innovations = []  # S of each update since the last check
 
     frames = _frame_geometry(scenario, trajectory, sensor, count)
     for frame, (t, pos, pattern, visible, bands, noise) in enumerate(frames):
@@ -842,9 +900,13 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
         if visible:
             H, R = _stacked_measurement(bands, noise)
             P_prior = P
-            K, P_raw, P = _joseph(P, H, R)
+            K, P_raw, P, S = _joseph(P, H, R)
+            innovations.append(S)
             raw += (P_raw,)
+        if (frame + 1) % _DIAGNOSTIC_BLOCK_FRAMES == 0:
+            _check_innovations(innovations)
         yield _Frame(t, pos, steps, phi_f, P, P_prior, H, R, K, raw)
+    _check_innovations(innovations)
 
 
 def simulate(
@@ -895,6 +957,47 @@ class StateRun:
     trace: CovarianceTrace
 
 
+def _replay(block, x, x_hat, rng, noise_std, sqrt_dt, ins, estimated):
+    """Replay a block of frames on the sampled error state x and its estimate x_hat.
+
+    ``block`` holds each frame's (steps, phi, H, R, K).  The block's normals
+    come from one ``rng.standard_normal`` call, in the order a frame-by-frame
+    replay draws them: len(steps) x n process-noise draws for a propagated
+    frame, then 3k measurement-noise draws for an update.  Each update's
+    measurement noise chol(R) v is formed before the recursion, with one
+    Cholesky and one product over the stacked R of each shape; both equal
+    the per-frame calls bit for bit.  Writes each frame's x[0:3] and
+    x_hat[0:3] into its row of ``ins`` and ``estimated`` and returns the last
+    (x, x_hat).
+    """
+    n = len(x)
+    sizes = [(len(steps) * n, 0 if R is None else len(R)) for steps, _, _, R, _ in block]
+    is_process = np.repeat(np.tile([True, False], len(block)), np.ravel(sizes))
+    draws = rng.standard_normal(is_process.size)
+    process = draws[is_process].reshape(-1, n) * noise_std * sqrt_dt
+    # each frame's measurement draws, empty without an update
+    measured = np.split(draws[~is_process], np.cumsum([size for _, size in sizes])[:-1])
+    updated = [i for i, (_, size) in enumerate(sizes) if size]
+    noise = [None] * len(block)
+    for rows, L in _cholesky_by_shape([block[i][3] for i in updated]):
+        frames = [updated[r] for r in rows]
+        v = np.stack([measured[i] for i in frames])
+        for i, row in zip(frames, (L @ v[:, :, None])[:, :, 0]):
+            noise[i] = row
+    first = 0
+    for i, (steps, phi, H, _, K) in enumerate(block):
+        if phi is not None:
+            for step, w in zip(steps, process[first : first + len(steps)]):
+                x = step @ x + w
+            first += len(steps)
+            x_hat = phi @ x_hat
+        if H is not None:
+            z = H @ x + noise[i]
+            x_hat = x_hat + K @ (z - H @ x_hat)
+        ins[i], estimated[i] = x[0:3], x_hat[0:3]
+    return x, x_hat
+
+
 def state_comparison_run(
     scenario: SimScenario,
     trajectory: TrajectoryConfig,
@@ -911,6 +1014,10 @@ def state_comparison_run(
     Phi_f and gain K.  Reports true, inertial-only and corrected positions,
     and the covariance trace of the same pass (``StateRun.trace``), so one
     run of the loop serves both; fully deterministic for a given seed.
+    Each frame is recorded as the loop yields it; the replay (``_replay``)
+    then runs over blocks of ``_DIAGNOSTIC_BLOCK_FRAMES`` frames, keeping
+    only what it reads of each, and draws the same numbers as a replay frame
+    by frame.
     """
     count = _frame_count(scenario, trajectory, sensor, duration)
     n = VEHICLE_DIM + 3 * len(scenario.feature_ids)
@@ -920,19 +1027,21 @@ def state_comparison_run(
     sqrt_dt = np.sqrt(_frame_clock(sensor)[3])
     recorder = _TraceRecorder(scenario.feature_ids, count)
     true, ins, estimated = np.empty((3, count, 3))
+    block = []
     for k, frame in enumerate(_filter_frames(scenario, trajectory, sensor, count)):
-        if frame.phi is not None:
-            draws = rng.standard_normal((len(frame.steps), n)) * noise_std * sqrt_dt
-            for phi, w in zip(frame.steps, draws):
-                x = phi @ x + w
-            x_hat = frame.phi @ x_hat
-        if frame.H is not None:
-            z = frame.H @ x + np.linalg.cholesky(frame.R) @ rng.standard_normal(frame.H.shape[0])
-            x_hat = x_hat + frame.K @ (z - frame.H @ x_hat)
         recorder.record(k, frame)
         true[k] = frame.position
-        # x and x_hat until the loop ends; then (position + x) - x_hat, in place
-        ins[k], estimated[k] = x[0:3], x_hat[0:3]
+        block.append((frame.steps, frame.phi, frame.H, frame.R, frame.K))
+        if len(block) == _DIAGNOSTIC_BLOCK_FRAMES:
+            rows = slice(k + 1 - len(block), k + 1)
+            x, x_hat = _replay(
+                block, x, x_hat, rng, noise_std, sqrt_dt, ins[rows], estimated[rows]
+            )
+            block = []
+    if block:  # the last, shorter block, once the loop's last check has passed
+        rows = slice(count - len(block), count)
+        _replay(block, x, x_hat, rng, noise_std, sqrt_dt, ins[rows], estimated[rows])
+    # x and x_hat until the replay ends; then (position + x) - x_hat, in place
     ins += true
     np.subtract(ins, estimated, out=estimated)
     trace = recorder.trace()

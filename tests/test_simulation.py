@@ -271,6 +271,17 @@ class TestUpdate:
         with pytest.raises(np.linalg.LinAlgError):
             _update(np.zeros((9, 9)), H, np.array([[0.0]]))
 
+    def test_cached_identity_rejects_writes(self):
+        """I - KH takes one read-only identity per n, equal to ``np.eye(n)``."""
+        eye = simulation._identity(12)
+        assert simulation._identity(12) is eye
+        np.testing.assert_array_equal(eye, np.eye(12))
+        with pytest.raises(ValueError, match="read-only"):
+            eye[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            eye += 1.0
+        np.testing.assert_array_equal(simulation._identity(12), np.eye(12))
+
 
 class TestInitializeFeature:
     def test_default_prior_block(self):
@@ -662,6 +673,164 @@ class TestStateComparisonRun:
         np.testing.assert_array_equal(a.estimated_positions, b.estimated_positions)
         c = state_comparison_run(seed=6, duration=10.0, **kwargs)
         assert not np.array_equal(a.estimated_positions, c.estimated_positions)
+
+
+def _frame_by_frame_state_run(scenario, trajectory, sensor, seed, duration=None):
+    """(true, ins, estimated) positions of a state run replayed one frame at a time.
+
+    The reference for ``state_comparison_run``'s block replay: each frame
+    draws its process noise and then its measurement noise as the loop
+    yields it, and factors its own R with ``np.linalg.cholesky(frame.R)``.
+    """
+    count = simulation._frame_count(scenario, trajectory, sensor, duration)
+    n = 9 + 3 * len(scenario.feature_ids)
+    rng = np.random.default_rng(seed)
+    x, x_hat = rng.standard_normal(n) * np.sqrt(scenario._prior_variances()), np.zeros(n)
+    noise_std = np.sqrt(np.diag(process_noise_intensity(sensor, n)))
+    sqrt_dt = np.sqrt(simulation._frame_clock(sensor)[3])
+    true, ins, estimated = [], [], []
+    for frame in simulation._filter_frames(scenario, trajectory, sensor, count):
+        if frame.phi is not None:
+            draws = rng.standard_normal((len(frame.steps), n)) * noise_std * sqrt_dt
+            for phi, w in zip(frame.steps, draws):
+                x = phi @ x + w
+            x_hat = frame.phi @ x_hat
+        if frame.H is not None:
+            z = frame.H @ x + np.linalg.cholesky(frame.R) @ rng.standard_normal(frame.H.shape[0])
+            x_hat = x_hat + frame.K @ (z - frame.H @ x_hat)
+        true.append(frame.position)
+        ins.append(frame.position + x[0:3])
+        estimated.append(frame.position + x[0:3] - x_hat[0:3])
+    return [np.array(rows).reshape(-1, 3) for rows in (true, ins, estimated)]
+
+
+def _gap_flight():
+    """``_gated_flight``'s trajectory, its cone holding two features, then one, none and two."""
+    _, trajectory = _gated_flight()
+    features = {
+        "m1": [-15.0, 3.0, 0.0],
+        "m2": [10.0, -8.0, 0.0],
+        "m3": [70.0, 5.0, 0.0],
+        "m4": [75.0, -10.0, 0.0],
+    }
+    return SimScenario(feature_positions=features), trajectory
+
+
+class TestBlockedLapackCalls:
+    """The innovation checks and the state run's noise factors, one LAPACK call per block."""
+
+    @pytest.mark.parametrize(
+        "flight, duration, frames",
+        [("case2", 3.3, 83), ("case2", 0.0, 0), ("case2", 0.01, 1), ("gap", None, 401)],
+    )
+    def test_state_run_equals_frame_by_frame_replay(self, flight, duration, frames):
+        if flight == "case2":
+            doc = load_scenario(CASE2_FLIGHT)
+            scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
+        else:
+            (scenario, trajectory), sensor = _gap_flight(), SensorConfig()
+            count = simulation._frame_count(scenario, trajectory, sensor, duration)
+            sizes = [
+                0 if f.H is None else len(f.H)
+                for f in simulation._filter_frames(scenario, trajectory, sensor, count)
+            ]
+            block = simulation._DIAGNOSTIC_BLOCK_FRAMES
+            shapes = [set(sizes[i : i + block]) for i in range(0, count, block)]
+            assert 0 in sizes  # frames without an update
+            assert any(len(s - {0}) > 1 for s in shapes)  # a block holds R of two shapes
+        run = state_comparison_run(scenario, trajectory, sensor, seed=3, duration=duration)
+        true, ins, estimated = _frame_by_frame_state_run(
+            scenario, trajectory, sensor, 3, duration
+        )
+        assert run.times.size == frames  # 83 and 401 frames end in a shorter block
+        np.testing.assert_array_equal(run.true_positions, true)
+        np.testing.assert_array_equal(run.ins_positions, ins)
+        np.testing.assert_array_equal(run.estimated_positions, estimated)
+
+    @staticmethod
+    def _bad_innovation_run(monkeypatch, bad_frame):
+        """A one-feature, zero-prior flight whose R at ``bad_frame`` is negated, so S is not PD.
+
+        The feature is measured at every frame, so row k of the geometry
+        block's noise blocks is frame k's.
+        """
+        noise_blocks = simulation._noise_blocks
+
+        def negated(rel, sensor):
+            noise = noise_blocks(rel, sensor)
+            noise[bad_frame] = -noise[bad_frame]
+            return noise
+
+        monkeypatch.setattr(simulation, "_noise_blocks", negated)
+        scenario = SimScenario(
+            feature_positions={"f1": [10.0, 0.0, 0.0]},
+            schedule=DetectionSchedule(detected=np.array([[1, 1]], dtype=bool), feature_ids=("f1",)),
+            vehicle_variances=[0.0] * 9,
+            feature_prior=0.0,
+        )
+        return scenario, flight_trajectory(), SensorConfig()
+
+    @pytest.mark.parametrize("bad_frame, yielded", [(77, 99), (120, 140)], ids=["mid", "last"])
+    def test_bad_innovation_fails_the_run(self, monkeypatch, bad_frame, yielded):
+        """A non-PD S in the middle of a check block, or in the last shorter one, fails the run.
+
+        The loop yields the frames up to its next check and then raises;
+        no diagnostics block and no replay block reads a frame at or past the
+        bad one.  Warnings are errors here, so none may come first.
+        """
+        inputs = self._bad_innovation_run(monkeypatch, bad_frame)
+        message = "singular or indefinite: Matrix is not positive definite"
+        assert simulation._frame_count(*inputs, 5.56) == 140
+        frames = []
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            frames.extend(simulation._filter_frames(*inputs, 140))
+        assert len(frames) == yielded
+
+        checked, replayed = [], []
+        flush, replay = simulation.SimulationDiagnostics.flush, simulation._replay
+
+        def noted_flush(diag, rng):
+            checked.extend(frame.t for frame in diag._frames)
+            return flush(diag, rng)
+
+        def counted_replay(block, *args):
+            replayed.append(len(block))
+            return replay(block, *args)
+
+        monkeypatch.setattr(simulation.SimulationDiagnostics, "flush", noted_flush)
+        monkeypatch.setattr(simulation, "_replay", counted_replay)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            simulate(*inputs, duration=5.56, collect_diagnostics=True)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            simulate(*inputs, duration=5.56)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            state_comparison_run(*inputs, seed=2, duration=5.56)
+        assert max(checked) < frames[bad_frame].t
+        assert sum(replayed) <= bad_frame
+
+    @pytest.mark.parametrize("run", [simulate, state_comparison_run])
+    def test_one_cholesky_per_shape_per_block(self, run, monkeypatch):
+        """case2_flight's 2,501 updates take a few stacked Cholesky calls, not one each.
+
+        ``simulate`` checks S once per shape and block of 50 frames; the state
+        run also factors its R once per shape and block.
+        """
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        doc = load_scenario(CASE2_FLIGHT)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        trace = run(doc.sim_scenario(), doc.trajectory, doc.sensor)
+        assert trace.times.size == 2501  # every frame updates
+        blocks = -(-2501 // simulation._DIAGNOSTIC_BLOCK_FRAMES)
+        shapes = {shape[1:] for shape in calls}
+        assert all(len(shape) == 3 for shape in calls)  # every call takes a stack
+        assert len(calls) <= len(shapes) * blocks * (1 if run is simulate else 2)
+        assert len(calls) < 2501 // 10
 
 
 def _gated_flight():
