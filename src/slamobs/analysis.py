@@ -26,7 +26,8 @@ import numpy as np
 
 from . import model
 from .model import AXES, DetectionSchedule, Scenario, SegmentSpec, augment
-from .pwcs import DEFAULT_RANK_TOL, _as_finite_array, null_projections, null_space, tom
+from .pwcs import DEFAULT_RANK_TOL, PwcsStripe, _as_finite_array
+from .pwcs import null_projections, null_space, tom
 from .pwcs import lom  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 #: Highest dynamics power stacked per segment: F**3 == 0, so higher powers add
@@ -183,15 +184,15 @@ def _build_report(stripes, feature_ids, scope, segment_index, options):
     earlier = set()
     for cand in extra:
         _check_extra_label(cand.label, labels, earlier)
+    standard = np.linalg.norm(np.concatenate([basis, basis[plus] - basis[minus]]), axis=1)
+    standard[n:] /= np.sqrt(2.0)
     projections = np.concatenate([
-        np.linalg.norm(basis, axis=1),
-        np.linalg.norm(basis[plus] - basis[minus], axis=1) / np.sqrt(2.0),
+        standard,
         null_projections(basis, np.reshape([cand.weights for cand in extra], (-1, n))),
     ])
-    results = [
-        FunctionalVerdict(label, rel <= options.rank_tol, rel)
-        for label, rel in zip(labels + [cand.label for cand in extra], projections.tolist())
-    ]
+    observable = (projections <= options.rank_tol).tolist()
+    labels += [cand.label for cand in extra]
+    results = list(map(FunctionalVerdict, labels, observable, projections.tolist()))
     return ObservabilityReport(
         scope=scope,
         segment_index=segment_index,
@@ -212,21 +213,34 @@ def analyze_local(
 ) -> ObservabilityReport:
     """Observability report for a single segment considered on its own.
 
-    The local system is ``augment`` of the one-segment scenario of the
-    features the segment detects, and no other: the vehicle states plus
-    those features, so its dimension is 9 + 3 * (detections in the segment).
+    The local system holds the vehicle states plus the features the segment
+    detects, and no other, so its dimension is 9 + 3 * (detections in the
+    segment).  Its one stripe is built straight from the already checked
+    segment with ``augmented_f`` and ``feature_bands``, bit for bit the
+    stripe ``augment`` gives for the one-segment scenario of those features.
     Its total observability matrix is the segment's local one.
+    A ``segment_index`` that is not an integer (a bool is not) raises
+    ``TypeError``; one out of range raises ``IndexError``.
     """
     options = options or AnalysisOptions()
+    if isinstance(segment_index, bool) or not isinstance(segment_index, (int, np.integer)):
+        raise TypeError(
+            f"segment_index must be an integer, got {type(segment_index).__name__}"
+        )
     if not 0 <= segment_index < scenario.n_segments:
         raise IndexError(
             f"segment index {segment_index} out of range "
             f"(scenario has {scenario.n_segments} segments)"
         )
+    segment = scenario.segments[segment_index]
     local_ids = [fid for _, fid in scenario.schedule.features_in_segment(segment_index)]
-    detected = np.ones((len(local_ids), 1), dtype=bool)
-    local = Scenario(DetectionSchedule(detected, local_ids), [scenario.segments[segment_index]])
-    return _build_report(augment(local), local_ids, "local", segment_index, options)
+    n = model.VEHICLE_DIM + 3 * len(local_ids)
+    rel = np.array([segment.feature_rel_pos[fid] for fid in local_ids]).reshape(-1, 3)
+    H = model.feature_bands(range(len(local_ids)), model.feature_obs_rows(rel), n)
+    stripe = PwcsStripe(
+        model.augmented_f(segment.specific_force, n), H.reshape(-1, n), segment.duration
+    )
+    return _build_report([stripe], local_ids, "local", segment_index, options)
 
 
 def analyze_total(

@@ -85,10 +85,10 @@ def _write_csv(path: Path, labels, times, columns) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time_s"] + list(labels))
-        for k in range(times.size):
-            writer.writerow(
-                [f"{times[k]:.6f}"] + [f"{col[k]:.12g}" for col in columns]
-            )
+        # Python floats format faster than NumPy scalars, to the same text
+        lists = [col.tolist() for col in columns]
+        for k, t in enumerate(times.tolist()):
+            writer.writerow([f"{t:.6f}"] + [f"{col[k]:.12g}" for col in lists])
 
 
 def cmd_simulate(args) -> int:

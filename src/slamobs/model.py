@@ -30,11 +30,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pwcs import PwcsStripe, _as_finite_array, skew
+from .pwcs import PwcsStripe, _as_finite_array
 
 AXES = ("N", "E", "U")
 VEHICLE_BLOCKS = ("dp", "dv", "psi")
 VEHICLE_DIM = 9
+
+
+def _put_skews(out, v) -> None:
+    """Write ``skew(v[i])`` into ``out[i]``: (m, 3) ``v``, zeroed (m, 3, 3) view ``out``.
+
+    Each off-diagonal entry is a component of v or its negation, as ``skew``
+    gives it; the diagonal keeps its zeros.  ``v`` is not validated.
+    """
+    x, y, z = v.T
+    out[:, 0, 1], out[:, 0, 2] = -z, y
+    out[:, 1, 0], out[:, 1, 2] = z, -x
+    out[:, 2, 0], out[:, 2, 1] = -y, x
 
 
 def ins_error_f(specific_force) -> np.ndarray:
@@ -53,7 +65,7 @@ def augmented_f(specific_force, n) -> np.ndarray:
     f = _as_finite_array(specific_force, "specific_force", (3,))
     F = np.zeros((n, n))
     F[0:3, 3:6] = np.eye(3)
-    F[3:6, 6:9] = skew(f)
+    _put_skews(F[None, 3:6, 6:9], f[None])
     return F
 
 
@@ -64,10 +76,7 @@ def feature_obs_rows(rel) -> np.ndarray:
     """
     H = np.zeros((len(rel), 3, VEHICLE_DIM))
     H[:, :, 0:3] = -np.eye(3)
-    x, y, z = rel.T
-    H[:, 0, 7], H[:, 0, 8] = -z, y
-    H[:, 1, 6], H[:, 1, 8] = z, -x
-    H[:, 2, 6], H[:, 2, 7] = -y, x
+    _put_skews(H[:, :, 6:9], rel)
     return H
 
 
@@ -259,24 +268,35 @@ def augment(scenario: Scenario) -> list:
     3-row band per feature: the vehicle-block observation rows plus an
     identity in the feature's own column block when the feature is detected,
     all zeros otherwise.  Zero bands are retained so row indexing stays
-    aligned with the schedule; they do not affect rank.  ``Scenario`` has
-    already checked that schedule and segments agree; F comes from the
-    checked ``augmented_f`` and each stripe goes through ``PwcsStripe``'s
-    checks.
+    aligned with the schedule; they do not affect rank.
+
+    All segments are built in one pass: one ``feature_obs_rows`` and one
+    ``feature_bands`` call over every (segment, feature) detection, and one
+    (S, n, n) array of F with the entries of ``augmented_f``, so each
+    stripe's F and H have the bits a segment-by-segment build gives.
+    ``Scenario`` has already checked that schedule and segments agree; the
+    forces are checked again (an error names ``specific_force``) and each
+    stripe goes through ``PwcsStripe``'s checks.
     """
     schedule = scenario.schedule
-    L = schedule.n_features
+    segments = scenario.segments
+    S, L = schedule.n_segments, schedule.n_features
     n = VEHICLE_DIM + 3 * L
-    stripes = []
-    for i, seg in enumerate(scenario.segments):
-        pairs = schedule.features_in_segment(i)
-        detected = [c for c, _ in pairs]
-        rel = np.array([seg.feature_rel_pos[fid] for _, fid in pairs]).reshape(-1, 3)
-        H = np.zeros((L, 3, n))
-        H[detected] = feature_bands(detected, feature_obs_rows(rel), n)
-        F = augmented_f(seg.specific_force, n)
-        stripes.append(PwcsStripe(F, H.reshape(3 * L, n), seg.duration))
-    return stripes
+    forces = _as_finite_array([seg.specific_force for seg in segments], "specific_force", (S, 3))
+    F = np.zeros((S, n, n))
+    F[:, (0, 1, 2), (3, 4, 5)] = 1.0
+    _put_skews(F[:, 3:6, 6:9], forces)
+    # detections in segment order, features in schedule order within each
+    seg_of, feature_of = np.nonzero(schedule.detected.T)
+    ids = schedule.feature_ids
+    pairs = zip(seg_of.tolist(), feature_of.tolist())
+    rel = np.array([segments[i].feature_rel_pos[ids[c]] for i, c in pairs]).reshape(-1, 3)
+    H = np.zeros((S, L, 3, n))
+    H[seg_of, feature_of] = feature_bands(feature_of, feature_obs_rows(rel), n)
+    return [
+        PwcsStripe(F[i], H[i].reshape(3 * L, n), seg.duration)
+        for i, seg in enumerate(segments)
+    ]
 
 
 def equivalence_pad(stripe: PwcsStripe, extra_states: int) -> PwcsStripe:

@@ -104,11 +104,20 @@ def state_transition(F, delta: float, mode: str = "exact") -> np.ndarray:
     delta = float(delta)
     if not 0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
+    _check_mode(mode)
+    return _transition(F, delta, mode)
+
+
+def _check_mode(mode) -> None:
+    if mode not in ("exact", "first_order"):
+        raise ValueError(f"mode must be 'exact' or 'first_order', got {mode!r}")
+
+
+def _transition(F: np.ndarray, delta: float, mode: str) -> np.ndarray:
+    """``state_transition`` of an F, delta and mode that are already checked."""
     n = F.shape[0]
     if mode == "first_order":
         return np.eye(n) + F * delta
-    if mode != "exact":
-        raise ValueError(f"mode must be 'exact' or 'first_order', got {mode!r}")
     p = _nilpotency_index(F)
     if p is None:
         import scipy.linalg
@@ -122,6 +131,15 @@ def state_transition(F, delta: float, mode: str = "exact") -> np.ndarray:
     return out
 
 
+def _max_power(max_power, n) -> int:
+    """``max_power`` checked, or ``lom``'s default n - 1 (at least 1) when it is None."""
+    if max_power is None:
+        return max(n - 1, 1)
+    if int(max_power) != max_power or max_power < 1:
+        raise ValueError("max_power must be an integer >= 1")
+    return int(max_power)
+
+
 def lom(stripe: PwcsStripe, max_power: int = None) -> np.ndarray:
     """Local observability matrix of one segment.
 
@@ -131,13 +149,9 @@ def lom(stripe: PwcsStripe, max_power: int = None) -> np.ndarray:
     satisfy F**3 == 0, so ``slamobs.analysis`` passes 2 and drops only zero
     rows.
     """
-    if max_power is None:
-        max_power = max(stripe.n - 1, 1)
-    if int(max_power) != max_power or max_power < 1:
-        raise ValueError("max_power must be an integer >= 1")
     blocks = [stripe.H]
     current = stripe.H
-    for _ in range(int(max_power)):
+    for _ in range(_max_power(max_power, stripe.n)):
         current = current @ stripe.F
         blocks.append(current)
     return np.vstack(blocks)
@@ -153,8 +167,13 @@ def tom(stripes, max_power: int = None, mode: str = "exact") -> np.ndarray:
 
     where Q_j = lom(stripes[j]) and T_j = state_transition(F_j, delta_j).
     For a single stripe the result is lom(stripe) itself.  The stripes may
-    have different row counts, 0 included.
+    have different row counts, 0 included.  ``mode`` is checked once, for
+    any stripe count; each T_j is ``state_transition``'s series for the
+    stripe's F and delta, which ``PwcsStripe`` has already checked.  Each
+    Q_j is formed only when its rows are written, so the Q_j are not all
+    held at once.
     """
+    _check_mode(mode)
     stripes = list(stripes)
     if not stripes:
         raise ValueError("at least one stripe is required")
@@ -164,17 +183,19 @@ def tom(stripes, max_power: int = None, mode: str = "exact") -> np.ndarray:
             raise ValueError(
                 f"stripe {j} has state dimension {stripe.n}, expected {n}"
             )
-    blocks = [lom(stripe, max_power) for stripe in stripes]
-    if len(blocks) == 1:
-        return blocks[0]
-    out = np.empty((sum(len(q) for q in blocks), n))
-    start = len(blocks[0])
-    out[:start] = blocks[0]
+    max_power = _max_power(max_power, n)
+    first = lom(stripes[0], max_power)
+    if len(stripes) == 1:
+        return first
+    out = np.empty(((max_power + 1) * sum(s.H.shape[0] for s in stripes), n))
+    start = len(first)
+    out[:start] = first
     accumulated = None
     # block j + 1 carries the transitions of stripes 0..j
-    for stripe, q in zip(stripes, blocks[1:]):
-        step = state_transition(stripe.F, stripe.delta, mode)
+    for prev, stripe in zip(stripes, stripes[1:]):
+        step = _transition(prev.F, prev.delta, mode)
         accumulated = step if accumulated is None else step @ accumulated
+        q = lom(stripe, max_power)
         np.matmul(q, accumulated, out=out[start : start + len(q)])
         start += len(q)
     return out

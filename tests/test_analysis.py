@@ -1,5 +1,7 @@
 """Observability reports: ranks, null spaces, mode classification."""
 
+import json
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -21,11 +23,13 @@ from slamobs.analysis import (
     MAX_POWER,
     AnalysisOptions,
     CandidateFunctional,
+    _build_report,
     analyze_local,
     analyze_total,
     case_scenario,
     standard_candidates,
 )
+from slamobs.cli import report_to_dict
 from slamobs.model import DetectionSchedule, Scenario, SegmentSpec, augment, standard_differences
 from slamobs.pwcs import is_functional_observable, lom, tom
 
@@ -78,8 +82,20 @@ class TestAnalyzeLocal:
         assert not any(v.observable for v in report.mode_results)
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        message = "segment index 2 out of range (scenario has 2 segments)"
+        with pytest.raises(IndexError, match=re.escape(message)):
             analyze_local(case_scenario(2), 2)
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, 1.5, "1"], ids=repr)
+    def test_non_integer_index_is_a_type_error(self, index):
+        with pytest.raises(TypeError, match="^segment_index must be an integer, got "):
+            analyze_local(case_scenario(2), index)
+
+    def test_numpy_integer_index(self):
+        scenario = case_scenario(2)
+        want = analyze_local(scenario, 1)
+        got = analyze_local(scenario, np.int64(1))
+        assert report_to_dict(got, "case2") == report_to_dict(want, "case2")
 
     def test_local_stripe_matches_oracle(self, monkeypatch):
         """The one stripe a local report stacks, seen where ``tom`` calls ``pwcs.lom``."""
@@ -110,6 +126,59 @@ class TestAnalyzeLocal:
                 assert report.matrix_rows == 9 * k
                 assert report.state_labels[9:] == [f"dm_{fid}_{a}" for fid in ids for a in "NEU"]
         assert zeroed > 30
+
+
+def _one_segment_stripe(scenario, i):
+    """(ids, stripe): ``augment`` of the one-segment scenario of segment i's features."""
+    ids = [fid for _, fid in scenario.schedule.features_in_segment(i)]
+    schedule = DetectionSchedule(np.ones((len(ids), 1), dtype=bool), ids)
+    (stripe,) = augment(Scenario(schedule, [scenario.segments[i]]))
+    return ids, stripe
+
+
+class TestDirectLocalStripe:
+    """A local report's stripe, built straight from the segment, has the bits of the
+    one-segment scenario's ``augment`` stripe, and so does the whole report."""
+
+    def test_stripe_equals_one_segment_augment_bitwise(self, monkeypatch):
+        stacked = []
+
+        def recording_lom(stripe, max_power):
+            stacked.append(stripe)
+            return lom(stripe, max_power)
+
+        monkeypatch.setattr(pwcs, "lom", recording_lom)
+        rng = np.random.default_rng(79)
+        featureless = 0
+        for _ in range(30):
+            scenario = random_scenario(rng)
+            zero_components(rng, scenario)
+            for i in range(scenario.n_segments):
+                stacked.clear()
+                analyze_local(scenario, i)
+                (got,) = stacked
+                _, want = _one_segment_stripe(scenario, i)
+                assert (got.F.shape, got.H.shape, got.delta) == (want.F.shape, want.H.shape, want.delta)
+                np.testing.assert_array_equal(got.F.view(np.uint64), want.F.view(np.uint64))
+                np.testing.assert_array_equal(got.H.view(np.uint64), want.H.view(np.uint64))
+                featureless += not want.H.size
+        assert featureless > 0
+
+    @pytest.mark.parametrize("mode", ["exact", "first_order"])
+    def test_report_json_equals_one_segment_path(self, mode):
+        rng = np.random.default_rng(83)
+        for k in range(30):
+            scenario = random_scenario(rng)
+            zero_components(rng, scenario)
+            for i in range(scenario.n_segments):
+                n = 9 + 3 * int(scenario.schedule.detected[:, i].sum())
+                extra = (CandidateFunctional("x", rng.normal(size=n)),)
+                options = AnalysisOptions(expansion_mode=mode, extra_candidates=extra)
+                ids, stripe = _one_segment_stripe(scenario, i)
+                want = _build_report([stripe], ids, "local", i, options)
+                got = analyze_local(scenario, i, options)
+                dump = [json.dumps(report_to_dict(r, str(k)), indent=2) for r in (got, want)]
+                assert dump[0] == dump[1]
 
 
 class TestAnalyzeTotal:

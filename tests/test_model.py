@@ -234,6 +234,68 @@ class TestAugment:
         assert labels[14] == "dm_f2_U"
 
 
+def _zero_forces(rng, scenario, share=0.3):
+    """Set a random share of the scenario's force components to 0.0, in place; the count."""
+    zeroed = 0
+    for seg in scenario.segments:
+        mask = rng.random(3) < share
+        seg.specific_force[mask] = 0.0
+        zeroed += int(mask.sum())
+    return zeroed
+
+
+def _per_segment_stripes(scenario):
+    """(F, H, delta) of each segment, built one at a time with ``skew``."""
+    schedule = scenario.schedule
+    L = schedule.n_features
+    n = 9 + 3 * L
+    out = []
+    for i, seg in enumerate(scenario.segments):
+        F = np.zeros((n, n))
+        F[0:3, 3:6] = np.eye(3)
+        F[3:6, 6:9] = skew(seg.specific_force)
+        H = np.zeros((L, 3, n))
+        for c, fid in schedule.features_in_segment(i):
+            H[c, :, 0:3] = -np.eye(3)
+            H[c, :, 6:9] = skew(seg.feature_rel_pos[fid])
+            H[c, :, 9 + 3 * c : 12 + 3 * c] = np.eye(3)
+        out.append((F, H.reshape(3 * L, n), seg.duration))
+    return out
+
+
+class TestBatchedAugment:
+    """``augment`` builds all segments in one pass with the bits of a per-segment loop."""
+
+    @pytest.mark.parametrize("L", range(1, 17))
+    def test_stripes_equal_per_segment_loop_bitwise(self, L):
+        rng = np.random.default_rng(100 + L)
+        negative_zeros = featureless = 0
+        for S in range(1, 9):
+            scenario = random_scenario(rng, n_features=L, n_segments=S)
+            _zero_forces(rng, scenario)
+            zero_components(rng, scenario)
+            stripes = augment(scenario)
+            assert len(stripes) == S
+            for stripe, (F, H, delta) in zip(stripes, _per_segment_stripes(scenario)):
+                assert stripe.F.shape == F.shape and stripe.H.shape == H.shape
+                # uint64 views tell -0.0 from 0.0
+                np.testing.assert_array_equal(stripe.F.view(np.uint64), F.view(np.uint64))
+                np.testing.assert_array_equal(stripe.H.view(np.uint64), H.view(np.uint64))
+                assert stripe.delta == delta
+                negative_zeros += int(np.count_nonzero((F == 0) & np.signbit(F)))
+                featureless += not H.any()
+        assert negative_zeros > 0
+        if L < 4:
+            assert featureless > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_rejects_non_finite_force_set_after_construction(self, bad):
+        scenario = case_scenario(2)
+        scenario.segments[1].specific_force[2] = bad
+        with pytest.raises(ValueError, match="^specific_force must contain only finite values$"):
+            augment(scenario)
+
+
 class TestEquivalencePad:
     def test_zero_padding_is_identity(self):
         stripe = augment(case_scenario(2))[0]

@@ -1,5 +1,6 @@
 """Core piece-wise constant system machinery."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -270,6 +271,46 @@ class TestTom:
         want = o_tom([(s.F.tolist(), s.H.tolist(), s.delta) for s in stripes], max_power=3)
         np.testing.assert_allclose(matrix, want, atol=1e-12)
         assert numerical_rank(matrix) == 4
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_bad_mode_rejected_for_any_stripe_count(self, count):
+        with pytest.raises(ValueError, match="^mode must be 'exact' or 'first_order', got 'bogus'$"):
+            tom(case2_stripes()[:count], mode="bogus")
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("max_power", [0, 1.5])
+    def test_bad_max_power_rejected_for_any_stripe_count(self, count, max_power):
+        with pytest.raises(ValueError, match="^max_power must be an integer >= 1$"):
+            tom(case2_stripes()[:count], max_power)
+
+    def test_local_matrices_are_not_all_held_at_once(self):
+        """Each Q_j is formed as its rows are written: the traced peak stays under
+        the result plus six Q_j (one held, one forming, and the n x n transitions),
+        where holding all eight would take more."""
+        stripes = augment(random_scenario(np.random.default_rng(37), n_features=16, n_segments=8))
+        block = lom(stripes[0], 2).nbytes
+        tracemalloc.start()
+        try:
+            matrix = tom(stripes, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.nbytes == 8 * block
+        assert peak < matrix.nbytes + 6 * block
+
+    @pytest.mark.parametrize("mode", ["exact", "first_order"])
+    def test_transitions_have_state_transition_bits(self, mode):
+        """Each block is Q_j times the product of ``state_transition`` of the earlier stripes."""
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            stripes = augment(random_scenario(rng, n_segments=int(rng.integers(2, 6))))
+            blocks, accumulated = [lom(stripes[0], 2)], None
+            for prev, stripe in zip(stripes, stripes[1:]):
+                step = state_transition(prev.F, prev.delta, mode)
+                accumulated = step if accumulated is None else step @ accumulated
+                blocks.append(lom(stripe, 2) @ accumulated)
+            want = np.vstack(blocks)
+            assert tom(stripes, 2, mode).tobytes() == want.tobytes()
 
     def test_empty_and_inconsistent_inputs(self):
         with pytest.raises(ValueError):
