@@ -91,7 +91,7 @@ class AnalysisOptions:
             raise ValueError("rank_tol must be positive and finite")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FunctionalVerdict:
     """Observability verdict for one candidate functional.
 

@@ -16,10 +16,12 @@ block stays at its prior until the feature is first measured.
 There is one filter loop, ``_filter_frames``, built on one Joseph-form update
 (``_joseph``, which takes the gain from one solve against the innovation
 covariance S) and one propagation (``_propagated``) per vision frame.  The
-loop checks that every S is positive definite in blocks of
-``_DIAGNOSTIC_BLOCK_FRAMES`` frames, one Cholesky over the stacked S of each
-shape (``_check_innovations``), so a non-PD S still fails the run.  The
-IMU-step transition matrix is computed once per trajectory segment, in closed
+loop has one block rule: it marks the frame that closes each block of
+``_BLOCK_FRAMES`` frames, and the run's last frame (``_Frame.closes``), and
+checks that every S of the block is positive definite, with one Cholesky
+over the stacked S of each shape (``_check_innovations``), just before it
+yields that frame, so a non-PD S still fails the run.  The IMU-step
+transition matrix is computed once per trajectory segment, in closed
 form because the inertial error dynamics are nilpotent.  A frame's IMU steps
 are composed into one transition Phi_f and one process noise Q_f (the
 per-step recursion Q <- Phi Q Phi^T + q dt run from zero, which keeps the
@@ -34,13 +36,12 @@ enumerates for the analysis too (every P the loop yields is exactly
 symmetric), with the modes' variances and all standard deviations formed
 once per run; ``state_comparison_run`` also replays the frames on a state
 sampled outside the loop, so one pass gives both the trace and the state
-run.  The replay (``_replay``) runs over blocks of the same length, with one
-noise draw per block and one Cholesky of the stacked R of each shape, and
-draws and factors the same numbers as a replay frame by frame.  With
-``collect_diagnostics``, ``simulate`` also hands every frame to
+run.  The replay (``_replay``) runs over each block when a frame closes it,
+with one noise draw per block and one Cholesky of the stacked R of each
+shape, and draws and factors the same numbers as a replay frame by frame.
+With ``collect_diagnostics``, ``simulate`` also hands every frame to
 ``SimulationDiagnostics``, which checks symmetry, the eigenvalue ratio and
-update growth on the frames alone, one block of ``_DIAGNOSTIC_BLOCK_FRAMES``
-frames at a time.
+update growth on the frames alone, a block at a time when a frame closes it.
 
 The trajectory has one segment-boundary rule, ``TrajectoryConfig.segments_at``:
 segment j is active from ``_SLACK`` before the end of segment j - 1 until
@@ -97,17 +98,13 @@ _SLACK = 1e-12
 #: Vision frames whose measurement geometry (vehicle positions, visibility,
 #: observation rows, noise blocks) is computed in one batch: 10 s at 25 Hz.
 GEOMETRY_BLOCK_FRAMES = 250
-#: Frames whose standard-difference variances ``_TraceRecorder.trace`` forms in
-#: one batch: short, so the batch's temporaries stay small next to the recorded
-#: buffer.
-_TRACE_BLOCK_FRAMES = 50
-#: Frames whose health checks ``SimulationDiagnostics`` runs in one batch.  A
-#: block holds every raw, prior and posterior covariance of its frames (about
-#: four n x n matrices a frame), so it is kept short to bound peak memory.
-#: The filter loop checks its innovation covariances and the state run
-#: replays its frames in blocks of the same length, so no block reaches past
-#: the loop's last check.
-_DIAGNOSTIC_BLOCK_FRAMES = 50
+#: Frames of one checked block: the filter loop checks the block's innovation
+#: covariances before it yields the frame that closes it (``_Frame.closes``),
+#: and the diagnostics and the state run's replay then handle the block.  A
+#: diagnostics block holds about four n x n matrices a frame, so it is kept
+#: short to bound peak memory; ``_TraceRecorder.trace`` forms its variances
+#: over spans of the same length.
+_BLOCK_FRAMES = 50
 
 
 @dataclass(eq=False)
@@ -242,9 +239,15 @@ class SensorConfig:
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError("imu_rate_hz must be a whole multiple of frame_rate_hz")
         bs = np.asarray(self.boresight, dtype=float)
-        if bs.shape != (3,) or not np.all(np.isfinite(bs)) or not np.linalg.norm(bs) > 0:
+        if bs.shape != (3,) or not np.all(np.isfinite(bs)) or not np.any(bs):
             raise ValueError("boresight must be a nonzero 3-vector")
-        object.__setattr__(self, "boresight", tuple(bs / np.linalg.norm(bs)))
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(bs)
+        # the sum of squares overflowed, or fell below the normal range and lost bits
+        if not np.sqrt(np.finfo(float).tiny) <= norm < np.inf:
+            bs = bs / np.abs(bs).max()
+            norm = np.linalg.norm(bs)
+        object.__setattr__(self, "boresight", tuple(bs / norm))
 
     @property
     def gyro_noise_rad(self) -> float:
@@ -568,12 +571,13 @@ class SimulationDiagnostics:
       updates).
 
     A NaN in a checked matrix makes its field NaN for the rest of the run, so
-    a bound on the field fails.  ``note_frame`` only records the frame, in one
-    buffer; the checks read the frames alone, over stacked blocks of at most
-    ``_DIAGNOSTIC_BLOCK_FRAMES`` frames, when a block fills and at ``flush``.
-    Blocking changes no result: maxima and minima do not depend on the
-    grouping, ``eigvalsh`` of a stack equals the per-matrix calls, and one
-    (u, 20, n) draw is the same stream as u draws of (20, n).
+    a bound on the field fails.  ``note_frame`` records each frame in one
+    buffer and checks the buffered block, stacked, when a frame closes it
+    (``_Frame.closes``), so the checks read the frames alone and only after
+    the loop has checked the block's innovations.  Blocking changes no
+    result: maxima and minima do not depend on the grouping, ``eigvalsh`` of
+    a stack equals the per-matrix calls, and one (u, 20, n) draw is the same
+    stream as u draws of (20, n).
     """
 
     max_relative_asymmetry: float = 0.0
@@ -583,20 +587,15 @@ class SimulationDiagnostics:
     _frames: list = field(default_factory=list, init=False, repr=False)
 
     def note_frame(self, frame, rng) -> None:
-        """Record a frame (kept by reference, not copied); check a full block."""
-        self._frames.append(frame)
-        if len(self._frames) >= _DIAGNOSTIC_BLOCK_FRAMES:
-            self.flush(rng)
+        """Record a frame (kept by reference, not copied); check the block it closes.
 
-    def flush(self, rng) -> None:
-        """Check every recorded frame and clear the block.
-
-        The updates draw their 20 random functionals each from ``rng`` in
-        one (u, 20, n) block.
+        The block's updates draw their 20 random functionals each from
+        ``rng`` in one (u, 20, n) block.
         """
-        frames, self._frames = self._frames, []
-        if not frames:
+        self._frames.append(frame)
+        if not frame.closes:
             return
+        frames, self._frames = self._frames, []
         raw = [P_raw for frame in frames for P_raw in frame.raw]
         if raw:
             raw = np.stack(raw)
@@ -667,9 +666,8 @@ class _TraceRecorder:
     (``model.standard_differences``).  Every P the filter loop yields is
     exactly symmetric (a re-symmetrized matrix or the diagonal prior), so
     P[minus, plus] is the same number.  ``trace`` turns those entries into
-    the differences' variances in place, ``_TRACE_BLOCK_FRAMES`` frames at a
-    time, and takes standard deviations once; each series is a row of the
-    buffer.
+    the differences' variances in place, ``_BLOCK_FRAMES`` frames at a time,
+    and takes standard deviations once; each series is a row of the buffer.
     """
 
     def __init__(self, feature_ids, count):
@@ -687,8 +685,8 @@ class _TraceRecorder:
 
     def trace(self, diagnostics=None) -> CovarianceTrace:
         n, values = len(self._labels), self._values
-        for first in range(0, values.shape[1], _TRACE_BLOCK_FRAMES):
-            block = values[:, first : first + _TRACE_BLOCK_FRAMES]
+        for first in range(0, values.shape[1], _BLOCK_FRAMES):
+            block = values[:, first : first + _BLOCK_FRAMES]
             variances, cross = block[:n], block[n:]
             # (P_pp - P_mp) - (P_pm - P_mm), the order w @ P @ w sums it in, with P_mp = P_pm
             cross[:] = (variances[self._plus] - cross) - (cross - variances[self._minus])
@@ -820,6 +818,8 @@ class _Frame(NamedTuple):
     ``steps`` is one tuple, shared by every frame with the same step segments.
     ``raw`` holds the covariances the frame re-symmetrized, as computed: the
     propagated one (from frame 1 on), then the updated one (at an update).
+    ``closes`` is True on the last frame of each block of ``_BLOCK_FRAMES``
+    frames and on the run's last frame: the block's innovations are checked.
     """
 
     t: float
@@ -832,6 +832,7 @@ class _Frame(NamedTuple):
     R: np.ndarray | None
     K: np.ndarray | None
     raw: tuple
+    closes: bool
 
 
 def _frame_count(scenario: SimScenario, trajectory, sensor, duration) -> int:
@@ -867,12 +868,11 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
     and the raw covariances it re-symmetrized, and carries no sampled state.
 
     Every update's innovation covariance S is checked for positive
-    definiteness (``_check_innovations``) in blocks: before the last frame of
-    each ``_DIAGNOSTIC_BLOCK_FRAMES`` frames is yielded, and after the last
-    frame of the run.  A failing block raises LinAlgError, so a caller that
-    handles the frames in blocks of the same length (the diagnostics, the
-    state run's replay) never computes on a frame past a failing check, and
-    one that consumes every frame raises before it returns.
+    definiteness (``_check_innovations``) in blocks of ``_BLOCK_FRAMES``
+    frames, the last one shorter: just before the frame that closes a block
+    (``_Frame.closes``) is yielded.  A failing block raises LinAlgError, so a
+    caller that handles a block when a frame closes it (the diagnostics, the
+    state run's replay) never computes on a frame of a failing block.
     """
     n = VEHICLE_DIM + 3 * len(scenario.feature_ids)
     imu_dt = _frame_clock(sensor)[3]
@@ -903,10 +903,10 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
             K, P_raw, P, S = _joseph(P, H, R)
             innovations.append(S)
             raw += (P_raw,)
-        if (frame + 1) % _DIAGNOSTIC_BLOCK_FRAMES == 0:
+        closes = (frame + 1) % _BLOCK_FRAMES == 0 or frame + 1 == count
+        if closes:
             _check_innovations(innovations)
-        yield _Frame(t, pos, steps, phi_f, P, P_prior, H, R, K, raw)
-    _check_innovations(innovations)
+        yield _Frame(t, pos, steps, phi_f, P, P_prior, H, R, K, raw, closes)
 
 
 def simulate(
@@ -936,8 +936,6 @@ def simulate(
         if diag is not None:
             diag.note_frame(frame, rng)
         recorder.record(k, frame)
-    if diag is not None:
-        diag.flush(rng)
     return recorder.trace(diag)
 
 
@@ -1014,10 +1012,10 @@ def state_comparison_run(
     Phi_f and gain K.  Reports true, inertial-only and corrected positions,
     and the covariance trace of the same pass (``StateRun.trace``), so one
     run of the loop serves both; fully deterministic for a given seed.
-    Each frame is recorded as the loop yields it; the replay (``_replay``)
-    then runs over blocks of ``_DIAGNOSTIC_BLOCK_FRAMES`` frames, keeping
-    only what it reads of each, and draws the same numbers as a replay frame
-    by frame.
+    Each frame is recorded as the loop yields it, keeping only what the
+    replay reads of it; the replay (``_replay``) runs over each block when a
+    frame closes it (``_Frame.closes``), and draws the same numbers as a
+    replay frame by frame.
     """
     count = _frame_count(scenario, trajectory, sensor, duration)
     n = VEHICLE_DIM + 3 * len(scenario.feature_ids)
@@ -1032,15 +1030,12 @@ def state_comparison_run(
         recorder.record(k, frame)
         true[k] = frame.position
         block.append((frame.steps, frame.phi, frame.H, frame.R, frame.K))
-        if len(block) == _DIAGNOSTIC_BLOCK_FRAMES:
+        if frame.closes:
             rows = slice(k + 1 - len(block), k + 1)
             x, x_hat = _replay(
                 block, x, x_hat, rng, noise_std, sqrt_dt, ins[rows], estimated[rows]
             )
             block = []
-    if block:  # the last, shorter block, once the loop's last check has passed
-        rows = slice(count - len(block), count)
-        _replay(block, x, x_hat, rng, noise_std, sqrt_dt, ins[rows], estimated[rows])
     # x and x_hat until the replay ends; then (position + x) - x_hat, in place
     ins += true
     np.subtract(ins, estimated, out=estimated)

@@ -1,6 +1,7 @@
 """Scenario file parsing and validation."""
 
 import importlib.resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,12 @@ def bundled_path(name):
 def bundled_data(name):
     """The bundled scenario file ``name`` as plain YAML data, to edit into variants."""
     with open(bundled_path(name), encoding="utf-8") as handle:
+        return yaml.safe_load(handle)
+
+
+def golden_data(name):
+    """The test scenario ``tests/golden/<name>`` as plain YAML data."""
+    with open(Path(__file__).resolve().parent / "golden" / name, encoding="utf-8") as handle:
         return yaml.safe_load(handle)
 
 
@@ -88,6 +95,18 @@ class TestParsing:
         assert auto.schedule_mode == "auto"
         np.testing.assert_array_equal(
             auto.scenario.schedule.detected, np.array([[True, True], [False, True]])
+        )
+
+    @pytest.mark.parametrize("scale", [1.0e200, 1.0e-170], ids=["huge", "tiny"])
+    def test_boresight_at_extreme_magnitudes(self, scale):
+        """A straight-down boresight of any finite length gates as the unit one does."""
+        data = golden_data("fov_flight.yaml")
+        want = parse_scenario(yaml.safe_dump(data, sort_keys=False))
+        data["sensor"]["boresight"] = [0.0, 0.0, -scale]
+        doc = parse_scenario(yaml.safe_dump(data, sort_keys=False))
+        assert doc.sensor.boresight == want.sensor.boresight == (0.0, 0.0, -1.0)
+        np.testing.assert_array_equal(
+            doc.scenario.schedule.detected, want.scenario.schedule.detected
         )
 
     def test_missing_file(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import re
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -571,6 +572,25 @@ class TestOnePass:
             np.testing.assert_array_equal(got.series(label), want.series(label), err_msg=label)
         assert got.diagnostics is None
 
+    def test_simulate_keeps_no_block_of_frames(self):
+        """Without diagnostics, ``simulate`` holds one frame at a time, not a block of them.
+
+        On fov_flight (501 frames, n = 24) the traced peak is about 1.2 MB:
+        the trace buffer and one geometry block.  Holding each block's 50
+        frames until the frame that closes it reads about 2.2 MB.
+        """
+        doc = load_scenario(FOV_FLIGHT)
+        inputs = (doc.sim_scenario(), doc.trajectory, doc.sensor)
+        simulate(*inputs)  # builds the cached identities and block indices first
+        tracemalloc.start()
+        try:
+            trace = simulate(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.times.size == 501
+        assert peak < 1.6e6
+
     def test_recorder_matches_each_frames_covariance(self):
         """Every std is sqrt(max(P_ii, 0)) and every difference's is sqrt(max(w P w, 0)).
 
@@ -734,7 +754,7 @@ class TestBlockedLapackCalls:
                 0 if f.H is None else len(f.H)
                 for f in simulation._filter_frames(scenario, trajectory, sensor, count)
             ]
-            block = simulation._DIAGNOSTIC_BLOCK_FRAMES
+            block = simulation._BLOCK_FRAMES
             shapes = [set(sizes[i : i + block]) for i in range(0, count, block)]
             assert 0 in sizes  # frames without an update
             assert any(len(s - {0}) > 1 for s in shapes)  # a block holds R of two shapes
@@ -746,6 +766,15 @@ class TestBlockedLapackCalls:
         np.testing.assert_array_equal(run.true_positions, true)
         np.testing.assert_array_equal(run.ins_positions, ins)
         np.testing.assert_array_equal(run.estimated_positions, estimated)
+
+    @pytest.mark.parametrize("count", [0, 1, 50, 51, 83, 501])
+    def test_block_rule(self, count):
+        """A frame closes a block at every 50th frame and at the run's last frame, nowhere else."""
+        doc = load_scenario(CASE2_FLIGHT)
+        frames = simulation._filter_frames(doc.sim_scenario(), doc.trajectory, doc.sensor, count)
+        closes = [frame.closes for frame in frames]
+        assert simulation._BLOCK_FRAMES == 50
+        assert closes == [(k + 1) % 50 == 0 or k == count - 1 for k in range(count)]
 
     @staticmethod
     def _bad_innovation_run(monkeypatch, bad_frame):
@@ -770,13 +799,14 @@ class TestBlockedLapackCalls:
         )
         return scenario, flight_trajectory(), SensorConfig()
 
-    @pytest.mark.parametrize("bad_frame, yielded", [(77, 99), (120, 140)], ids=["mid", "last"])
+    @pytest.mark.parametrize("bad_frame, yielded", [(77, 99), (120, 139)], ids=["mid", "last"])
     def test_bad_innovation_fails_the_run(self, monkeypatch, bad_frame, yielded):
         """A non-PD S in the middle of a check block, or in the last shorter one, fails the run.
 
-        The loop yields the frames up to its next check and then raises;
-        no diagnostics block and no replay block reads a frame at or past the
-        bad one.  Warnings are errors here, so none may come first.
+        The loop yields the frames before the one that closes the bad
+        frame's block and then raises; no diagnostics block and no replay
+        block reads a frame at or past the bad one.  Warnings are errors
+        here, so none may come first.
         """
         inputs = self._bad_innovation_run(monkeypatch, bad_frame)
         message = "singular or indefinite: Matrix is not positive definite"
@@ -787,17 +817,18 @@ class TestBlockedLapackCalls:
         assert len(frames) == yielded
 
         checked, replayed = [], []
-        flush, replay = simulation.SimulationDiagnostics.flush, simulation._replay
+        note_frame, replay = simulation.SimulationDiagnostics.note_frame, simulation._replay
 
-        def noted_flush(diag, rng):
-            checked.extend(frame.t for frame in diag._frames)
-            return flush(diag, rng)
+        def noted_frame(diag, frame, rng):
+            if frame.closes:
+                checked.extend(f.t for f in [*diag._frames, frame])
+            return note_frame(diag, frame, rng)
 
         def counted_replay(block, *args):
             replayed.append(len(block))
             return replay(block, *args)
 
-        monkeypatch.setattr(simulation.SimulationDiagnostics, "flush", noted_flush)
+        monkeypatch.setattr(simulation.SimulationDiagnostics, "note_frame", noted_frame)
         monkeypatch.setattr(simulation, "_replay", counted_replay)
         with pytest.raises(np.linalg.LinAlgError, match=message):
             simulate(*inputs, duration=5.56, collect_diagnostics=True)
@@ -826,7 +857,7 @@ class TestBlockedLapackCalls:
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         trace = run(doc.sim_scenario(), doc.trajectory, doc.sensor)
         assert trace.times.size == 2501  # every frame updates
-        blocks = -(-2501 // simulation._DIAGNOSTIC_BLOCK_FRAMES)
+        blocks = -(-2501 // simulation._BLOCK_FRAMES)
         shapes = {shape[1:] for shape in calls}
         assert all(len(shape) == 3 for shape in calls)  # every call takes a stack
         assert len(calls) <= len(shapes) * blocks * (1 if run is simulate else 2)
@@ -1191,11 +1222,12 @@ class TestDiagnostics:
 
         A NaN in the frame's raw and posterior covariance pushes all three.
         """
-        n, bad_frame = 6, 77
-        assert bad_frame % simulation._DIAGNOSTIC_BLOCK_FRAMES  # inside a block
+        n, bad_frame, block = 6, 77, simulation._BLOCK_FRAMES
+        assert bad_frame % block  # inside a block
         rng = np.random.default_rng(11)
         diag = simulation.SimulationDiagnostics()
         for k in range(120):
+            closes = (k + 1) % block == 0 or k == 119
             raw, P, P_prior = np.eye(n), 0.5 * np.eye(n), np.eye(n)
             if k == bad_frame and fault == "asymmetric":
                 raw[0, 1] = 1e-6
@@ -1205,9 +1237,10 @@ class TestDiagnostics:
                 P = 2.0 * np.eye(n)
             if k == bad_frame and fault == "nan":
                 raw[0, 0] = P[0, 0] = np.nan
-            diag.note_frame(types.SimpleNamespace(P=P, P_prior=P_prior, raw=(raw,)), rng)
-            assert len(diag._frames) < simulation._DIAGNOSTIC_BLOCK_FRAMES
-        diag.flush(rng)
+            frame = types.SimpleNamespace(P=P, P_prior=P_prior, raw=(raw,), closes=closes)
+            diag.note_frame(frame, rng)
+            assert len(diag._frames) < block
+        assert not diag._frames
         # the hygiene bounds as the acceptance suite states them, which a NaN fails
         within = {
             "asymmetric": diag.max_relative_asymmetry <= 1e-9,
@@ -1235,6 +1268,37 @@ class TestSensorConfig:
     def test_boresight_normalized(self):
         sensor = SensorConfig(boresight=(0.0, 0.0, -2.0))
         assert sensor.boresight == (0.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("boresight", [(0.0, 0.0, -2.0), (0.3, -0.2, -1.0)])
+    def test_boresight_keeps_the_bits_of_its_norm_division(self, boresight):
+        want = np.array(boresight) / np.linalg.norm(boresight)
+        got = np.array(SensorConfig(boresight=boresight).boresight)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "boresight, unit",
+        [
+            ((0.0, 0.0, -1.0e200), (0.0, 0.0, -1.0)),
+            ((0.0, 0.0, -1.0e-170), (0.0, 0.0, -1.0)),
+            ((1.0e308, -1.0e308, 0.0), (0.5**0.5, -(0.5**0.5), 0.0)),
+            ((3.0e-160, 4.0e-160, 0.0), (0.6, 0.8, 0.0)),
+        ],
+        ids=["huge", "tiny", "overflowing-sum", "subnormal-sum"],
+    )
+    def test_boresight_at_extreme_magnitudes(self, boresight, unit):
+        """Any finite nonzero direction normalises, with no warning (warnings are errors here).
+
+        The sum of squares overflows, underflows to zero or loses bits below
+        the normal range; the direction is rescaled by its largest component
+        first.
+        """
+        got = SensorConfig(boresight=boresight).boresight
+        np.testing.assert_allclose(got, unit, rtol=0, atol=2e-16)
+
+    @pytest.mark.parametrize("boresight", [(0.0, 0.0, 0.0), (0.0, np.nan, -1.0), (np.inf, 0.0, -1.0)])
+    def test_zero_or_non_finite_boresight_rejected(self, boresight):
+        with pytest.raises(ValueError, match="boresight must be a nonzero 3-vector"):
+            SensorConfig(boresight=boresight)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
