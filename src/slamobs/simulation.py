@@ -14,7 +14,7 @@ noise, and an update's H is zero on an unmeasured feature, so each feature's
 block stays at its prior until the feature is first measured.
 
 There is one filter loop, ``_filter_frames``, built on one Joseph-form update
-(``_joseph``, which takes the gain from one solve against the innovation
+(``_joseph``, which takes the gain from one LAPACK solve against the innovation
 covariance S) and one propagation (``_propagated``) per vision frame.  The
 loop has one block rule: it marks the frame that closes each block of
 ``_BLOCK_FRAMES`` frames, and the run's last frame (``_Frame.closes``), and
@@ -78,6 +78,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import model
 from .model import DetectionSchedule, VEHICLE_DIM
@@ -307,9 +308,17 @@ def process_noise_intensity(sensor: SensorConfig, n: int) -> np.ndarray:
 
 
 def _propagated(P, phi, q_dt):
-    """Array-level prediction: (raw phi P phi^T + q_dt, its re-symmetrization)."""
-    P_raw = phi @ P @ phi.T + q_dt
-    return P_raw, 0.5 * (P_raw + P_raw.T)
+    """Array-level prediction: (raw phi P phi^T + q_dt, its re-symmetrization).
+
+    The sums and the halving are formed in place on fresh arrays; IEEE
+    addition and multiplication commute, so the bits are those of
+    ``phi @ P @ phi.T + q_dt`` and ``0.5 * (P_raw + P_raw.T)``.
+    """
+    P_raw = phi @ P @ phi.T
+    P_raw += q_dt
+    P = P_raw + P_raw.T
+    P *= 0.5
+    return P_raw, P
 
 
 @functools.lru_cache(maxsize=32)
@@ -323,28 +332,59 @@ def _identity(n):
 _INDEFINITE = "innovation covariance is singular or indefinite: {}"
 
 
+def _raise_singular(err, flag):
+    """``np.errstate`` call handler: LAPACK reported an exactly singular matrix."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _solve(A, B):
+    """A^-1 B for a square float64 A and a float64 B of as many rows.
+
+    The LU solve of ``np.linalg.solve``, through the LAPACK gufunc that it
+    calls, under the same error state, which the decorator sets for each call
+    and restores on return: LinAlgError("Singular matrix") on an exactly
+    singular A, and no floating-point warning.  It skips the wrapper's checks
+    and conversions, which only re-prove what the caller's arrays are.  The
+    decorator keeps its state per call in a context variable (NumPy >= 2.0,
+    the floor in pyproject.toml), so calls in other threads do not share it.
+    """
+    return _umath_linalg.solve(A, B, signature="dd->d")
+
+
 def _joseph(P, H, R):
     """Array-level Joseph-form update; returns (gain, raw P, re-symmetrized P, S).
 
-    The gain is K = (S^-1 H P)^T with S = H P H^T + R, from one solve, which
-    raises LinAlgError on an exactly singular S.  S comes back unchecked: the
-    filter loop checks it for positive definiteness later, one Cholesky per
-    stack of innovation covariances (``_check_innovations``).  S is still
-    factored twice because NumPy has no triangular solve: a gain taken from
-    the Cholesky factor through ``np.linalg.solve`` would cost two LU
+    The gain is K = (S^-1 H P)^T with S = H P H^T + R, from one LU solve,
+    which raises LinAlgError on an exactly singular S.  The solve goes
+    straight to NumPy's LAPACK gufunc (``_solve``): S is a square float64
+    matrix built here, so the checks of the ``np.linalg.solve`` wrapper,
+    about half of its cost at these sizes, prove nothing new, and the gain
+    keeps the wrapper's bits.  S comes back unchecked: the filter loop
+    checks it for positive definiteness later, one Cholesky per stack of
+    innovation covariances (``_check_innovations``).  S is still factored
+    twice because NumPy has no triangular solve: a gain taken from the
+    Cholesky factor through ``np.linalg.solve`` would cost two LU
     factorizations and differ in its last bits from the one general solve.
     I - KH is ``I - K @ H`` with a cached identity (``_identity``), as the
-    reference filter of the tests writes it with ``np.eye(n)``.
+    reference filter of the tests writes it with ``np.eye(n)``.  The sums and
+    the halving are formed in place on fresh arrays, with the bits of
+    ``HP @ H.T + R``, ``ikh @ P @ ikh.T + K @ R @ K.T`` and
+    ``0.5 * (P_raw + P_raw.T)``.
     """
     HP = H @ P
-    S = HP @ H.T + R
+    S = HP @ H.T
+    S += R
     try:
-        K = np.linalg.solve(S, HP).T
+        K = _solve(S, HP).T
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(_INDEFINITE.format(exc)) from exc
     ikh = _identity(len(P)) - K @ H
-    P_raw = ikh @ P @ ikh.T + K @ R @ K.T
-    return K, P_raw, 0.5 * (P_raw + P_raw.T), S
+    P_raw = ikh @ P @ ikh.T
+    P_raw += K @ R @ K.T
+    P = P_raw + P_raw.T
+    P *= 0.5
+    return K, P_raw, P, S
 
 
 def _cholesky_by_shape(matrices):

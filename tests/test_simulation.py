@@ -269,7 +269,7 @@ class TestUpdate:
     def test_singular_innovation_raises(self):
         H = np.zeros((1, 9))
         H[0, 0] = 1.0
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match=_SINGULAR):
             _update(np.zeros((9, 9)), H, np.array([[0.0]]))
 
     def test_cached_identity_rejects_writes(self):
@@ -282,6 +282,140 @@ class TestUpdate:
         with pytest.raises(ValueError, match="read-only"):
             eye += 1.0
         np.testing.assert_array_equal(simulation._identity(12), np.eye(12))
+
+
+_SINGULAR = r"^innovation covariance is singular or indefinite: Singular matrix$"
+
+
+def _reference_joseph(P, H, R):
+    """The Joseph update written with ``np.linalg.solve`` and out-of-place sums."""
+    HP = H @ P
+    S = HP @ H.T + R
+    K = np.linalg.solve(S, HP).T
+    ikh = np.eye(len(P)) - K @ H
+    P_raw = ikh @ P @ ikh.T + K @ R @ K.T
+    return K, P_raw, 0.5 * (P_raw + P_raw.T), S
+
+
+def _reference_propagated(P, phi, q_dt):
+    """The prediction written with out-of-place sums."""
+    P_raw = phi @ P @ phi.T + q_dt
+    return P_raw, 0.5 * (P_raw + P_raw.T)
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def _kernel_inputs(n, k):
+    """(diagonal prior P, H, R, Phi, q dt) of an n-state filter with k visible features.
+
+    H is built by ``model.feature_bands``, so it carries exact and signed
+    zeros (one relative position has a zero component); with no feature in
+    the state (n = 9) it is the vehicle rows of one feature outside it.
+    """
+    rng = np.random.default_rng(100 * n + k)
+    n_features = (n - model.VEHICLE_DIM) // 3
+    rel = rng.uniform(-200.0, 200.0, (k, 3))
+    rel[:, 2] = -rng.uniform(50.0, 300.0, k)
+    rel[0, 1] = 0.0
+    obs = model.feature_obs_rows(rel)
+    if n_features:
+        features = np.sort(rng.choice(n_features, k, replace=False))
+        H = model.feature_bands(features, obs, n).reshape(3 * k, n)
+    else:
+        H = obs.reshape(3 * k, n)
+    R = np.zeros((3 * k, 3 * k))
+    for i, block in enumerate(simulation._noise_blocks(rel, SensorConfig())):
+        R[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = block
+    dt = 0.04
+    phi = state_transition(model.augmented_f([0.0, 0.3, G], n), dt, "exact")
+    q_dt = process_noise_intensity(SensorConfig(), n) * dt
+    return _prior(n_features), H, R, phi, q_dt
+
+
+_UPDATE_SIZES = [(9, 1)] + [
+    (n, k) for n in (15, 21, 33, 45) for k in (1, 2, 4, 12) if 3 * k <= n - 9
+]
+
+
+class TestKernelBits:
+    """``_joseph`` and ``_propagated`` keep the bits of their out-of-place, ``np.linalg.solve`` form.
+
+    The gain's solve goes straight to NumPy's LAPACK gufunc and the sums are
+    formed in place; the outputs must equal the written-out expressions as
+    raw bits, compared as uint64, and fail like ``np.linalg.solve``.
+    """
+
+    @pytest.mark.parametrize("n,k", _UPDATE_SIZES)
+    def test_update_equals_reference(self, n, k):
+        """Three updates, the first on the diagonal prior, with a propagation between."""
+        P, H, R, phi, q_dt = _kernel_inputs(n, k)
+        for _ in range(3):
+            got = simulation._joseph(P, H, R)
+            _assert_same_bits(got, _reference_joseph(P, H, R))
+            P = simulation._propagated(got[2], phi, q_dt)[1]
+
+    @pytest.mark.parametrize("n", [9, 15, 21, 33, 45])
+    def test_propagation_equals_reference(self, n):
+        """Propagations from the diagonal prior, then from an updated P."""
+        P, H, R, phi, q_dt = _kernel_inputs(n, 1)
+        for step in range(4):
+            got = simulation._propagated(P, phi, q_dt)
+            _assert_same_bits(got, _reference_propagated(P, phi, q_dt))
+            P = got[1] if step != 1 else simulation._joseph(got[1], H, R)[2]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_singular_innovation_message_is_numpys(self, k):
+        """An exactly singular S fails with ``np.linalg.solve``'s message, without a warning."""
+        P, H, R, _, _ = _kernel_inputs(15, k)
+        P, R = np.zeros_like(P), np.zeros_like(R)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.solve(H @ P @ H.T + R, H @ P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match=_SINGULAR) as got:
+                simulation._joseph(P, H, R)
+        assert str(got.value) == simulation._INDEFINITE.format(want.value)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 4), (9, 9), (20, 20)])
+    def test_nan_prior_fails_like_the_reference(self, entry):
+        """A NaN in P gives the reference's exception, or its output bits."""
+        P, H, R, _, _ = _kernel_inputs(21, 2)
+        P[entry] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                want = _reference_joseph(P, H, R)
+            except Exception as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    simulation._joseph(P, H, R)
+            else:
+                _assert_same_bits(simulation._joseph(P, H, R), want)
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["returns", "raises"])
+    def test_error_state_is_the_callers(self, singular):
+        """The solve's error state is set for the call only, whether it returns or raises."""
+        P, H, R, _, _ = _kernel_inputs(15, 2)
+        if singular:
+            P, R = np.zeros_like(P), np.zeros_like(R)
+
+        def handler(err, flag):
+            raise AssertionError("the caller's handler was called")
+
+        for state in ({}, {"all": "ignore", "call": handler}):
+            with np.errstate(**state):
+                before = np.geterr(), np.geterrcall()
+                try:
+                    simulation._joseph(P, H, R)
+                except np.linalg.LinAlgError:
+                    assert singular
+                else:
+                    assert not singular
+                assert (np.geterr(), np.geterrcall()) == before
 
 
 class TestInitializeFeature:
