@@ -174,9 +174,21 @@ def standard_candidates(feature_ids) -> list:
     return [CandidateFunctional(label, w) for label, w in zip(labels + differences, weights)]
 
 
+_OVERFLOW = (
+    "the observability matrix overflows: the segment durations and specific forces "
+    "are too large"
+)
+
+
 def _build_report(stripes, feature_ids, scope, segment_index, options):
-    matrix = tom(stripes, MAX_POWER, options.expansion_mode)
-    basis = null_space(matrix, options.rank_tol)
+    # durations and forces large enough to overflow the stacked transitions
+    # make an input error, raised once null_space finds the matrix not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = tom(stripes, MAX_POWER, options.expansion_mode)
+    try:
+        basis = null_space(matrix, options.rank_tol)
+    except ValueError:
+        raise ValueError(_OVERFLOW) from None
     n, nullity = basis.shape
     differences, plus, minus = model.standard_differences(feature_ids)
     labels = model.state_labels(feature_ids) + differences

@@ -1,73 +1,26 @@
 """Covariance simulation of an aided-inertial SLAM filter.
 
-Runs the Riccati recursion (propagate + measurement update of the error
-covariance) over a piece-wise constant acceleration trajectory, so the
-predicted estimator performance can be compared against the rank-based
-observability verdicts: observable functionals should see their standard
-deviations collapse, unobservable ones should stay at prior level or grow.
+Runs the Riccati recursion (propagation and measurement update of the error
+covariance) over a piece-wise constant acceleration trajectory, so that each
+rank-based verdict can be checked against predicted filter performance:
+observable functionals should see their standard deviations collapse,
+unobservable ones should stay at their prior or grow.  The state layout, F
+and the measurement rows are ``slamobs.model``'s, the system the analysis
+ranks, in the North / East / Up frame.  Every feature is carried from the
+start at its prior, so the state dimension never changes; a feature has no
+dynamics or process noise and H is zero on it until it is measured, so its
+block keeps the prior until then.
 
-The state layout, F and the measurement rows are ``slamobs.model``'s: the
-system the analysis ranks, in the North / East / Up navigation frame.
-Every feature is carried from the start at a large prior, uncorrelated, so
-the state dimension never changes.  Features have no dynamics and no process
-noise, and an update's H is zero on an unmeasured feature, so each feature's
-block stays at its prior until the feature is first measured.
+Each rule has one owner:
 
-There is one filter loop, ``_filter_frames``, built on one Joseph-form update
-(``_joseph``, which takes the gain from one LAPACK solve against the innovation
-covariance S) and one propagation (``_propagated``) per vision frame.  The
-loop has one block rule: it marks the frame that closes each block of
-``_BLOCK_FRAMES`` frames, and the run's last frame (``_Frame.closes``), and
-checks that every S of the block is positive definite, with one Cholesky
-over the stacked S of each shape (``_check_innovations``), just before it
-yields that frame, so a non-PD S still fails the run.  The IMU-step
-transition matrix is computed once per trajectory segment, in closed
-form because the inertial error dynamics are nilpotent.  A frame's IMU steps
-are composed into one transition Phi_f and one process noise Q_f (the
-per-step recursion Q <- Phi Q Phi^T + q dt run from zero, which keeps the
-first-order noise of every step), cached per distinct tuple of step
-segments, so a frame that straddles a segment boundary gets its own pair.  Each frame yields what it
-applied (step transitions, Phi_f, and H, R and the gain K at an update) and
-the raw covariances it re-symmetrized.  ``simulate`` and
-``state_comparison_run`` each run the loop once and record its variances
-through ``_TraceRecorder``: one gather per frame of P's diagonal and of the
-entry P[plus, minus] of each relative mode that ``model.standard_differences``
-enumerates for the analysis too (every P the loop yields is exactly
-symmetric), with the modes' variances and all standard deviations formed
-once per run; ``state_comparison_run`` also replays the frames on a state
-sampled outside the loop, so one pass gives both the trace and the state
-run.  The replay (``_replay``) runs over each block when a frame closes it,
-with one noise draw per block and one Cholesky of the stacked R of each
-shape, and draws and factors the same numbers as a replay frame by frame.
-With ``collect_diagnostics``, ``simulate`` also hands every frame to
-``SimulationDiagnostics``, which checks symmetry, the eigenvalue ratio and
-update growth on the frames alone, a block at a time when a frame closes it.
-
-The trajectory has one segment-boundary rule, ``TrajectoryConfig.segments_at``:
-segment j is active from ``_SLACK`` before the end of segment j - 1 until
-``_SLACK`` before its own end.  Positions, velocities and forces come from
-one kinematics pass keyed by it, continuous across a segment end, matching
-the filter's transition there and moving on past the last segment's end.
-
-The frame timeline has one source.  ``_frame_blocks`` walks the run in
-blocks of ``GEOMETRY_BLOCK_FRAMES`` vision frames at the times k * dt of
-``_frame_clock`` and yields each block's vehicle positions, active segments
-and the segments of every IMU step, all under that rule; ``fov_schedule``
-gates those positions and ``_frame_geometry`` turns them into one record per
-frame: its time, position, step segments, visible features (the schedule's
-columns, or one field-of-view gate over frames x features), their bands of H
-(``model.feature_bands``, the function ``augment`` builds the analysis's H
-with) and 3x3 noise blocks (``_noise_blocks``), all computed once per block.
-Each update frame's H is a row slice of its block's ``feature_bands``, and
-``_stacked_measurement`` only places the noise blocks on R's diagonal, in
-one scatter; the loop builds the step transitions with (Phi_f, Q_f) once per
-step pattern.
-The batched kernels take dot products and norms as stacked 1x3 by 3x1
-matrix products, which sum exactly as ``np.dot`` does, so every number
-equals the per-vector computation bit for bit; ``measurement_noise_cartesian``
-and ``fov_schedule`` are the same kernels applied to one vector and to a
-whole flight.  Blocks bound the extra memory to one block whatever the run
-length.
+- one timeline, ``_frame_clock``: frame k is at k * dt, for the geometry
+  blocks (``_frame_blocks``) and the trace's times (``_TraceRecorder``);
+- one boundary rule, ``TrajectoryConfig.segments_at``, for every time;
+- one filter loop, ``_filter_frames``, which ``simulate`` and
+  ``state_comparison_run`` each run once;
+- one block rule, ``_Frame.closes``: the loop checks a block's innovation
+  covariances before it yields the frame that closes it, and the diagnostics
+  and the state run's replay handle the block only then.
 """
 
 from __future__ import annotations
@@ -98,6 +51,7 @@ _R_FLOOR = 1e-12
 _SLACK = 1e-12
 #: Vision frames whose measurement geometry (vehicle positions, visibility,
 #: observation rows, noise blocks) is computed in one batch: 10 s at 25 Hz.
+#: The batch bounds the geometry's memory to one block whatever the run length.
 GEOMETRY_BLOCK_FRAMES = 250
 #: Frames of one checked block: the filter loop checks the block's innovation
 #: covariances before it yields the frame that closes it (``_Frame.closes``),
@@ -173,8 +127,11 @@ class TrajectoryConfig:
 
         Each time moves on the constant-acceleration piece of its own segment
         (``segments_at``) from that segment's start state, by the time left
-        after subtracting the earlier durations one at a time; past the end
-        of the trajectory the vehicle moves on along the last segment.
+        after subtracting the earlier durations one at a time, so the track
+        is continuous across a segment end, as the filter's transitions are;
+        past the end of the trajectory the vehicle moves on along the last
+        segment.  Each row is computed on its own, so a batch of times gives
+        the bits of each time alone.
         """
         times = np.asarray(times, dtype=float)
         segments = self.segments_at(times)
@@ -700,8 +657,9 @@ class CovarianceTrace:
 class _TraceRecorder:
     """Records the variances of ``count`` frames for one ``CovarianceTrace``.
 
-    A frame costs one gather (``ndarray.take``) from its P into a column of
-    one (n + D, count) buffer: P's diagonal, then the entry P[plus, minus] of
+    The frame times are the clock's, k * dt (``_frame_clock``).  A frame
+    costs one gather (``ndarray.take``) from its P into a column of one
+    (n + D, count) buffer: P's diagonal, then the entry P[plus, minus] of
     each of the D standard differences e_plus - e_minus
     (``model.standard_differences``).  Every P the filter loop yields is
     exactly symmetric (a re-symmetrized matrix or the diagonal prior), so
@@ -710,17 +668,16 @@ class _TraceRecorder:
     and takes standard deviations once; each series is a row of the buffer.
     """
 
-    def __init__(self, feature_ids, count):
+    def __init__(self, feature_ids, sensor, count):
         n = VEHICLE_DIM + 3 * len(feature_ids)
         labels, self._plus, self._minus = model.standard_differences(feature_ids)
         # flat indices into P: the diagonal, then P[plus, minus]
         self._gather = np.concatenate([np.arange(n) * (n + 1), self._plus * n + self._minus])
         self._labels, self._derived_labels = model.state_labels(feature_ids), labels
-        self.times = np.empty(count)
+        self.times = np.arange(count) * _frame_clock(sensor)[1]
         self._values = np.empty((len(self._gather), count))
 
     def record(self, k: int, frame) -> None:
-        self.times[k] = frame.t
         self._values[:, k] = frame.P.take(self._gather)
 
     def trace(self, diagnostics=None) -> CovarianceTrace:
@@ -752,7 +709,7 @@ def fov_schedule(
     features = np.array([feature_positions[fid] for fid in ids], dtype=float)
     seen = np.zeros((len(trajectory.segments), len(ids)), dtype=bool)
     count = _frame_clock(sensor, trajectory.total_duration)[0]
-    for _, positions, segments, _ in _frame_blocks(trajectory, sensor, count):
+    for positions, segments, _ in _frame_blocks(trajectory, sensor, count):
         np.logical_or.at(seen, segments, _in_cone(features - positions[:, None, :], sensor))
     return DetectionSchedule(detected=seen.T.copy(), feature_ids=ids)
 
@@ -775,10 +732,10 @@ def _frame_clock(sensor: SensorConfig, duration=0.0):
 
 
 def _frame_blocks(trajectory, sensor, count):
-    """Yield (times, positions, segments, steps) per block of ``count`` frames.
+    """Yield (positions, segments, steps) per block of ``count`` frames.
 
-    A block holds ``GEOMETRY_BLOCK_FRAMES`` frames: their times, the vehicle
-    positions and active segments there, and in row i of ``steps`` the
+    A block holds ``GEOMETRY_BLOCK_FRAMES`` frames: the vehicle positions and
+    active segments at their times k * dt, and in row i of ``steps`` the
     segments of the IMU steps that propagate the previous frame to frame i
     (unused for frame 0).  Those step times start at the previous frame's
     time and add the step length one at a time, as a running clock would.
@@ -786,25 +743,25 @@ def _frame_blocks(trajectory, sensor, count):
     _, frame_dt, steps_per_frame, imu_dt = _frame_clock(sensor)
     for first in range(0, count, GEOMETRY_BLOCK_FRAMES):
         frames = np.arange(first, min(first + GEOMETRY_BLOCK_FRAMES, count))
-        times = frames * frame_dt
-        positions, segments = trajectory.positions_at(times)
+        positions, segments = trajectory.positions_at(frames * frame_dt)
         step_times = np.full((frames.size, steps_per_frame), imu_dt)
         step_times[:, 0] = (frames - 1) * frame_dt
-        yield times, positions, segments, trajectory.segments_at(np.cumsum(step_times, axis=1))
+        yield positions, segments, trajectory.segments_at(np.cumsum(step_times, axis=1))
 
 
 def _frame_geometry(scenario: SimScenario, trajectory, sensor, count):
-    """Yield (t, position, step segments, visible features, bands, noise) per frame.
+    """Yield (step segments, bands, noise) per frame.
 
-    The visible features of a frame are in ascending order (the schedule's
-    columns, or the field-of-view gate); ``bands`` and ``noise`` hold their
-    (k, 3, n) bands of H, a slice of the block's ``model.feature_bands``, and
-    their (k, 3, 3) noise blocks (``_noise_blocks``), both computed once per
-    ``_frame_blocks`` block.
+    ``bands`` and ``noise`` hold the (k, 3, n) bands of H and the (k, 3, 3)
+    noise blocks (``_noise_blocks``) of the frame's k visible features, in
+    ascending feature order (the schedule's columns, or the field-of-view
+    gate); both are slices of arrays computed once per ``_frame_blocks``
+    block, the bands by ``model.feature_bands``, the function ``augment``
+    builds the analysis's H with.
     """
     features = np.array([scenario.feature_positions[fid] for fid in scenario.feature_ids])
     n = VEHICLE_DIM + 3 * len(features)
-    for times, positions, segments, steps in _frame_blocks(trajectory, sensor, count):
+    for positions, segments, steps in _frame_blocks(trajectory, sensor, count):
         rel = features - positions[:, None, :]
         if scenario.schedule is None:
             visible = _in_cone(rel, sensor)
@@ -814,11 +771,10 @@ def _frame_geometry(scenario: SimScenario, trajectory, sensor, count):
         rel = rel[frame_of, feature_of]
         bands = model.feature_bands(feature_of, model.feature_obs_rows(rel), n)
         noise = _noise_blocks(rel, sensor) if len(rel) else np.empty((0, 3, 3))
-        bounds = np.searchsorted(frame_of, np.arange(times.size + 1)).tolist()
-        feature_of = feature_of.tolist()
-        for i, (t, pattern) in enumerate(zip(times.tolist(), map(tuple, steps.tolist()))):
+        bounds = np.searchsorted(frame_of, np.arange(len(steps) + 1)).tolist()
+        for i, pattern in enumerate(map(tuple, steps.tolist())):
             rows = slice(bounds[i], bounds[i + 1])
-            yield t, positions[i], pattern, feature_of[rows], bands[rows], noise[rows]
+            yield pattern, bands[rows], noise[rows]
 
 
 @functools.lru_cache(maxsize=32)
@@ -862,8 +818,6 @@ class _Frame(NamedTuple):
     frames and on the run's last frame: the block's innovations are checked.
     """
 
-    t: float
-    position: np.ndarray
     steps: tuple
     phi: np.ndarray | None
     P: np.ndarray
@@ -897,15 +851,16 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
     Phi_f = Phi_{s_k} ... Phi_{s_1} over its IMU steps and the matching
     process noise Q_f (``_frame_transition``: the per-step recursion
     Q <- Phi_s Q Phi_s^T + q dt started from zero, so the first-order noise of
-    every IMU step is kept).  Phi_s is built once per trajectory segment, and
-    (Phi_f, Q_f) once per distinct tuple of step segments: a frame inside
+    every IMU step is kept).  Phi_s is built once per trajectory segment, in
+    closed form as the inertial error dynamics are nilpotent, and (Phi_f,
+    Q_f) once per distinct tuple of step segments: a frame inside
     one segment, or one of the few frames that straddle a segment boundary.
     Then it applies one stacked Joseph update per vision frame covering every
     currently-detected feature; a feature not yet measured keeps its prior
-    block, uncorrelated.  Each frame's time, position, step segments, visible
-    features and their bands and noise come from ``_frame_geometry``.  A frame
-    yields what it applied (step transitions and Phi_f; H, R and the gain K)
-    and the raw covariances it re-symmetrized, and carries no sampled state.
+    block, uncorrelated.  Each frame's step segments, and the bands and noise
+    of its visible features, come from ``_frame_geometry``.  A frame yields
+    what it applied (step transitions and Phi_f; H, R and the gain K) and the
+    raw covariances it re-symmetrized, and carries no sampled state.
 
     Every update's innovation covariance S is checked for positive
     definiteness (``_check_innovations``) in blocks of ``_BLOCK_FRAMES``
@@ -927,7 +882,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
     innovations = []  # S of each update since the last check
 
     frames = _frame_geometry(scenario, trajectory, sensor, count)
-    for frame, (t, pos, pattern, visible, bands, noise) in enumerate(frames):
+    for frame, (pattern, bands, noise) in enumerate(frames):
         raw = ()
         if frame:
             if pattern not in transitions:
@@ -937,7 +892,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
             P_raw, P = _propagated(P, phi_f, q_f)
             raw = (P_raw,)
         P_prior = H = R = K = None
-        if visible:
+        if len(bands):
             H, R = _stacked_measurement(bands, noise)
             P_prior = P
             K, P_raw, P, S = _joseph(P, H, R)
@@ -946,7 +901,7 @@ def _filter_frames(scenario: SimScenario, trajectory, sensor, count):
         closes = (frame + 1) % _BLOCK_FRAMES == 0 or frame + 1 == count
         if closes:
             _check_innovations(innovations)
-        yield _Frame(t, pos, steps, phi_f, P, P_prior, H, R, K, raw, closes)
+        yield _Frame(steps, phi_f, P, P_prior, H, R, K, raw, closes)
 
 
 def simulate(
@@ -969,7 +924,7 @@ def simulate(
     diagnostics.
     """
     count = _frame_count(scenario, trajectory, sensor, duration)
-    recorder = _TraceRecorder(scenario.feature_ids, count)
+    recorder = _TraceRecorder(scenario.feature_ids, sensor, count)
     diag = SimulationDiagnostics() if collect_diagnostics else None
     rng = np.random.default_rng(seed)
     for k, frame in enumerate(_filter_frames(scenario, trajectory, sensor, count)):
@@ -1055,7 +1010,8 @@ def state_comparison_run(
     Each frame is recorded as the loop yields it, keeping only what the
     replay reads of it; the replay (``_replay``) runs over each block when a
     frame closes it (``_Frame.closes``), and draws the same numbers as a
-    replay frame by frame.
+    replay frame by frame.  The true track is read at the trace's times in
+    one ``positions_at`` call after the loop.
     """
     count = _frame_count(scenario, trajectory, sensor, duration)
     n = VEHICLE_DIM + 3 * len(scenario.feature_ids)
@@ -1063,12 +1019,11 @@ def state_comparison_run(
     x, x_hat = rng.standard_normal(n) * np.sqrt(scenario._prior_variances()), np.zeros(n)
     noise_std = np.sqrt(np.diag(process_noise_intensity(sensor, n)))
     sqrt_dt = np.sqrt(_frame_clock(sensor)[3])
-    recorder = _TraceRecorder(scenario.feature_ids, count)
-    true, ins, estimated = np.empty((3, count, 3))
+    recorder = _TraceRecorder(scenario.feature_ids, sensor, count)
+    ins, estimated = np.empty((2, count, 3))
     block = []
     for k, frame in enumerate(_filter_frames(scenario, trajectory, sensor, count)):
         recorder.record(k, frame)
-        true[k] = frame.position
         block.append((frame.steps, frame.phi, frame.H, frame.R, frame.K))
         if frame.closes:
             rows = slice(k + 1 - len(block), k + 1)
@@ -1077,6 +1032,7 @@ def state_comparison_run(
             )
             block = []
     # x and x_hat until the replay ends; then (position + x) - x_hat, in place
+    true = trajectory.positions_at(recorder.times)[0]
     ins += true
     np.subtract(ins, estimated, out=estimated)
     trace = recorder.trace()

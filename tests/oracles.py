@@ -489,7 +489,7 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
     ``o_feature_obs_row``) in place of the batched kernels, ``o_kinematics``
     for the vehicle position, a running clock with ``o_segment`` for the
     IMU steps, and each visible feature's band of H written out on its own,
-    yielding the records the filter loop reads.
+    yielding the (step segments, bands, noise) records the filter loop reads.
     """
     ids = scenario.feature_ids
     n = 9 + 3 * len(ids)
@@ -505,7 +505,7 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
             clock += imu_dt
         t = frame * (1.0 / sensor.frame_rate_hz)
         pos = o_trajectory(trajectory, t)[0]
-        features, bands, noise = [], [], []
+        bands, noise = [], []
         for c, fid in enumerate(ids):
             rel = scenario.feature_positions[fid] - pos
             if scenario.schedule is None:
@@ -516,17 +516,14 @@ def _scalar_frame_geometry(scenario, trajectory, sensor, count):
                 band = np.zeros((3, n))
                 band[:, :9] = o_feature_obs_row(rel)
                 band[:, 9 + 3 * c : 12 + 3 * c] = np.eye(3)
-                features.append(c)
                 bands.append(band)
                 noise.append(o_noise_cartesian(rel, sigmas))
-        yield (
-            t,
-            pos,
-            tuple(pattern),
-            features,
-            np.array(bands).reshape(-1, 3, n),
-            np.array(noise).reshape(-1, 3, 3),
-        )
+        yield tuple(pattern), np.array(bands).reshape(-1, 3, n), np.array(noise).reshape(-1, 3, 3)
+
+
+def _band_features(bands):
+    """Feature index of each (3, n) band of H: where its identity block's first column sits."""
+    return np.nonzero(bands[:, 0, 9::3])[1].tolist()
 
 
 def _looped_measurement(visible, obs, noise, n):
@@ -569,9 +566,8 @@ def _step_filter_args(scenario, trajectory, sensor, count):
         F[0:9, 0:9] = ins_error_f(force)
         phis.append(state_transition(F, imu_dt, "exact"))
     measurements = []
-    for _, _, _, visible, bands, noise in _scalar_frame_geometry(
-        scenario, trajectory, sensor, count
-    ):
+    for _, bands, noise in _scalar_frame_geometry(scenario, trajectory, sensor, count):
+        visible = _band_features(bands)
         H = R = None
         if visible:
             H, R = _looped_measurement(visible, bands[:, :, :9], noise, n)

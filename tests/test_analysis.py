@@ -282,6 +282,35 @@ class TestAnalyzeTotal:
         with pytest.raises(ValueError, match="rank_tol must be positive and finite"):
             AnalysisOptions(rank_tol=rank_tol)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CandidateFunctional("w", [[1.0, 0.0]]), "weights must be a vector"),
+            (lambda: CandidateFunctional("w", [0.0, 0.0]), "weights must be nonzero"),
+            (
+                lambda: AnalysisOptions(expansion_mode="bogus"),
+                "expansion_mode must be 'exact' or 'first_order', got 'bogus'",
+            ),
+            (
+                lambda: case_scenario(2, forces=[(0.0, 0.0, 9.81)] * 3),
+                "exactly two segment forces are required",
+            ),
+        ],
+        ids=["2-d weights", "zero weights", "expansion mode", "three forces"],
+    )
+    def test_input_check_messages(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    def test_overflowing_matrix_is_an_input_error(self):
+        """Durations that overflow the stacked transitions fail with one message, no warning."""
+        message = (
+            "the observability matrix overflows: "
+            "the segment durations and specific forces are too large"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analyze_total(case_scenario(2, delta=1e200))
+
 
 class TestAnalyzeCase:
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])

@@ -31,6 +31,12 @@ SIMULATE = ["simulate", bundled_path("case2_flight.yaml")]
 #: An integer too large for a double.
 HUGE_INT = "1" + "0" * 400
 
+#: The one line of a scenario whose stacked transitions overflow.
+OVERFLOW_ERROR = (
+    "error: the observability matrix overflows: "
+    "the segment durations and specific forces are too large\n"
+)
+
 # (command, flag, value, rule): every numeric flag is checked by the rule of
 # the scenario field that carries the same quantity
 BAD_FLAG_VALUES = [
@@ -124,6 +130,25 @@ class TestAnalyzeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["expansion_mode"] == "first_order"
         assert report["rank"] == 12
+
+    def test_exact_flag_overrides_the_document(self, tmp_path, capsys):
+        """``--exact`` on a first-order document gives the exact document's report, bytewise."""
+        text = Path(bundled_path("case2.yaml")).read_text()
+        first_order = tmp_path / "case2.yaml"
+        first_order.write_text(text.replace("expansion: exact", "expansion: first_order"))
+        assert main(["analyze", str(first_order)]) == 0
+        assert json.loads(capsys.readouterr().out)["expansion_mode"] == "first_order"
+        assert main(["analyze", str(first_order), "--exact"]) == 0
+        got = capsys.readouterr().out
+        assert main(["analyze", bundled_path("case2.yaml")]) == 0
+        assert got == capsys.readouterr().out
+
+    def test_overflowing_durations(self, tmp_path, capsys):
+        text = Path(bundled_path("case2.yaml")).read_text()
+        huge = tmp_path / "huge.yaml"
+        huge.write_text(text.replace("duration: 50.0", "duration: 1.0e+200"))
+        assert main(["analyze", str(huge)]) == 1
+        assert capsys.readouterr().err == OVERFLOW_ERROR
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -321,6 +346,10 @@ class TestCasesCommand:
     def test_non_finite_force_names_the_flag(self, capsys):
         assert main(["cases", "--forces", "0,0,nan", "0,0,9.81"]) == 1
         assert "--forces: entries must be finite" in capsys.readouterr().err
+
+    def test_overflowing_duration(self, capsys):
+        assert main(["cases", "--dt", "1e200"]) == 1
+        assert capsys.readouterr().err == OVERFLOW_ERROR
 
     def test_bad_duration_names_the_flag(self, capsys):
         for dt, rule in (("nan", "finite"), ("0", "> 0.0"), ("-5", "> 0.0"), ("inf", "finite")):

@@ -93,6 +93,19 @@ class TestDetectionSchedule:
         with pytest.raises(ValueError, match="never detected"):
             DetectionSchedule(detected=np.array([[1, 0], [0, 0]], dtype=bool))
 
+    @pytest.mark.parametrize(
+        "detected, ids, message",
+        [
+            ([1, 1], None, "detected must be a 2-d boolean array (features x segments)"),
+            (np.zeros((2, 0), dtype=bool), None, "schedule must cover at least one segment"),
+            ([[1], [1]], ("a",), "1 feature ids for 2 schedule rows"),
+        ],
+        ids=["1-d", "no segments", "id count"],
+    )
+    def test_shape_checks(self, detected, ids, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetectionSchedule(detected=detected, feature_ids=ids)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             DetectionSchedule(

@@ -449,6 +449,10 @@ class TestNullSpace:
                 basis @ basis.T, want @ want.T, atol=1e-12
             )
 
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match="M must be a matrix"):
+            null_space(np.ones(3))
+
     @pytest.mark.parametrize("rel_tol", [0.0, np.inf, np.nan])
     def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
         # an infinite tolerance would give rank 0 yet call every functional observable

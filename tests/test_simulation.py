@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 from oracles import (
+    _band_features,
     _extended_precision_stds,
     _looped_measurement,
     _scalar_frame_geometry,
@@ -166,6 +167,10 @@ class TestTrajectory:
                 TrajectoryConfig(p0=[0, 0, 0], v0=[0, 0, 0], segments=[(duration, [0, 0, G])])
         with pytest.raises(ValueError):
             TrajectoryConfig(p0=[0, 0, 0], v0=[0, 0, 0], segments=[])
+
+    def test_rejects_mis_shaped_start(self):
+        with pytest.raises(ValueError, match=re.escape("p0 must have shape (3,), got (2,)")):
+            TrajectoryConfig(p0=[0, 0], v0=[0, 0, 0], segments=[(1.0, [0, 0, G])])
 
     @pytest.mark.parametrize("gravity", [-1.0, np.inf, np.nan])
     def test_gravity_must_be_non_negative_and_finite(self, gravity):
@@ -522,6 +527,15 @@ class TestMeasurementNoise:
         with pytest.raises(ValueError):
             measurement_noise_cartesian([0.0, 0.0, 0.0], SensorConfig())
 
+    def test_all_zero_noise_rejected(self):
+        sensor = SensorConfig(range_error_m=0.0, bearing_noise_deg=0.0, elevation_noise_deg=0.0)
+        with pytest.raises(ValueError, match="all measurement noise terms are zero"):
+            measurement_noise_cartesian([50.0, 0.0, 0.0], sensor)
+
+    def test_process_noise_needs_the_vehicle_states(self):
+        with pytest.raises(ValueError, match="state dimension too small"):
+            process_noise_intensity(SensorConfig(), 8)
+
 
 class TestFovSchedule:
     def test_flight_geometry_reproduces_case2_pattern(self):
@@ -572,6 +586,8 @@ class TestSimulate:
         assert flight_trace.times.size == 2501
         assert flight_trace.times[0] == 0.0
         assert flight_trace.times[-1] == pytest.approx(100.0)
+        # frame k is at k * dt, bit for bit
+        np.testing.assert_array_equal(flight_trace.times, np.arange(2501) * (1.0 / 25.0))
         assert set(flight_trace.std) == {
             f"{block}_{axis}"
             for block in ("dp", "dv", "psi", "dm_f1", "dm_f2")
@@ -642,6 +658,18 @@ class TestSimulate:
         # only f1 is inside the cone at the start; f2 keeps its raw prior
         assert trace.value_at("dm_f1_N", 4.0) < 1e3
         assert trace.value_at("dm_f2_N", 4.0) == pytest.approx(np.sqrt(1e9), rel=1e-6)
+
+    def test_empty_trace_lookups(self):
+        doc = load_scenario(CASE2_FLIGHT)
+        trace = simulate(doc.sim_scenario(), doc.trajectory, doc.sensor, duration=0.0)
+        with pytest.raises(KeyError, match="no_such_label"):
+            trace.series("no_such_label")
+        with pytest.raises(ValueError, match="trace is empty"):
+            trace.value_at("dv_N", 0.0)
+
+    def test_scenario_needs_a_feature(self):
+        with pytest.raises(ValueError, match="at least one feature is required"):
+            SimScenario(feature_positions={})
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_value_at_rejects_non_finite_time(self, t):
@@ -761,10 +789,11 @@ class TestOnePass:
         scenario, trajectory, sensor = doc.sim_scenario(), doc.trajectory, doc.sensor
         count = simulation._frame_count(scenario, trajectory, sensor, None)
         assert count == {CASE2_FLIGHT: 2501, FOV_FLIGHT: 501}[path]
-        for frame in simulation._filter_frames(scenario, trajectory, sensor, count):
+        frames = simulation._filter_frames(scenario, trajectory, sensor, count)
+        for k, frame in enumerate(frames):
             for P in (frame.P_prior, frame.P):
                 bits = P.view(np.uint64)
-                np.testing.assert_array_equal(bits, bits.T, err_msg=f"t = {frame.t}")
+                np.testing.assert_array_equal(bits, bits.T, err_msg=f"frame {k}")
 
 class TestCrossModuleConsistency:
     """Rank-based verdicts must show up in the covariance behaviour."""
@@ -841,9 +870,10 @@ def _frame_by_frame_state_run(scenario, trajectory, sensor, seed, duration=None)
     rng = np.random.default_rng(seed)
     x, x_hat = rng.standard_normal(n) * np.sqrt(scenario._prior_variances()), np.zeros(n)
     noise_std = np.sqrt(np.diag(process_noise_intensity(sensor, n)))
-    sqrt_dt = np.sqrt(simulation._frame_clock(sensor)[3])
+    _, frame_dt, _, imu_dt = simulation._frame_clock(sensor)
+    sqrt_dt = np.sqrt(imu_dt)
     true, ins, estimated = [], [], []
-    for frame in simulation._filter_frames(scenario, trajectory, sensor, count):
+    for k, frame in enumerate(simulation._filter_frames(scenario, trajectory, sensor, count)):
         if frame.phi is not None:
             draws = rng.standard_normal((len(frame.steps), n)) * noise_std * sqrt_dt
             for phi, w in zip(frame.steps, draws):
@@ -852,9 +882,10 @@ def _frame_by_frame_state_run(scenario, trajectory, sensor, seed, duration=None)
         if frame.H is not None:
             z = frame.H @ x + np.linalg.cholesky(frame.R) @ rng.standard_normal(frame.H.shape[0])
             x_hat = x_hat + frame.K @ (z - frame.H @ x_hat)
-        true.append(frame.position)
-        ins.append(frame.position + x[0:3])
-        estimated.append(frame.position + x[0:3] - x_hat[0:3])
+        position = trajectory.state_at(k * frame_dt)[0]
+        true.append(position)
+        ins.append(position + x[0:3])
+        estimated.append(position + x[0:3] - x_hat[0:3])
     return [np.array(rows).reshape(-1, 3) for rows in (true, ins, estimated)]
 
 
@@ -955,7 +986,7 @@ class TestBlockedLapackCalls:
 
         def noted_frame(diag, frame, rng):
             if frame.closes:
-                checked.extend(f.t for f in [*diag._frames, frame])
+                checked.extend([*diag._frames, frame])
             return note_frame(diag, frame, rng)
 
         def counted_replay(block, *args):
@@ -970,7 +1001,8 @@ class TestBlockedLapackCalls:
             simulate(*inputs, duration=5.56)
         with pytest.raises(np.linalg.LinAlgError, match=message):
             state_comparison_run(*inputs, seed=2, duration=5.56)
-        assert max(checked) < frames[bad_frame].t
+        # the checked and replayed blocks are the run's first frames, in order
+        assert len(checked) <= bad_frame
         assert sum(replayed) <= bad_frame
 
     @pytest.mark.parametrize("run", [simulate, state_comparison_run])
@@ -1094,9 +1126,10 @@ class TestBatchedGeometry:
         scenario = SimScenario(feature_positions=features)
         count = simulation._frame_count(scenario, trajectory, sensor, None)
         want = np.zeros((len(features), len(trajectory.segments)), dtype=bool)
+        frame_dt = simulation._frame_clock(sensor)[1]
         frames = simulation._frame_geometry(scenario, trajectory, sensor, count)
-        for t, _, _, visible, *_ in frames:
-            want[visible, trajectory.segments_at([t])[0]] = True
+        for k, (_, bands, _) in enumerate(frames):
+            want[_band_features(bands), trajectory.segments_at([k * frame_dt])[0]] = True
         assert want.sum() > len(features)
         np.testing.assert_array_equal(fov_schedule(features, trajectory, sensor).detected, want)
 
@@ -1143,9 +1176,8 @@ class TestBatchedGeometry:
         n = 9 + 3 * len(features)
         count = simulation._frame_count(scenario, trajectory, sensor, None)
         sizes = []
-        for _, _, _, visible, bands, noise in simulation._frame_geometry(
-            scenario, trajectory, sensor, count
-        ):
+        for _, bands, noise in simulation._frame_geometry(scenario, trajectory, sensor, count):
+            visible = _band_features(bands)
             sizes.append(len(visible))
             if not visible:
                 continue
@@ -1173,8 +1205,10 @@ class TestBatchedGeometry:
         frames = list(
             simulation._filter_frames(doc.sim_scenario(), doc.trajectory, doc.sensor, 1251)
         )
-        for segment, frame in enumerate((frames[0], frames[1250])):
-            assert frame.t == 50.0 * segment
+        frame_dt = simulation._frame_clock(doc.sensor)[1]
+        for segment, k in enumerate((0, 1250)):
+            frame = frames[k]
+            assert k * frame_dt == 50.0 * segment
             bands = stripes[segment].H.reshape(schedule.n_features, 3, -1)
             want = bands[schedule.detected[:, segment]].reshape(-1, bands.shape[2])
             np.testing.assert_array_equal(frame.H, want)
@@ -1222,7 +1256,7 @@ class TestFramePropagation:
         want, patterns = o_step_filter(*args)
         steps = [
             pattern
-            for _, _, pattern, *_ in simulation._frame_geometry(scenario, trajectory, sensor, count)
+            for pattern, *_ in simulation._frame_geometry(scenario, trajectory, sensor, count)
         ]
         return got, want, patterns, steps
 
