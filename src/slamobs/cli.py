@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, simulation
+from . import analysis
 from .analysis import AnalysisOptions, analyze_local, analyze_total, case_scenario
 from .model import AXES, VEHICLE_DIM
 from .scenario import ScenarioError, _number, _vec3, load_scenario
@@ -92,6 +92,8 @@ def _write_csv(path: Path, labels, times, columns) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulation
+
     _number(args.seed, "--seed", minimum=0)
     if args.duration is not None:
         _number(args.duration, "--duration", minimum=0.0)

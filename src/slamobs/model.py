@@ -36,6 +36,14 @@ AXES = ("N", "E", "U")
 VEHICLE_BLOCKS = ("dp", "dv", "psi")
 VEHICLE_DIM = 9
 
+#: Gravity along Up (m/s^2) when a scenario gives none.
+GRAVITY = 9.81
+#: Prior variance of each feature axis (m^2) when a scenario gives none.
+FEATURE_PRIOR_DEFAULT = 1.0e9
+#: Default initial vehicle error variances: 1 m^2 / (m/s)^2 on position and
+#: velocity, 0.0873 rad^2 on attitude, read literally as variances.
+DEFAULT_VEHICLE_VARIANCES = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0873, 0.0873, 0.0873)
+
 
 def _put_skews(out, v) -> None:
     """Write ``skew(v[i])`` into ``out[i]``: (m, 3) ``v``, zeroed (m, 3, 3) view ``out``.

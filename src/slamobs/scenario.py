@@ -12,6 +12,10 @@ segment are derived from the trajectory at the segment start.
 Parse and validation problems raise ScenarioError carrying the offending
 field's path; that includes a key that no section knows, so a misspelt field
 never falls back to its default without a word.
+
+Only a document that describes a flight (a trajectory or sensor section, or
+an "auto" schedule) loads ``slamobs.simulation``; an analysis-only document
+is parsed without it.
 """
 
 from __future__ import annotations
@@ -19,24 +23,18 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
-import yaml
 
 from . import model
 from .analysis import AnalysisOptions, CandidateFunctional, _check_extra_label
+from .model import DEFAULT_VEHICLE_VARIANCES, FEATURE_PRIOR_DEFAULT, GRAVITY
 from .model import DetectionSchedule, Scenario, SegmentSpec, state_blocks
 from .pwcs import DEFAULT_RANK_TOL
-from .simulation import (
-    DEFAULT_VEHICLE_VARIANCES,
-    FEATURE_PRIOR_DEFAULT,
-    GRAVITY,
-    _POSITIVE_SENSOR_FIELDS,
-    SensorConfig,
-    SimScenario,
-    TrajectoryConfig,
-    fov_schedule,
-)
+
+if TYPE_CHECKING:
+    from .simulation import SensorConfig, SimScenario, TrajectoryConfig
 
 
 class ScenarioError(ValueError):
@@ -47,7 +45,6 @@ class ScenarioError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-_SENSOR_FIELDS = tuple(f.name for f in fields(SensorConfig))
 _TOP_FIELDS = (
     "name", "gravity", "options", "features", "segments", "schedule", "trajectory", "sensor",
     "initial_covariance", "candidates",
@@ -76,6 +73,8 @@ class ScenarioDoc:
             raise ScenarioError("sensor", "section required for simulation")
         if not self.feature_positions:
             raise ScenarioError("features", "section required for simulation")
+        from .simulation import SimScenario
+
         schedule = None if self.schedule_mode == "auto" else self.scenario.schedule
         return SimScenario(
             feature_positions=dict(self.feature_positions),
@@ -161,6 +160,27 @@ def _number(value, path, minimum=None, strict=False):
     return value
 
 
+def fov_schedule(
+    feature_positions: dict, trajectory: TrajectoryConfig, sensor: SensorConfig
+) -> DetectionSchedule:
+    """Detection schedule implied by field-of-view gating.
+
+    A feature counts as detected in a segment when it falls inside the
+    sensor cone at any vision frame of that segment: the frames, positions
+    and cone of the filter's own loop (``simulation._frame_blocks`` and
+    ``simulation._in_cone``).
+    """
+    from .simulation import _frame_blocks, _frame_clock, _in_cone
+
+    ids = tuple(feature_positions)
+    features = np.array([feature_positions[fid] for fid in ids], dtype=float)
+    seen = np.zeros((len(trajectory.segments), len(ids)), dtype=bool)
+    count = _frame_clock(sensor, trajectory.total_duration)[0]
+    for positions, segments, _ in _frame_blocks(trajectory, sensor, count):
+        np.logical_or.at(seen, segments, _in_cone(features - positions[:, None, :], sensor))
+    return DetectionSchedule(detected=seen.T.copy(), feature_ids=ids)
+
+
 def load_scenario(path) -> ScenarioDoc:
     """Parse a scenario file from disk."""
     try:
@@ -173,6 +193,8 @@ def load_scenario(path) -> ScenarioDoc:
 
 def parse_scenario(text: str, name_hint: str = "<scenario>") -> ScenarioDoc:
     """Parse a scenario document from YAML text."""
+    import yaml
+
     try:
         raw = yaml.safe_load(text)
     # PyYAML's constructors raise a plain ValueError for a scalar they cannot
@@ -223,20 +245,26 @@ def _build_doc(raw: dict) -> ScenarioDoc:
 
     trajectory = None
     if "trajectory" in raw:
+        from .simulation import TrajectoryConfig
+
         traj_raw = _mapping(raw["trajectory"], "trajectory", ("p0", "v0"))
         p0 = _vec3(_require(traj_raw, "p0", "trajectory"), "trajectory.p0")
         v0 = _vec3(_require(traj_raw, "v0", "trajectory"), "trajectory.v0")
-        trajectory = TrajectoryConfig(
-            p0=p0,
-            v0=v0,
-            segments=[(d, f) for d, f in zip(durations, forces)],
-            gravity=gravity,
-        )
+        with _located("trajectory"):
+            trajectory = TrajectoryConfig(
+                p0=p0,
+                v0=v0,
+                segments=[(d, f) for d, f in zip(durations, forces)],
+                gravity=gravity,
+            )
 
     sensor = None
     if "sensor" in raw:
+        from .simulation import _POSITIVE_SENSOR_FIELDS, SensorConfig
+
         kwargs = {}
-        for key, value in _mapping(raw["sensor"], "sensor", _SENSOR_FIELDS).items():
+        known = tuple(f.name for f in fields(SensorConfig))
+        for key, value in _mapping(raw["sensor"], "sensor", known).items():
             if key == "boresight":
                 kwargs[key] = tuple(_vec3(value, "sensor.boresight"))
             else:
@@ -251,6 +279,8 @@ def _build_doc(raw: dict) -> ScenarioDoc:
             raise ScenarioError("schedule", "'auto' requires a features section")
         if trajectory is None:
             raise ScenarioError("schedule", "'auto' requires a trajectory section")
+        from .simulation import SensorConfig
+
         gate_sensor = sensor if sensor is not None else SensorConfig()
         with _located("schedule"):
             schedule = fov_schedule(feature_positions, trajectory, gate_sensor)

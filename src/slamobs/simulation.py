@@ -34,15 +34,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import model
+from .model import DEFAULT_VEHICLE_VARIANCES, FEATURE_PRIOR_DEFAULT, GRAVITY
 from .model import DetectionSchedule, VEHICLE_DIM
 from .model import feature_obs_row  # noqa: F401  (perfbench/tracer.py counts calls through this name)
 from .pwcs import _as_finite_array, state_transition
-
-GRAVITY = 9.81
-FEATURE_PRIOR_DEFAULT = 1.0e9
-#: Default initial vehicle error variances: 1 m^2 / (m/s)^2 on position and
-#: velocity, 0.0873 rad^2 on attitude, read literally as variances.
-DEFAULT_VEHICLE_VARIANCES = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0873, 0.0873, 0.0873)
 
 _R_FLOOR = 1e-12
 #: Segment-boundary slack in seconds: a time this close before a segment's end
@@ -94,6 +89,31 @@ class TrajectoryConfig:
         if not norm:
             raise ValueError("at least one trajectory segment is required")
         self.segments = norm
+        self._pieces = self._start_states()
+
+    def _start_states(self):
+        """Each segment's (start position, start velocity, net acceleration).
+
+        The track is continued from one segment end to the next, as
+        ``_kinematics`` moves each time.  A segment whose end state
+        overflows raises ValueError naming it, without a floating-point
+        warning.
+        """
+        g_vec = np.array([0.0, 0.0, self.gravity])
+        p, v = self.p0, self.v0
+        pieces = []
+        for j, (duration, force) in enumerate(self.segments):
+            accel = force - g_vec
+            pieces.append((p, v, accel))
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = p + v * duration + 0.5 * accel * duration * duration
+                v = v + accel * duration
+            if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
+                raise ValueError(
+                    f"segment {j}: the state at its end is not finite "
+                    "(the segment durations and specific forces are too large)"
+                )
+        return pieces
 
     @property
     def total_duration(self) -> float:
@@ -126,27 +146,22 @@ class TrajectoryConfig:
         """(positions, velocities, segments) at a 1-D array of times.
 
         Each time moves on the constant-acceleration piece of its own segment
-        (``segments_at``) from that segment's start state, by the time left
-        after subtracting the earlier durations one at a time, so the track
-        is continuous across a segment end, as the filter's transitions are;
-        past the end of the trajectory the vehicle moves on along the last
-        segment.  Each row is computed on its own, so a batch of times gives
-        the bits of each time alone.
+        (``segments_at``) from that segment's start state (``_start_states``),
+        by the time left after subtracting the earlier durations one at a
+        time, so the track is continuous across a segment end, as the
+        filter's transitions are; past the end of the trajectory the vehicle
+        moves on along the last segment.  Each row is computed on its own, so
+        a batch of times gives the bits of each time alone.
         """
         times = np.asarray(times, dtype=float)
         segments = self.segments_at(times)
         remaining = times.copy()
         positions, velocities = np.empty((2, times.size, 3))
-        g_vec = np.array([0.0, 0.0, self.gravity])
-        p, v = self.p0, self.v0
-        for j, (duration, force) in enumerate(self.segments):
-            accel = force - g_vec
+        for j, ((duration, _), (p, v, accel)) in enumerate(zip(self.segments, self._pieces)):
             here = segments == j
             step = remaining[here][:, None]
             positions[here] = p + v * step + 0.5 * accel * step * step
             velocities[here] = v + accel * step
-            p = p + v * duration + 0.5 * accel * duration * duration
-            v = v + accel * duration
             remaining -= duration
         return positions, velocities, segments
 
@@ -181,19 +196,26 @@ class SensorConfig:
         for name in _POSITIVE_SENSOR_FIELDS:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        # noise magnitudes may be zero to exercise degenerate limits
-        for name in (
-            "accel_noise",
-            "gyro_noise_deg",
-            "range_error_m",
-            "bearing_noise_deg",
-            "elevation_noise_deg",
+        # noise magnitudes may be zero to exercise degenerate limits; the
+        # filter squares each in its own units, radians for the angles
+        for name, to_filter_units in (
+            ("accel_noise", float),
+            ("gyro_noise_deg", np.deg2rad),
+            ("range_error_m", float),
+            ("bearing_noise_deg", np.deg2rad),
+            ("elevation_noise_deg", np.deg2rad),
         ):
-            if not 0 <= getattr(self, name) < np.inf:
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
+            sigma = float(to_filter_units(value))
+            if not sigma * sigma < np.inf:
+                raise ValueError(f"{name} must be finite once squared")
         if self.imu_rate_hz < self.frame_rate_hz:
             raise ValueError("imu_rate_hz must be at least frame_rate_hz")
         ratio = self.imu_rate_hz / self.frame_rate_hz
+        if not ratio < np.inf:
+            raise ValueError("imu_rate_hz / frame_rate_hz must be finite")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError("imu_rate_hz must be a whole multiple of frame_rate_hz")
         bs = np.asarray(self.boresight, dtype=float)
@@ -303,8 +325,9 @@ def _solve(A, B):
     and restores on return: LinAlgError("Singular matrix") on an exactly
     singular A, and no floating-point warning.  It skips the wrapper's checks
     and conversions, which only re-prove what the caller's arrays are.  The
-    decorator keeps its state per call in a context variable (NumPy >= 2.0,
-    the floor in pyproject.toml), so calls in other threads do not share it.
+    decorator keeps its state per call in a context variable (NumPy >= 2.0),
+    so calls in other threads do not share it.  The gufunc is private to
+    NumPy, so pyproject.toml declares only the NumPy range the tests run on.
     """
     return _umath_linalg.solve(A, B, signature="dd->d")
 
@@ -695,23 +718,6 @@ class _TraceRecorder:
             derived_std=dict(zip(self._derived_labels, values[n:])),
             diagnostics=diagnostics,
         )
-
-
-def fov_schedule(
-    feature_positions: dict, trajectory: TrajectoryConfig, sensor: SensorConfig
-) -> DetectionSchedule:
-    """Detection schedule implied by field-of-view gating.
-
-    A feature counts as detected in a segment when it falls inside the
-    sensor cone at any vision frame of that segment.
-    """
-    ids = tuple(feature_positions)
-    features = np.array([feature_positions[fid] for fid in ids], dtype=float)
-    seen = np.zeros((len(trajectory.segments), len(ids)), dtype=bool)
-    count = _frame_clock(sensor, trajectory.total_duration)[0]
-    for positions, segments, _ in _frame_blocks(trajectory, sensor, count):
-        np.logical_or.at(seen, segments, _in_cone(features - positions[:, None, :], sensor))
-    return DetectionSchedule(detected=seen.T.copy(), feature_ids=ids)
 
 
 def _frame_clock(sensor: SensorConfig, duration=0.0):

@@ -25,6 +25,34 @@ def bundled_path(name):
     return str(importlib.resources.files("slamobs") / "scenarios" / name)
 
 
+def flight_variant(tmp_path, old, new):
+    """A copy of ``case2_flight.yaml`` with the line ``old`` replaced by ``new``."""
+    text = Path(bundled_path("case2_flight.yaml")).read_text()
+    assert old in text
+    path = tmp_path / "variant.yaml"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+#: The one line of a flight whose segments end beyond the largest double.
+TRAJECTORY_OVERFLOW_ERROR = (
+    "error: trajectory: segment 1: the state at its end is not finite "
+    "(the segment durations and specific forces are too large)\n"
+)
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
 ANALYZE = ["analyze", bundled_path("case2.yaml")]
 SIMULATE = ["simulate", bundled_path("case2_flight.yaml")]
 
@@ -150,6 +178,19 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(huge)]) == 1
         assert capsys.readouterr().err == OVERFLOW_ERROR
 
+    def test_overflowing_flight(self, tmp_path, capsys):
+        """A trajectory that overflows is one input error, without a warning."""
+        huge = flight_variant(tmp_path, "duration: 50.0", "duration: 1.0e+200")
+        assert main(["analyze", huge]) == 1
+        assert capsys.readouterr().err == TRAJECTORY_OVERFLOW_ERROR
+
+    def test_vanishing_frame_rate(self, tmp_path, capsys):
+        tiny = flight_variant(tmp_path, "frame_rate_hz: 25.0", "frame_rate_hz: 5.0e-324")
+        assert main(["analyze", tiny]) == 1
+        assert capsys.readouterr().err == (
+            "error: sensor: imu_rate_hz / frame_rate_hz must be finite\n"
+        )
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["analyze", bundled_path("case2.yaml"), "--out", str(out)]) == 0
@@ -244,6 +285,31 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("range_error_m: 5.0", "range_error_m: 1.0e+300", "range_error_m must be finite once squared"),
+            ("gyro_noise_deg: 0.1", "gyro_noise_deg: 1.0e+300", "gyro_noise_deg must be finite once squared"),
+            ("frame_rate_hz: 25.0", "frame_rate_hz: 5.0e-324", "imu_rate_hz / frame_rate_hz must be finite"),
+        ],
+        ids=["range_error", "gyro_noise", "frame_rate"],
+    )
+    def test_sensor_magnitude_is_one_error_line(self, old, new, message, tmp_path, capsys):
+        """A sensor magnitude the filter cannot square or divide fails before any output."""
+        out = tmp_path / "out"
+        argv = ["simulate", flight_variant(tmp_path, old, new), "--duration", "0.2"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: sensor: {message}\n"
+        assert not out.exists()
+
+    def test_overflowing_flight(self, tmp_path, capsys):
+        """A trajectory that overflows fails even when the run stops before the overflow."""
+        out = tmp_path / "out"
+        huge = flight_variant(tmp_path, "duration: 50.0", "duration: 1.0e+200")
+        assert main(["simulate", huge, "--duration", "0.2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == TRAJECTORY_OVERFLOW_ERROR
+        assert not out.exists()
+
     def test_simulate_never_imports_scipy(self, tmp_path):
         # the model's dynamics are nilpotent, so scipy's expm is never reached
         argv = [
@@ -256,14 +322,7 @@ class TestSimulateCommand:
             f"assert main({argv!r}) == 0\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-        )
+        proc = run_fresh(code)
         assert proc.returncode == 0, proc.stderr
         assert len((tmp_path / "position.csv").read_text().splitlines()) == 27
 
@@ -355,3 +414,55 @@ class TestCasesCommand:
         for dt, rule in (("nan", "finite"), ("0", "> 0.0"), ("-5", "> 0.0"), ("inf", "finite")):
             assert main(["cases", "--dt", dt]) == 1
             assert f"error: --dt: must be {rule}" in capsys.readouterr().err
+
+
+class TestImportContract:
+    """Each command loads only the modules it runs, in a fresh interpreter.
+
+    The analysis commands never run the covariance filter, and ``cases``
+    reads no scenario file; a flight document or ``simulate`` loads both.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["analyze", bundled_path("case2.yaml")], ["yaml"]),
+            (["analyze", bundled_path("case2_segment1.yaml"), "--local", "0"], ["yaml"]),
+            (["cases", "--exact", "--first-order"], []),
+            (["analyze", bundled_path("case2_flight.yaml")], ["slamobs.simulation", "yaml"]),
+            (SIMULATE + ["--duration", "1"], ["slamobs.simulation", "yaml"]),
+        ],
+        ids=["analyze", "analyze_local", "cases", "analyze_flight", "simulate"],
+    )
+    def test_command_loads(self, argv, loaded, tmp_path):
+        if argv[0] == "simulate":
+            argv = argv + ["--out", str(tmp_path)]
+        code = (
+            "import contextlib, io, sys\n"
+            "from slamobs.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print([m for m in ('slamobs.simulation', 'yaml') if m in sys.modules])\n"
+        )
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(loaded)
+
+    def test_import_loads_no_filter_and_no_yaml(self):
+        """``import slamobs`` loads neither; the filter's names load the filter on first use."""
+        proc = run_fresh(
+            "import sys, slamobs\n"
+            "print([m for m in ('slamobs.simulation', 'yaml') if m in sys.modules])\n"
+            "assert slamobs.simulate is slamobs.simulation.simulate\n"
+            "assert 'slamobs.simulation' in sys.modules\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_filter_module_is_an_attribute_of_the_package(self):
+        proc = run_fresh(
+            "import slamobs\n"
+            "assert slamobs.simulation.process_noise_intensity\n"
+            "assert 'simulation' in dir(slamobs)\n"
+        )
+        assert proc.returncode == 0, proc.stderr

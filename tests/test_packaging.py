@@ -1,10 +1,12 @@
-"""The packaging metadata points at the package: its console script and its
-bundled scenario files."""
+"""The packaging metadata points at the package: its console script, its
+bundled scenario files and the NumPy range the tests run on."""
 
 import importlib
+import re
 from pathlib import Path, PurePosixPath
 
 import pytest
+from packaging.requirements import Requirement
 
 from slamobs import cli
 
@@ -30,3 +32,19 @@ def test_package_data_covers_every_scenario_file():
     assert files
     missing = [str(f) for f in files if not any(f.match(glob) for glob in globs)]
     assert not missing, f"not shipped by [tool.setuptools.package-data]: {missing}"
+
+
+def test_ci_numpy_pin_lies_in_the_declared_range():
+    """The filter calls NumPy's private LAPACK gufunc, so the range declared is the one CI runs.
+
+    The range has an upper bound, and every NumPy version the CI workflow
+    installs lies inside it.
+    """
+    (numpy,) = [
+        req for req in map(Requirement, PYPROJECT["project"]["dependencies"]) if req.name == "numpy"
+    ]
+    assert any(spec.operator in ("<", "<=", "==", "~=") for spec in numpy.specifier)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    pins = re.findall(r"\bnumpy==([0-9][0-9.]*)", workflow)
+    assert pins
+    assert [pin for pin in pins if pin not in numpy.specifier] == []

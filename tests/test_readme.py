@@ -115,12 +115,29 @@ def test_schema_block_sets_every_field(path):
     assert sorted(section) == sorted(known)
 
 
+def test_filter_names_resolve_on_first_access():
+    """The simulation names of ``import slamobs`` are ``slamobs.simulation``'s own objects."""
+    from slamobs import simulation
+
+    for name in (
+        "CovarianceTrace", "SensorConfig", "SimScenario", "TrajectoryConfig",
+        "measurement_noise_cartesian", "simulate", "state_comparison_run",
+    ):
+        assert getattr(slamobs, name) is getattr(simulation, name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        slamobs.no_such_name
+
+
 def test_top_level_names():
-    """``import slamobs`` re-exports exactly these; a new export is a deliberate edit here."""
+    """``import slamobs`` re-exports exactly these; a new export is a deliberate edit here.
+
+    The names are read through ``dir`` and ``getattr``, so the filter's
+    names, which the package resolves on first access, count as well.
+    """
     public = {
         name
-        for name, value in vars(slamobs).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in dir(slamobs)
+        if not name.startswith("_") and not inspect.ismodule(getattr(slamobs, name))
     }
     assert public == {
         "AnalysisOptions", "CandidateFunctional", "CovarianceTrace", "DetectionSchedule",

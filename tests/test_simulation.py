@@ -27,13 +27,12 @@ from oracles import (
 from slamobs import analysis, model, simulation
 from slamobs.model import DetectionSchedule, feature_obs_row, ins_error_f
 from slamobs.pwcs import state_transition
-from slamobs.scenario import load_scenario
+from slamobs.scenario import fov_schedule, load_scenario
 from slamobs.simulation import (
     DEFAULT_VEHICLE_VARIANCES,
     SensorConfig,
     SimScenario,
     TrajectoryConfig,
-    fov_schedule,
     measurement_noise_cartesian,
     process_noise_intensity,
     simulate,
@@ -171,6 +170,20 @@ class TestTrajectory:
     def test_rejects_mis_shaped_start(self):
         with pytest.raises(ValueError, match=re.escape("p0 must have shape (3,), got (2,)")):
             TrajectoryConfig(p0=[0, 0], v0=[0, 0, 0], segments=[(1.0, [0, 0, G])])
+
+    @pytest.mark.parametrize(
+        "segments, bad",
+        [
+            ([(1e200, [0.0, 0.0, G]), (1e200, [0.0, 0.1, G])], 1),
+            ([(1e200, [0.0, 1.0, G]), (1.0, [0.0, 0.0, G])], 0),
+            ([(1e150, [0.0, 1.0, G]), (1e160, [0.0, 0.0, G])], 1),
+        ],
+        ids=["last", "first", "carried_velocity"],
+    )
+    def test_overflowing_segment_end_rejected(self, segments, bad):
+        """A segment whose end state overflows is named, without a floating-point warning."""
+        with pytest.raises(ValueError, match=f"^segment {bad}: the state at its end is not finite"):
+            TrajectoryConfig(p0=[0.0, 0.0, 100.0], v0=[0.1, 0.0, 0.0], segments=segments)
 
     @pytest.mark.parametrize("gravity", [-1.0, np.inf, np.nan])
     def test_gravity_must_be_non_negative_and_finite(self, gravity):
@@ -1471,6 +1484,19 @@ class TestSensorConfig:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             SensorConfig(accel_noise=-0.1)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["accel_noise", "gyro_noise_deg", "range_error_m", "bearing_noise_deg", "elevation_noise_deg"],
+    )
+    def test_noise_whose_square_overflows_rejected(self, name):
+        """The filter squares each sigma in its own units; an infinite square is an input error."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite once squared$"):
+            SensorConfig(**{name: 1e300})
+
+    def test_rate_ratio_must_be_finite(self):
+        with pytest.raises(ValueError, match="^imu_rate_hz / frame_rate_hz must be finite$"):
+            SensorConfig(frame_rate_hz=5e-324)
 
     @pytest.mark.parametrize(
         "name, value, wording",
