@@ -286,18 +286,19 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "old, new, message",
+        "field, old, new, message",
         [
-            ("range_error_m: 5.0", "range_error_m: 1.0e+300", "range_error_m must be finite once squared"),
-            ("gyro_noise_deg: 0.1", "gyro_noise_deg: 1.0e+300", "gyro_noise_deg must be finite once squared"),
-            ("frame_rate_hz: 25.0", "frame_rate_hz: 5.0e-324", "imu_rate_hz / frame_rate_hz must be finite"),
+            ("range_error_m", "5.0", "1.0e+300", "range_error_m must be finite once squared"),
+            ("gyro_noise_deg", "0.1", "1.0e+300", "gyro_noise_deg must be finite once squared"),
+            ("frame_rate_hz", "25.0", "5.0e-324", "imu_rate_hz / frame_rate_hz must be finite"),
         ],
         ids=["range_error", "gyro_noise", "frame_rate"],
     )
-    def test_sensor_magnitude_is_one_error_line(self, old, new, message, tmp_path, capsys):
+    def test_sensor_magnitude_is_one_error_line(self, field, old, new, message, tmp_path, capsys):
         """A sensor magnitude the filter cannot square or divide fails before any output."""
         out = tmp_path / "out"
-        argv = ["simulate", flight_variant(tmp_path, old, new), "--duration", "0.2"]
+        variant = flight_variant(tmp_path, f"{field}: {old}", f"{field}: {new}")
+        argv = ["simulate", variant, "--duration", "0.2"]
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: sensor: {message}\n"
         assert not out.exists()

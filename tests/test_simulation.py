@@ -1487,7 +1487,10 @@ class TestSensorConfig:
 
     @pytest.mark.parametrize(
         "name",
-        ["accel_noise", "gyro_noise_deg", "range_error_m", "bearing_noise_deg", "elevation_noise_deg"],
+        [
+            "accel_noise", "gyro_noise_deg", "range_error_m", "bearing_noise_deg",
+            "elevation_noise_deg",
+        ],
     )
     def test_noise_whose_square_overflows_rejected(self, name):
         """The filter squares each sigma in its own units; an infinite square is an input error."""
