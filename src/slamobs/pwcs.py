@@ -8,11 +8,12 @@ multi-segment (total) observability matrix, and SVD-based rank / null-space
 queries used to decide which linear functionals of the state the
 measurements determine.
 
-All operations are pure functions of their inputs; no shared state.
+All operations are pure NumPy functions of their inputs; no shared state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +97,11 @@ def state_transition(F, delta: float, mode: str = "exact") -> np.ndarray:
     """Transition matrix of a constant-dynamics segment of length delta.
 
     mode="first_order" returns I + F*delta.  mode="exact" returns the matrix
-    exponential; when F is nilpotent (F**p == 0) its series
-    I + F*delta + ... + (F*delta)**(p-1)/(p-1)! is summed from F*delta on,
-    each term from the last; otherwise a scaling-and-squaring exponential.
+    exponential's Taylor series, summed from F*delta on, each term from the
+    last: to its last nonzero term (F*delta)**(p-1)/(p-1)! when F**p == 0;
+    otherwise to 20 terms for delta / 2**s, with s the least that gives
+    ||F*delta||_1 <= 1/2, squared s times.  ValueError when ||F*delta||_1 is
+    not finite.
     """
     F = _as_square(F, "F")
     delta = float(delta)
@@ -118,16 +121,22 @@ def _transition(F: np.ndarray, delta: float, mode: str) -> np.ndarray:
     n = F.shape[0]
     if mode == "first_order":
         return np.eye(n) + F * delta
-    p = _nilpotency_index(F)
+    p, squarings = _nilpotency_index(F), 0
     if p is None:
-        import scipy.linalg
-
-        return scipy.linalg.expm(F * delta)
+        # scaling and squaring (Moler & Van Loan 2003, method 3): with
+        # ||F delta / 2**s||_1 <= 1/2, the terms past the 20th sum to < 1e-22
+        mantissa, exponent = math.frexp(float(np.linalg.norm(F, 1)) * delta)
+        if not math.isfinite(mantissa):
+            raise ValueError("F * delta must have a finite 1-norm")
+        p, squarings = 20, max(0, exponent + (mantissa > 0.5))
+        delta = math.ldexp(delta, -squarings)
     term = F * delta
     out = np.eye(n) + term
     for k in range(2, p):
         term = term @ F * (delta / k)
         out = out + term
+    for _ in range(squarings):
+        out = out @ out
     return out
 
 

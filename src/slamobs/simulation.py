@@ -55,6 +55,10 @@ GEOMETRY_BLOCK_FRAMES = 250
 #: short to bound peak memory; ``_TraceRecorder.trace`` forms its variances
 #: over spans of the same length.
 _BLOCK_FRAMES = 50
+#: Most vision frames one timeline may count (``_frame_clock``): 11 h at
+#: 25 Hz.  A longer flight, or an infinite one, fails at once instead of
+#: walking its frames for hours.
+MAX_FRAMES = 10**6
 
 
 @dataclass(eq=False)
@@ -388,13 +392,17 @@ def _check_innovations(innovations) -> None:
     """Check that every innovation covariance in ``innovations`` is positive definite.
 
     The same LAPACK test, matrix by matrix, as a Cholesky call per matrix,
-    in one call per shape.  Raises LinAlgError with ``_joseph``'s message when
-    any matrix fails; clears the list.
+    in one call per shape.  A matrix that holds NaN gets a NaN factor rather
+    than an error, so a factor that is not finite fails as well.  Raises
+    LinAlgError with ``_joseph``'s message when any matrix fails; clears the
+    list.
     """
     try:
-        _cholesky_by_shape(innovations)
+        factors = _cholesky_by_shape(innovations)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(_INDEFINITE.format(exc)) from exc
+    if not all(np.isfinite(L).all() for _, L in factors):
+        raise np.linalg.LinAlgError(_INDEFINITE.format("its Cholesky factor is not finite"))
     innovations.clear()
 
 
@@ -726,11 +734,17 @@ def _frame_clock(sensor: SensorConfig, duration=0.0):
     Frame k is at k * dt everywhere (k / frame_rate_hz differs by an ulp on
     some k), and the frames counted are those with k * dt <= duration, with
     the ``_SLACK`` of the segment lookups; a zero duration counts none, not
-    frame 0.
+    frame 0.  ValueError when duration * frame_rate_hz exceeds ``MAX_FRAMES``
+    or is not finite.
     """
     frame_dt = 1.0 / sensor.frame_rate_hz
     steps_per_frame = int(round(sensor.imu_rate_hz / sensor.frame_rate_hz))
-    last = round(duration * sensor.frame_rate_hz)
+    frames = duration * sensor.frame_rate_hz
+    if not frames <= MAX_FRAMES:
+        raise ValueError(
+            f"duration * frame_rate_hz is {frames:.6g} frames, more than the {MAX_FRAMES:,} allowed"
+        )
+    last = round(frames)
     if last * frame_dt > duration + _SLACK:  # the nearest frame lies past the end
         last -= 1
     count = last + 1 if duration > 0 else 0

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import o_expm, o_tom
 from slamobs import simulation
 from slamobs.cli import main
 
@@ -41,7 +43,7 @@ TRAJECTORY_OVERFLOW_ERROR = (
 )
 
 
-def run_fresh(code):
+def run_fresh(code, timeout=None):
     """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -50,7 +52,19 @@ def run_fresh(code):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
+
+
+def fov_flight_variant(tmp_path, replacements):
+    """A copy of ``tests/golden/fov_flight.yaml`` with each (old, new, count) applied."""
+    text = (Path(__file__).resolve().parent / "golden" / "fov_flight.yaml").read_text()
+    for old, new, count in replacements:
+        assert text.count(old) >= count
+        text = text.replace(old, new, count)
+    path = tmp_path / "fov_variant.yaml"
+    path.write_text(text)
+    return str(path)
 
 
 ANALYZE = ["analyze", bundled_path("case2.yaml")]
@@ -191,6 +205,40 @@ class TestAnalyzeCommand:
             "error: sensor: imu_rate_hz / frame_rate_hz must be finite\n"
         )
 
+    @pytest.mark.parametrize(
+        "replacements, frames",
+        [
+            ([("duration: 5.0", "duration: 1.0e+300", 1)], "2.5e+301"),
+            (
+                [
+                    ("v0: [5.0, 0.0, 0.0]", "v0: [0.0, 0.0, 0.0]", 1),
+                    ("[0.05, 0.08, 9.81]", "[0.0, 0.0, 9.81]", 1),
+                    ("[0.0, -0.05, 9.81]", "[0.0, 0.0, 9.81]", 1),
+                    ("duration: 5.0", "duration: 1.0e+308", 2),
+                ],
+                "inf",
+            ),
+        ],
+        ids=["huge_segment", "infinite_flight"],
+    )
+    def test_auto_schedule_frame_bound(self, replacements, frames, tmp_path):
+        """An auto schedule of more than ``MAX_FRAMES`` frames fails at once, not after hours.
+
+        The first flight has a finite end state (no net acceleration); the
+        second holds still, so its end state is finite though its total
+        duration is not.
+        """
+        variant = fov_flight_variant(tmp_path, replacements)
+        proc = run_fresh(
+            f"import sys\nfrom slamobs.cli import main\nsys.exit(main(['analyze', {variant!r}]))\n",
+            timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: schedule: duration * frame_rate_hz is {frames} frames, "
+            "more than the 1,000,000 allowed\n"
+        )
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["analyze", bundled_path("case2.yaml"), "--out", str(out)]) == 0
@@ -273,16 +321,16 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("extra", [[], ["--state-run"]], ids=["trace", "state-run"])
     def test_flight_too_long_to_record(self, extra, tmp_path, capsys):
-        # 1e13 s at 25 Hz is a 3.55 PiB trace column: the allocation is
-        # refused at once, before any memory is touched or file written
+        # 2e13 s at 25 Hz is 5e14 frames, past simulation.MAX_FRAMES: the run
+        # is refused at once, before any memory is touched or file written
         text = Path(bundled_path("case2_flight.yaml")).read_text()
         long_flight = tmp_path / "long.yaml"
         long_flight.write_text(text.replace("duration: 50.0", "duration: 1.0e+13"))
         out = tmp_path / "out"
         assert main(["simulate", str(long_flight), "--out", str(out)] + extra) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            "error: duration * frame_rate_hz is 5e+14 frames, more than the 1,000,000 allowed\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -311,21 +359,27 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == TRAJECTORY_OVERFLOW_ERROR
         assert not out.exists()
 
-    def test_simulate_never_imports_scipy(self, tmp_path):
-        # the model's dynamics are nilpotent, so scipy's expm is never reached
-        argv = [
-            "simulate", bundled_path("case2_flight.yaml"),
-            "--duration", "1", "--out", str(tmp_path),
-        ]
-        code = (
-            "import sys, slamobs\n"
-            "from slamobs.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    @pytest.mark.parametrize(
+        "field, old, new",
+        [("range_error_m", "5.0", "1.0e+154"), ("gyro_noise_deg", "0.1", "1.0e+155")],
+        ids=["range_error", "gyro_noise"],
+    )
+    def test_overflowing_filter_is_one_error_line(self, field, old, new, tmp_path, capsys):
+        """A sigma whose square fits but whose filter sums overflow fails before any output.
+
+        The overflow reaches the innovation covariances as NaN, which the
+        blocked Cholesky check factors without an error; its factor is not
+        finite.  NumPy's overflow warnings still come first.
+        """
+        out = tmp_path / "out"
+        variant = flight_variant(tmp_path, f"{field}: {old}", f"{field}: {new}")
+        with pytest.warns(RuntimeWarning):
+            assert main(["simulate", variant, "--duration", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: innovation covariance is singular or indefinite: "
+            "its Cholesky factor is not finite\n"
         )
-        proc = run_fresh(code)
-        assert proc.returncode == 0, proc.stderr
-        assert len((tmp_path / "position.csv").read_text().splitlines()) == 27
+        assert not out.exists()
 
     def test_state_run_output(self, tmp_path):
         assert main(
@@ -459,6 +513,37 @@ class TestImportContract:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        """Every command, and the exponential of a non-nilpotent F, runs where scipy cannot load."""
+        stripe = "PwcsStripe(F=np.roll(np.eye(4), 1, axis=1), H=np.eye(4)[:1], delta=0.5)"
+        simulate = SIMULATE + ["--duration", "1", "--state-run", "--out", str(tmp_path)]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "class RefuseScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+            "import numpy as np\n"
+            "import slamobs\n"
+            "from slamobs.cli import main\n"
+            "from slamobs.pwcs import PwcsStripe, state_transition, tom\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for argv in ({ANALYZE!r}, ['cases'], {simulate!r}):\n"
+            "        assert main(argv) == 0, argv\n"
+            f"stripe = {stripe}\n"
+            "phi = state_transition(stripe.F, stripe.delta)\n"
+            "print(json.dumps([phi.tolist(), tom([stripe, stripe]).tolist()]))\n"
+        )
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        phi, matrix = json.loads(proc.stdout)
+        F = np.roll(np.eye(4), 1, axis=1).tolist()
+        np.testing.assert_allclose(phi, o_expm(F, 0.5), rtol=0, atol=1e-15)
+        want = o_tom([(F, [[1.0, 0.0, 0.0, 0.0]], 0.5)] * 2, max_power=3)
+        np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-15)
+        assert len((tmp_path / "state_run.csv").read_text().splitlines()) == 27
 
     def test_filter_module_is_an_attribute_of_the_package(self):
         proc = run_fresh(

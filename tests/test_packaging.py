@@ -1,8 +1,11 @@
 """The packaging metadata points at the package: its console script, its
-bundled scenario files and the NumPy range the tests run on."""
+bundled scenario files, its two dependencies and the NumPy range the tests
+run on."""
 
+import ast
 import importlib
 import re
+import sys
 from pathlib import Path, PurePosixPath
 
 import pytest
@@ -48,3 +51,26 @@ def test_ci_numpy_pin_lies_in_the_declared_range():
     pins = re.findall(r"\bnumpy==([0-9][0-9.]*)", workflow)
     assert pins
     assert [pin for pin in pins if pin not in numpy.specifier] == []
+
+
+def test_dependencies_are_numpy_and_pyyaml():
+    names = {Requirement(req).name for req in PYPROJECT["project"]["dependencies"]}
+    assert names == {"numpy", "PyYAML"}
+
+
+def test_package_imports_only_the_declared_dependencies():
+    """Every import under src/slamobs, in a function or not, is stdlib, slamobs, numpy or yaml."""
+    allowed = set(sys.stdlib_module_names) | {"slamobs", "numpy", "yaml"}
+    found = {}
+    for path in sorted((ROOT / "src" / "slamobs").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.partition(".")[0], []).append(path.name)
+    assert {"numpy", "yaml"} <= set(found)  # the scan sees imports inside functions
+    assert {name: files for name, files in found.items() if name not in allowed} == {}

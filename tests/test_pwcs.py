@@ -139,6 +139,67 @@ class TestStateTransition:
         want = np.array(o_expm(F.tolist(), 1.7))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 3.0, 10.0, 100.0, 1e3])
+    def test_rotation_matches_rodrigues(self, theta):
+        """exp(theta K) = I + sin(theta) K + (1 - cos(theta)) K^2 for a unit axis's skew K."""
+        rng = np.random.default_rng(int(theta * 10))
+        for _ in range(5):
+            axis = rng.normal(size=3)
+            K = skew(axis / np.linalg.norm(axis))
+            want = np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * K @ K
+            got = state_transition(K, theta)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(1.0, theta))
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 30])
+    def test_symmetric_matches_eigendecomposition(self, n):
+        """exp(Q diag(lam) Q^T) = Q diag(e^lam) Q^T, with lam in [-20, 5]."""
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            lam = rng.uniform(-20.0, 5.0, size=n)
+            want = (Q * np.exp(lam)) @ Q.T
+            got = state_transition((Q * lam) @ Q.T, 1.0)
+            assert np.linalg.norm(got - want, 1) <= 1e-13 * np.linalg.norm(want, 1)
+
+    @pytest.mark.parametrize("n", [2, 7, 20, 45])
+    def test_exponential_of_negation_is_the_inverse(self, n):
+        """exp(A) exp(-A) = I, to rounding of the product, for 1-norms up to 30."""
+        rng = np.random.default_rng(100 + n)
+        for norm in (0.01, 0.5, 3.0, 30.0):
+            A = rng.normal(size=(n, n))
+            A *= norm / np.linalg.norm(A, 1)
+            E, E_inv = state_transition(A, 1.0), state_transition(-A, 1.0)
+            residual = np.linalg.norm(E @ E_inv - np.eye(n), 1)
+            assert residual <= 1e-14 * np.linalg.norm(E, 1) * np.linalg.norm(E_inv, 1)
+
+    def test_scaling_starts_just_above_one_half(self):
+        """||F delta||_1 = 1/2 sums the series at delta itself; one ulp more squares it once."""
+
+        def series(F, delta, terms=20):
+            out, term = np.eye(len(F)), np.eye(len(F))
+            for k in range(1, terms):
+                term = term @ F * (delta / k)
+                out = out + term
+            return out
+
+        F = np.array([[1.0, -2.0, 0.0], [-1.0, 1.0, 3.0], [2.0, 1.0, -1.0]])
+        assert np.linalg.norm(F, 1) == 4.0 and np.linalg.matrix_power(F, 3).any()
+        at_half = state_transition(F, 0.125)
+        assert at_half.tobytes() == series(F, 0.125).tobytes()
+        above = np.nextafter(0.125, 1.0)
+        assert np.linalg.norm(F, 1) * above > 0.5
+        halved = series(F, above / 2)
+        assert state_transition(F, above).tobytes() == (halved @ halved).tobytes()
+        assert (halved @ halved).tobytes() != series(F, above).tobytes()
+
+    def test_non_finite_norm_rejected(self):
+        shift = np.roll(np.eye(4), 1, axis=1)
+        with pytest.raises(ValueError, match=r"^F \* delta must have a finite 1-norm$"):
+            state_transition(1e10 * shift, 1e300)
+        # the nilpotency scan's powers of this F overflow first
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=r"F \* delta"):
+            state_transition(np.full((3, 3), 1e300), 1e10)
+
     def test_rejects_bad_mode_and_shape(self):
         with pytest.raises(ValueError):
             state_transition(np.eye(2), 1.0, "approximate")

@@ -1018,6 +1018,15 @@ class TestBlockedLapackCalls:
         assert len(checked) <= bad_frame
         assert sum(replayed) <= bad_frame
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_innovation_fails_the_check(self, bad):
+        """The stacked Cholesky call factors a NaN matrix without an error; its factor fails."""
+        S = np.eye(3)
+        S[1, 1] = bad
+        message = "^innovation covariance is singular or indefinite: its Cholesky factor is not finite$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            simulation._check_innovations([np.eye(2), np.eye(3), S])
+
     @pytest.mark.parametrize("run", [simulate, state_comparison_run])
     def test_one_cholesky_per_shape_per_block(self, run, monkeypatch):
         """case2_flight's 2,501 updates take a few stacked Cholesky calls, not one each.
@@ -1430,6 +1439,17 @@ class TestDiagnostics:
         }
         assert within == {name: fault not in (name, "nan") for name in within}
         assert diag.n_updates == 120
+
+
+class TestFrameClock:
+    def test_frame_count_is_bounded(self):
+        """duration * frame_rate_hz may reach ``MAX_FRAMES`` and no further; inf and NaN fail."""
+        sensor = SensorConfig()
+        limit = simulation.MAX_FRAMES / sensor.frame_rate_hz
+        assert simulation._frame_clock(sensor, limit)[0] == simulation.MAX_FRAMES + 1
+        for duration in (np.nextafter(limit, np.inf), np.inf, np.nan):
+            with pytest.raises(ValueError, match="frames, more than the 1,000,000 allowed$"):
+                simulation._frame_clock(sensor, duration)
 
 
 class TestSensorConfig:
